@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from .system import CoxeterSystem
-from .words import Word, LimitExceeded, multiply, format_word
+from .words import DEFAULT_MAX_STATES, LimitExceeded, Word, format_word, multiply, reflect
 
 DEFAULT_MAX_VERTICES = 10**6
 
@@ -97,41 +97,77 @@ def build_ball(
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_states: int | None = None,
 ) -> CayleyBall:
-    """Breadth-first enumeration of all elements of length <= radius."""
-    from .words import DEFAULT_MAX_STATES
+    """Breadth-first enumeration of all elements of length <= radius.
 
+    A vertex's word is its parent's word plus the generator that reached it
+    first.  Parents are expanded in id order and generators in index order,
+    so that word is the lexicographically least reduced word: the canonical
+    form.  Vertices are told apart by a key; step(key, s) gives the key of
+    x·s and whether s is a right descent of x (x·s is shorter, so it must
+    already be in the ball).
+    """
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    cartan = system.cartan
+    if cartan is None:
+        # Rewriting: x is keyed by its canonical word.
+        def step(key: Word, s: int) -> tuple[Word, bool]:
+            target = multiply(system, key, (s,), max_states=max_states)
+            return target, len(target) < len(key)
+
+        root: tuple[int, ...] = ()
+    else:
+        # Root-system keys: x is keyed by x^-1·rho, so x·s is one reflection.
+        def step(key: tuple[int, ...], s: int) -> tuple[tuple[int, ...], bool]:
+            return reflect(cartan, key, s), key[s] < 0
+
+        root = (1,) * system.rank
     words: list[Word] = [()]
-    index: dict[Word, int] = {(): 0}
+    keys = [root]
+    ids = {root: 0}
     ball = CayleyBall(system, radius, words)
     frontier = [0]
-    for layer in range(1, radius + 1):
+    for _ in range(radius):
         next_frontier: list[int] = []
         for v in frontier:
             for s in system.generators():
-                target = multiply(system, words[v], (s,), max_states=max_states)
-                if target in index:
-                    ball._add_edge(v, index[target], s)
+                target, descent = step(keys[v], s)
+                u = ids.get(target)
+                if u is not None:
+                    ball._add_edge(v, u, s)
                     continue
-                if len(target) != layer:
-                    # shorter product: its vertex already exists by BFS order
+                if descent:
+                    # a shorter product: its vertex already exists by BFS order
                     raise AssertionError("BFS invariant violated")
                 if len(words) >= max_vertices:
                     raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
                 vid = len(words)
-                index[target] = vid
-                words.append(target)
+                ids[target] = vid
+                keys.append(target)
+                words.append(words[v] + (s,))
                 ball.adj.append(dict())
                 next_frontier.append(vid)
                 ball._add_edge(v, vid, s)
         frontier = next_frontier
         if not frontier:
             break
-    ball.index = index
+    ball.index = {w: i for i, w in enumerate(words)}
     return ball
+
+
+def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:
+    """Graph distance inside the ball from source to every vertex, by one BFS."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in ball.adj[x].values():
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 def distance(ball: CayleyBall, u: int, v: int) -> int | None:

@@ -27,7 +27,7 @@ from .automorphisms import (
     psi_phi_word,
     verify_ball_automorphism,
 )
-from .ball import CayleyBall, build_ball, distance
+from .ball import build_ball, distances_from
 from .cycles import (
     enumerate_embedded_cycles,
     is_alternating,
@@ -40,7 +40,7 @@ from .system import (
     CoxeterSystem,
     DiagramAutomorphism,
     enumerate_diagram_automorphisms,
-    is_flexible,
+    flexibility_witness,
 )
 from .words import LimitExceeded, apply_m_operation, m_class, reduce_word, _m_moves
 
@@ -150,7 +150,8 @@ def run_system_checks(
         probe_radius = default_probe_radius(system, radius)
     if probe_radius > radius:
         raise ValueError("probe radius cannot exceed the radius")
-    witness = is_flexible(system)
+    diagram_auts = enumerate_diagram_automorphisms(system)
+    witness = flexibility_witness(system, diagram_auts)
     checks: list[CheckResult] = []
 
     try:
@@ -199,9 +200,10 @@ def run_system_checks(
     add("interior-degree", interior_degree)
 
     def distance_equals_length() -> tuple[str, str]:
-        bad = [v for v in range(ball.size) if distance(ball, 0, v) != ball.word_length(v)]
+        dist = distances_from(ball, 0)
+        bad = [v for v in range(ball.size) if dist.get(v) != ball.word_length(v)]
         if bad:
-            return "fail", f"vertex {bad[0]}: distance {distance(ball, 0, bad[0])} != length {ball.word_length(bad[0])}"
+            return "fail", f"vertex {bad[0]}: distance {dist.get(bad[0])} != length {ball.word_length(bad[0])}"
         return "pass", f"distance from identity equals word length at all {ball.size} vertices"
 
     add("distance-equals-length", distance_equals_length)
@@ -277,7 +279,7 @@ def run_system_checks(
     add("left-mult-identity-field", left_mult_fields)
 
     def diagram_fields() -> tuple[str, str]:
-        for d in enumerate_diagram_automorphisms(system):
+        for d in diagram_auts:
             aut = diagram_aut(ball, d)
             report = verify_ball_automorphism(ball, aut)
             if not report.ok:
@@ -287,7 +289,7 @@ def run_system_checks(
                 return "fail", f"diagram_aut({d.images}) field is not constantly d"
         if not ball.edges:
             return "vacuous", "no edges; fields are empty"
-        return "pass", f"{len(enumerate_diagram_automorphisms(system))} diagram automorphisms verified, fields constant"
+        return "pass", f"{len(diagram_auts)} diagram automorphisms verified, fields constant"
 
     add("diagram-aut-field", diagram_fields)
 
@@ -471,7 +473,7 @@ def run_system_checks(
         if witness is not None:
             phis = [witness.phi]
         else:
-            phis = [d for d in enumerate_diagram_automorphisms(system) if not d.is_identity()]
+            phis = [d for d in diagram_auts if not d.is_identity()]
         if not phis:
             return "vacuous", "no nontrivial diagram automorphism to test against"
         for phi in phis:
@@ -484,7 +486,7 @@ def run_system_checks(
 
     # -- verdict -----------------------------------------------------------
 
-    n_diagram = len(enumerate_diagram_automorphisms(system))
+    n_diagram = len(diagram_auts)
     if census is None:
         verdict = "INDETERMINATE"
     elif witness is not None and census.count > n_diagram:

@@ -1,7 +1,8 @@
 """Command-line surface: parse, reduce, build, analyze, construct, verify.
 
 Exit codes: 0 success, 1 invariant violation, 2 input error,
-3 indeterminate (an enumeration guard tripped before an answer existed).
+3 indeterminate (an enumeration guard tripped before an answer existed),
+4 internal error (an unexpected exception; a bug, not a finding).
 Guards can be set by flag or by the environment variables COXAUT_MAX_STATES,
 COXAUT_MAX_VERTICES, and COXAUT_MAX_NODES; flags win.
 """
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit_json(obj: dict) -> None:
@@ -265,11 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxaut",
         description="Coxeter systems: word problem, Cayley-graph balls, and their automorphisms.",
+        epilog="exit codes: 0 success, 1 invariant violation, 2 input error, "
+        "3 indeterminate (a guard tripped), 4 internal error",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="diagram file (gens/pair format)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-states", type=int, default=None, help="m-operation closure guard")
+    common.add_argument(
+        "--max-states", type=int, default=None, help="m-operation closure guard (rewriting fallback and m-classes)"
+    )
     common.add_argument("--max-vertices", type=int, default=None, help="ball size guard")
     common.add_argument("--max-nodes", type=int, default=None, help="stabilizer search guard")
 
@@ -327,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except LimitExceeded as exc:
         print(f"INDETERMINATE: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,6 +17,13 @@ INFINITY = math.inf
 # Diagram automorphism enumeration is factorial in the rank.
 MAX_RANK = 12
 
+# Integer Cartan entries (a_st, a_ts), s < t, by the finite order m(s, t).
+# With a_st = a_ts = -2 for an infinite order, the Weyl group of the
+# resulting generalized Cartan matrix is the Coxeter group, because
+# a_st * a_ts = 0, 1, 2, 3, 4 gives m = 2, 3, 4, 6, infinity (Kac,
+# Infinite Dimensional Lie Algebras, Prop. 3.13).
+CARTAN_ENTRIES = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
+
 
 class ParseError(ValueError):
     """Raised for malformed diagram files or word strings."""
@@ -44,9 +51,9 @@ class CoxeterSystem:
         self.names = names
         self._orders = orders
         self._index = {name: i for i, name in enumerate(names)}
-        # Session-level memo of canonical forms, keyed by word tuple.
-        # Plain dict get/setdefault gives the linearizable get-or-insert the
-        # word engine relies on under concurrent use.
+        self.cartan = _cartan_matrix(len(names), orders)
+        # Memo of canonical forms for the rewriting engine, keyed by word
+        # tuple; systems with a Cartan matrix never fill it.
         self._reduce_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
@@ -99,6 +106,17 @@ class CoxeterSystem:
     def __repr__(self) -> str:
         pairs = ", ".join(f"m({self.names[s]},{self.names[t]})={m}" for s, t, m in self.finite_pairs())
         return f"CoxeterSystem({' '.join(self.names)}{'; ' + pairs if pairs else ''})"
+
+
+def _cartan_matrix(rank: int, orders: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...] | None:
+    """Rows of an integer generalized Cartan matrix for the system, or None
+    when some finite order is outside CARTAN_ENTRIES."""
+    if any(m not in CARTAN_ENTRIES for m in orders.values()):
+        return None
+    rows = [[2 if s == t else -2 for t in range(rank)] for s in range(rank)]
+    for (s, t), m in orders.items():
+        rows[s][t], rows[t][s] = CARTAN_ENTRIES[m]
+    return tuple(tuple(row) for row in rows)
 
 
 def parse_system(text: str) -> CoxeterSystem:
@@ -263,7 +281,13 @@ def is_flexible(system: CoxeterSystem) -> FlexibilityWitness | None:
     Brute force over pivots and label-preserving permutations; deterministic
     choice: smallest pivot index, then lexicographically smallest images.
     """
-    automorphisms = enumerate_diagram_automorphisms(system)
+    return flexibility_witness(system, enumerate_diagram_automorphisms(system))
+
+
+def flexibility_witness(
+    system: CoxeterSystem, automorphisms: list[DiagramAutomorphism]
+) -> FlexibilityWitness | None:
+    """is_flexible over an already enumerated diagram automorphism group."""
     for pivot in system.generators():
         required = [pivot] + system.neighbors(pivot)
         for phi in automorphisms:

@@ -8,6 +8,15 @@ m-operation closure contains an adjacent equal pair, and two reduced
 words represent the same element exactly when they lie in the same
 closure.  The canonical form of an element is the lexicographically
 least word in the m-class of any reduced word for it.
+
+When the system has an integer Cartan matrix (every finite order in
+{2, 3, 4, 6}), reduce_word skips the rewriting: an element x is stored as
+the weight x·rho in fundamental-weight coordinates, with rho = (1, ..., 1),
+and s is a left descent of x exactly when coordinate s is negative
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).  Peeling the
+smallest left descent until none is left spells the lexicographically
+least reduced word, which is the canonical form.  The m-closure functions
+stay as the reference oracle and the engine for every other system.
 """
 
 from __future__ import annotations
@@ -106,8 +115,38 @@ def m_class(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STA
     return closure
 
 
+def reflect(cartan: tuple[tuple[int, ...], ...], key: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The simple reflection s applied to a weight: key - key[s] * (row s of the Cartan matrix)."""
+    c = key[s]
+    return tuple([k - c * a for k, a in zip(key, cartan[s])])
+
+
 def reduce_word(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> Word:
     """Canonical form: lexicographically least word in the m-class.
+
+    Uses root-system keys when the system has a Cartan matrix, and the
+    rewriting engine (where max_states applies) otherwise.
+    """
+    word = tuple(word)
+    cartan = system.cartan
+    if cartan is None:
+        return reduce_by_rewriting(system, word, max_states=max_states)
+    key = (1,) * system.rank
+    for s in reversed(word):
+        key = reflect(cartan, key, s)
+    canonical = []
+    while True:
+        for s, c in enumerate(key):
+            if c < 0:
+                break
+        else:
+            return tuple(canonical)
+        canonical.append(s)
+        key = reflect(cartan, key, s)
+
+
+def reduce_by_rewriting(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> Word:
+    """reduce_word by m-operations alone, for any system.
 
     Repeatedly enumerates the closure of the current word; if any member has
     an adjacent equal pair, deletes that pair and starts over with the

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from coxaut.cli import main
+from coxaut import cli
+from coxaut.cli import EXIT_INTERNAL, EXIT_VIOLATION, main
 
 A2 = "gens a b\npair a b 3\n"
 BRANCHED = "gens s t u\npair t u 2\n"
@@ -205,3 +206,17 @@ class TestErrorsAndGuards:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    def test_unexpected_exception_exits_internal(self, a2_file, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_check_flexible", boom)
+        assert main(["check-flexible", a2_file]) == EXIT_INTERNAL == 4
+        assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+
+    def test_deep_census_is_not_a_violation(self, tmp_path, capsys):
+        # a census as deep as this ball once escaped main() as a RecursionError, exit 1
+        path = tmp_path / "free3.cox"
+        path.write_text("gens a b c\n")
+        assert main(["verify", str(path), "--radius", "9"]) != EXIT_VIOLATION
