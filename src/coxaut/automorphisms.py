@@ -406,16 +406,27 @@ def identity_stabilizer_census(
     Automorphisms of the ball that disagree only outside the probe sub-ball
     are boundary artifacts of the truncation; deduplicating by the restriction
     keeps one entry per genuinely distinct probe-level action.  Probe ids are
-    an id-prefix because breadth-first ids are sorted by word length.
+    an id-prefix because breadth-first ids are sorted by word length, so the
+    search is probe-first: it streams the assignments of the probe ids, and
+    for each one searches for a single extension to the whole ball, returning
+    to the last probe id as soon as one is found.  Both phases are one
+    depth-first search on an explicit stack of candidate iterators, one per
+    vertex, with no recursion, and every placed candidate counts as a node
+    against max_nodes.
     """
     if probe_radius < 0 or probe_radius > ball.radius:
         raise ValueError("probe radius must lie between 0 and the ball radius")
     size = ball.size
     probe_count = sum(1 for w in ball.words if len(w) <= probe_radius)
-    wl = [ball.word_length(v) for v in range(size)]
-    degree = [ball.degree(v) for v in range(size)]
+    # word length and degree as one number: images must match both
+    shape = [ball.word_length(v) * (ball.system.rank + 1) + ball.degree(v) for v in range(size)]
     neighbor_ids = [set(ball.adj[v].values()) for v in range(size)]
-    assigned_neighbors = [[u for u in sorted(neighbor_ids[v]) if u < v] for v in range(size)]
+    sorted_neighbors = [sorted(ids) for ids in neighbor_ids]
+    # the smallest neighbor of a vertex other than the identity is assigned
+    # before it (its BFS parent has a smaller id) and supplies the candidates;
+    # the other smaller neighbors are checked against each candidate
+    first_anchor = [0] + [ids[0] for ids in sorted_neighbors[1:]]
+    other_anchors = [[u for u in sorted_neighbors[v][1:] if u < v] for v in range(size)]
 
     assignment = [-1] * size
     assignment[0] = 0
@@ -424,34 +435,48 @@ def identity_stabilizer_census(
     restrictions: set[tuple[int, ...]] = set()
     nodes = 0
 
-    def extend(v: int) -> None:
-        nonlocal nodes
-        if v == size:
-            restrictions.add(tuple(assignment[:probe_count]))
-            return
-        anchors = assigned_neighbors[v]
-        if not anchors:
-            # isolated-from-smaller-ids never happens in a BFS ball, but a
-            # rank-1 system gives a two-vertex ball where it would; fall back
-            # to scanning everything.
-            pool = range(size)
-        else:
-            pool = sorted(neighbor_ids[assignment[anchors[0]]])
-        for c in pool:
-            if used[c] or wl[c] != wl[v] or degree[c] != degree[v]:
+    # pending[v] yields the untried candidates for vertex v; the vertices
+    # below v are assigned, and v holds its last tried candidate, or -1
+    pending: list = [None] * size
+    if size == 1:
+        restrictions.add((0,))
+        v = 0
+    else:
+        pending[1] = iter(sorted_neighbors[0])
+        v = 1
+    while v:
+        if assignment[v] >= 0:
+            used[assignment[v]] = False
+        shape_v = shape[v]
+        anchors = other_anchors[v]
+        for c in pending[v]:
+            if used[c] or shape[c] != shape_v:
                 continue
-            if any(assignment[u] not in neighbor_ids[c] for u in anchors):
-                continue
+            if anchors:
+                ids = neighbor_ids[c]
+                if any(assignment[u] not in ids for u in anchors):
+                    continue
             nodes += 1
             if nodes > max_nodes:
                 raise LimitExceeded(f"stabilizer search exceeded {max_nodes} nodes")
             assignment[v] = c
             used[c] = True
-            extend(v + 1)
+            break
+        else:
             assignment[v] = -1
-            used[c] = False
-
-    extend(1)
+            v -= 1
+            continue
+        v += 1
+        if v < size:
+            pending[v] = iter(sorted_neighbors[assignment[first_anchor[v]]])
+            continue
+        restrictions.add(tuple(assignment[:probe_count]))
+        # one extension per probe assignment: undo it and go on with the
+        # next candidate of the last probe vertex
+        for u in range(probe_count, size):
+            used[assignment[u]] = False
+            assignment[u] = -1
+        v = probe_count - 1
 
     diagram_restrictions: dict[tuple[int, ...], DiagramAutomorphism] = {}
     from .system import enumerate_diagram_automorphisms

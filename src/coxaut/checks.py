@@ -9,10 +9,10 @@ with what the structure theory predicts.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .automorphisms import (
+    DEFAULT_MAX_NODES,
     BallAutomorphism,
     coupling_violations,
     decompose,
@@ -27,7 +27,7 @@ from .automorphisms import (
     psi_phi_word,
     verify_ball_automorphism,
 )
-from .ball import build_ball, distances_from
+from .ball import DEFAULT_MAX_VERTICES, build_ball, distances_from
 from .cycles import (
     enumerate_embedded_cycles,
     is_alternating,
@@ -42,9 +42,7 @@ from .system import (
     enumerate_diagram_automorphisms,
     flexibility_witness,
 )
-from .words import LimitExceeded, apply_m_operation, m_class, reduce_word, _m_moves
-
-DEFAULT_COMMUTATION_WORDS = 10**4
+from .words import DEFAULT_MAX_STATES, LimitExceeded, apply_m_operation, m_class, reduce_word
 
 
 @dataclass(frozen=True)
@@ -87,44 +85,30 @@ class SystemReport:
         }
 
 
-def commutation_violations(
-    system: CoxeterSystem,
-    phi: DiagramAutomorphism,
-    num_words: int = DEFAULT_COMMUTATION_WORDS,
-    seed: int = 0,
-    max_len: int = 12,
-) -> list[str]:
-    """Random-word test: single rewriting moves commute with letterwise phi.
+def commutation_violations(system: CoxeterSystem, phi: DiagramAutomorphism) -> list[str]:
+    """Exact test: every m-operation commutes with letterwise phi.
 
-    For every tt-deletion and every m-operation applicable to a random word,
-    applying the move then phi must equal applying phi then the corresponding
-    move (same position, pair mapped through phi).  Exact word equality, not
-    equality modulo reduction.
+    For each finite pair (u, v) and each orientation, the m-operation turns
+    the alternating word u v u ... of length m(u, v) into v u v ...; phi of
+    the result must equal the (phi u, phi v) m-operation applied to phi of
+    the word.  A move anywhere in a longer word is this move with a prefix
+    and suffix that phi maps letterwise, and ss-deletions commute with any
+    letterwise map, so an empty result means phi commutes with every
+    rewriting move.  A pair whose image has another order has no image move
+    at all, which makes the result empty exactly when phi is label-preserving.
     """
-    rng = random.Random(seed)
     violations: list[str] = []
-    for _ in range(num_words):
-        word = tuple(rng.randrange(system.rank) for _ in range(rng.randint(0, max_len)))
-        phi_word = phi.apply_word(word)
-        for i in range(len(word) - 1):
-            if word[i] == word[i + 1]:
-                via_op = phi.apply_word(word[:i] + word[i + 2 :])
-                via_phi = phi_word[:i] + phi_word[i + 2 :]
-                if via_op != via_phi:
-                    violations.append(f"deletion at {i} of {word}")
-        for moved, (pos, u, v) in _m_moves(system, word):
-            via_op = phi.apply_word(moved)
+    for s, t, m in system.finite_pairs():
+        for u, v in ((s, t), (t, s)):
+            word = tuple((u, v)[i % 2] for i in range(m))
+            via_op = phi.apply_word(apply_m_operation(system, word, 0, u, v))
             try:
-                via_phi = apply_m_operation(system, phi_word, pos, phi(u), phi(v))
+                via_phi = apply_m_operation(system, phi.apply_word(word), 0, phi(u), phi(v))
             except ValueError:
-                # the image pair has a different order, so the corresponding
-                # move does not even exist; phi is not label-preserving
-                violations.append(f"m-operation at {pos} pair ({u},{v}) of {word}: no image move")
+                violations.append(f"m-operation on pair ({u},{v}): no image move")
                 continue
             if via_op != via_phi:
-                violations.append(f"m-operation at {pos} pair ({u},{v}) of {word}")
-        if len(violations) > 20:
-            break
+                violations.append(f"m-operation on pair ({u},{v}): image move differs")
     return violations
 
 
@@ -140,11 +124,9 @@ def run_system_checks(
     system: CoxeterSystem,
     radius: int = 5,
     probe_radius: int | None = None,
-    max_vertices: int = 10**6,
-    max_nodes: int = 10**6,
-    max_states: int = 10**6,
-    commutation_words: int = DEFAULT_COMMUTATION_WORDS,
-    seed: int = 0,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> SystemReport:
     if probe_radius is None:
         probe_radius = default_probe_radius(system, radius)
@@ -477,10 +459,11 @@ def run_system_checks(
         if not phis:
             return "vacuous", "no nontrivial diagram automorphism to test against"
         for phi in phis:
-            bad = commutation_violations(system, phi, num_words=commutation_words, seed=seed)
+            bad = commutation_violations(system, phi)
             if bad:
                 return "fail", f"phi {phi.images}: {bad[0]}"
-        return "pass", f"{commutation_words} random words against each of {len(phis)} map(s), zero violations"
+        moves = 2 * len(system.finite_pairs())
+        return "pass", f"{moves} m-operations (every finite pair, both orientations) commute with each of {len(phis)} map(s)"
 
     add("rewriting-phi-commutation", commutation)
 

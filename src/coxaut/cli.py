@@ -15,17 +15,18 @@ import os
 import sys
 
 from .automorphisms import (
+    DEFAULT_MAX_NODES,
     identity_stabilizer_census,
     local_permutation_field,
     psi_n,
     psi_phi,
     verify_ball_automorphism,
 )
-from .ball import build_ball
+from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .checks import default_probe_radius, run_system_checks
 from .cycles import enumerate_embedded_cycles, is_essential, is_relator_shape
 from .system import CoxeterSystem, ParseError, is_flexible, parse_system
-from .words import LimitExceeded, format_word, m_class, parse_word, reduce_word
+from .words import DEFAULT_MAX_STATES, LimitExceeded, format_word, m_class_size, parse_word, reduce_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -56,9 +57,9 @@ def _guard(flag_value: int | None, env_name: str, default: int) -> int:
 
 def _guards(args) -> tuple[int, int, int]:
     return (
-        _guard(args.max_states, "COXAUT_MAX_STATES", 10**6),
-        _guard(args.max_vertices, "COXAUT_MAX_VERTICES", 10**6),
-        _guard(args.max_nodes, "COXAUT_MAX_NODES", 10**6),
+        _guard(args.max_states, "COXAUT_MAX_STATES", DEFAULT_MAX_STATES),
+        _guard(args.max_vertices, "COXAUT_MAX_VERTICES", DEFAULT_MAX_VERTICES),
+        _guard(args.max_nodes, "COXAUT_MAX_NODES", DEFAULT_MAX_NODES),
     )
 
 
@@ -86,7 +87,7 @@ def cmd_reduce(args) -> int:
     max_states, _, _ = _guards(args)
     word = parse_word(system, args.word)
     canonical = reduce_word(system, word, max_states=max_states)
-    size = len(m_class(system, canonical, max_states=max_states))
+    size = m_class_size(system, canonical, max_states=max_states)
     if args.format == "json":
         _emit_json(
             {

@@ -15,7 +15,8 @@ the weight x·rho in fundamental-weight coordinates, with rho = (1, ..., 1),
 and s is a left descent of x exactly when coordinate s is negative
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).  Peeling the
 smallest left descent until none is left spells the lexicographically
-least reduced word, which is the canonical form.  The m-closure functions
+least reduced word, which is the canonical form, and summing over every
+left descent counts the reduced words (m_class_size).  The m-closure functions
 stay as the reference oracle and the engine for every other system.
 """
 
@@ -121,6 +122,47 @@ def reflect(cartan: tuple[tuple[int, ...], ...], key: tuple[int, ...], s: int) -
     return tuple([k - c * a for k, a in zip(key, cartan[s])])
 
 
+def element_key(cartan: tuple[tuple[int, ...], ...], word: Word) -> tuple[int, ...]:
+    """The weight x·rho of the element x spelled by word, with rho = (1, ..., 1)."""
+    key = (1,) * len(cartan)
+    for s in reversed(word):
+        key = reflect(cartan, key, s)
+    return key
+
+
+def m_class_size(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> int:
+    """len(m_class(system, word)): the number of reduced words for the element
+    of a reduced word.
+
+    With a Cartan matrix no word is listed.  Every reduced word of x starts
+    with a left descent s and continues with a reduced word of s·x, so the
+    count is a sum over left descents, memoized by key down to the identity
+    (count 1); max_states then bounds the number of elements counted.
+    Otherwise the m-class is enumerated.
+    """
+    cartan = system.cartan
+    if cartan is None:
+        return len(m_class(system, word, max_states=max_states))
+    top = element_key(cartan, tuple(word))
+    counts: dict[tuple[int, ...], int] = {}
+    stack = [top]
+    while stack:
+        key = stack[-1]
+        if key in counts:
+            stack.pop()
+            continue
+        below = [reflect(cartan, key, s) for s, c in enumerate(key) if c < 0]
+        missing = [k for k in below if k not in counts]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if len(counts) >= max_states:
+            raise LimitExceeded(f"reduced-word count exceeded {max_states} elements")
+        counts[key] = sum(counts[k] for k in below) if below else 1
+    return counts[top]
+
+
 def reduce_word(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> Word:
     """Canonical form: lexicographically least word in the m-class.
 
@@ -131,9 +173,7 @@ def reduce_word(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX
     cartan = system.cartan
     if cartan is None:
         return reduce_by_rewriting(system, word, max_states=max_states)
-    key = (1,) * system.rank
-    for s in reversed(word):
-        key = reflect(cartan, key, s)
+    key = element_key(cartan, word)
     canonical = []
     while True:
         for s, c in enumerate(key):

@@ -1,12 +1,30 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import strategies as st
 
 from coxaut.system import CoxeterSystem
+
+DIAGRAMS = sorted((Path(__file__).resolve().parent.parent / "diagrams").glob("*.cox"))
 
 
 def make_system(names: str, *pairs) -> CoxeterSystem:
     """Build a system from 'a b c' plus (i, j, m) triples."""
     name_list = names.split()
     return CoxeterSystem(name_list, {(i, j): m for i, j, m in pairs})
+
+
+@st.composite
+def crystallographic_systems(draw, max_rank=4):
+    """Random diagrams of rank <= max_rank with every finite order in {2, 3, 4, 6}."""
+    rank = draw(st.integers(1, max_rank))
+    orders = {}
+    for s in range(rank):
+        for t in range(s + 1, rank):
+            m = draw(st.sampled_from((2, 3, 4, 6, None)))
+            if m is not None:
+                orders[(s, t)] = m
+    return CoxeterSystem([f"g{i}" for i in range(rank)], orders)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,129 @@
+"""The probe-first stabilizer census against a full enumeration.
+
+The reference lists every identity-fixing automorphism of the whole ball
+by plain recursion, then keeps one entry per restriction to the probe
+sub-ball.  The census under test must give the same entries (images,
+verdict, diagram, padding, order) while visiting no more search nodes.
+"""
+
+import sys
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from coxaut.automorphisms import (
+    BallAutomorphism,
+    StabilizerEntry,
+    diagram_aut,
+    identity_stabilizer_census,
+)
+from coxaut.ball import build_ball
+from coxaut.checks import default_probe_radius
+from coxaut.system import enumerate_diagram_automorphisms, parse_system
+from coxaut.words import LimitExceeded
+
+from conftest import DIAGRAMS, crystallographic_systems
+
+
+def reference_automorphisms(ball, max_nodes):
+    """Every identity-fixing automorphism of the ball as a full image tuple,
+    plus the number of search nodes it took; recursion depth is the ball size."""
+    size = ball.size
+    assert size < sys.getrecursionlimit() // 2
+    wl = [ball.word_length(v) for v in range(size)]
+    degree = [ball.degree(v) for v in range(size)]
+    neighbor_ids = [set(ball.adj[v].values()) for v in range(size)]
+    assigned_neighbors = [[u for u in sorted(neighbor_ids[v]) if u < v] for v in range(size)]
+    assignment = [-1] * size
+    assignment[0] = 0
+    used = [False] * size
+    used[0] = True
+    found = []
+    nodes = 0
+
+    def extend(v):
+        nonlocal nodes
+        if v == size:
+            found.append(tuple(assignment))
+            return
+        anchors = assigned_neighbors[v]
+        for c in sorted(neighbor_ids[assignment[anchors[0]]]):
+            if used[c] or wl[c] != wl[v] or degree[c] != degree[v]:
+                continue
+            if any(assignment[u] not in neighbor_ids[c] for u in anchors):
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise LimitExceeded(f"reference search exceeded {max_nodes} nodes")
+            assignment[v] = c
+            used[c] = True
+            extend(v + 1)
+            assignment[v] = -1
+            used[c] = False
+
+    extend(1)
+    return found, nodes
+
+
+def reference_entries(ball, probe_radius, automorphisms):
+    size = ball.size
+    probe_count = sum(1 for w in ball.words if len(w) <= probe_radius)
+    diagram_restrictions = {}
+    for d in enumerate_diagram_automorphisms(ball.system):
+        diagram_restrictions.setdefault(tuple(diagram_aut(ball, d).vmap[:probe_count]), d)
+    entries = []
+    for images in sorted({a[:probe_count] for a in automorphisms}):
+        d = diagram_restrictions.get(images)
+        entries.append(
+            StabilizerEntry(
+                images=images,
+                automorphism=BallAutomorphism(images + (None,) * (size - probe_count), probe_radius),
+                verdict="diagram" if d is not None else "exotic",
+                diagram=d,
+            )
+        )
+    return tuple(entries)
+
+
+def assert_matches_reference(ball, max_nodes=10**6):
+    automorphisms, reference_nodes = reference_automorphisms(ball, max_nodes)
+    for probe in range(ball.radius + 1):
+        census = identity_stabilizer_census(ball, probe)
+        assert census.entries == reference_entries(ball, probe, automorphisms), probe
+        assert census.search_nodes <= reference_nodes
+
+
+@pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+def test_shipped_diagrams_match_reference(path):
+    system = parse_system(path.read_text())
+    for radius in range(6):
+        assert_matches_reference(build_ball(system, radius))
+
+
+@given(crystallographic_systems(max_rank=3), st.integers(0, 4))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_random_diagrams_match_reference(system, radius):
+    ball = build_ball(system, radius)
+    try:
+        assert_matches_reference(ball, max_nodes=20_000)
+    except LimitExceeded as exc:
+        # only the full enumeration may give up; the census must not
+        assert "reference" in str(exc)
+        assume(False)
+
+
+@pytest.mark.parametrize("radius, count", [(4, 4), (5, 16), (6, 128)])
+def test_flexible_class_counts(radius, count):
+    system = parse_system((DIAGRAMS[0].parent / "flexible.cox").read_text())
+    census = identity_stabilizer_census(build_ball(system, radius), default_probe_radius(system, radius))
+    assert census.count == count
+    assert census.diagram_count == 2
+    assert census.exotic_count == count - 2
+
+
+def test_guard_counts_nodes_across_both_phases(branched):
+    ball = build_ball(branched, 4)
+    assert identity_stabilizer_census(ball, 2).search_nodes == 153
+    assert identity_stabilizer_census(ball, 2, max_nodes=153).count == 4
+    with pytest.raises(LimitExceeded):
+        identity_stabilizer_census(ball, 2, max_nodes=152)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coxaut import cli
-from coxaut.cli import EXIT_INTERNAL, EXIT_VIOLATION, main
+from coxaut.cli import EXIT_INDETERMINATE, EXIT_INTERNAL, main
 
 A2 = "gens a b\npair a b 3\n"
 BRANCHED = "gens s t u\npair t u 2\n"
@@ -216,7 +216,11 @@ class TestErrorsAndGuards:
         assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
     def test_deep_census_is_not_a_violation(self, tmp_path, capsys):
-        # a census as deep as this ball once escaped main() as a RecursionError, exit 1
+        # the census on this 1 534-vertex ball once died of a RecursionError;
+        # it now searches without recursion until its node guard trips
         path = tmp_path / "free3.cox"
         path.write_text("gens a b c\n")
-        assert main(["verify", str(path), "--radius", "9"]) != EXIT_VIOLATION
+        assert main(["verify", str(path), "--radius", "9"]) == EXIT_INDETERMINATE
+        out = capsys.readouterr().out
+        assert "[INDETERMINATE] census-verified: stabilizer search exceeded 1000000 nodes" in out
+        assert "verdict: INDETERMINATE" in out

@@ -1,35 +1,20 @@
 """Root-system keys against the m-operation rewriting engine.
 
-reduce_word and build_ball use integer root-system keys whenever every
-finite order is in {2, 3, 4, 6}.  The rewriting engine is the reference
-here: random diagrams with orders in {2, 3, 4, 6, inf} and every shipped
-diagram must give the same canonical forms and the same balls both ways.
+reduce_word, m_class_size and build_ball use integer root-system keys
+whenever every finite order is in {2, 3, 4, 6}.  The rewriting engine is
+the reference here: random diagrams with orders in {2, 3, 4, 6, inf} and
+every shipped diagram must give the same canonical forms, m-class sizes
+and balls both ways.
 """
-
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxaut.ball import build_ball
-from coxaut.system import CoxeterSystem, parse_system
-from coxaut.words import LimitExceeded, reduce_by_rewriting, reduce_word
+from coxaut.system import parse_system
+from coxaut.words import LimitExceeded, m_class, m_class_size, reduce_by_rewriting, reduce_word
 
-from conftest import make_system
-
-DIAGRAMS = sorted((Path(__file__).resolve().parent.parent / "diagrams").glob("*.cox"))
-
-
-@st.composite
-def crystallographic_systems(draw, max_rank=4):
-    rank = draw(st.integers(1, max_rank))
-    orders = {}
-    for s in range(rank):
-        for t in range(s + 1, rank):
-            m = draw(st.sampled_from((2, 3, 4, 6, None)))
-            if m is not None:
-                orders[(s, t)] = m
-    return CoxeterSystem([f"g{i}" for i in range(rank)], orders)
+from conftest import DIAGRAMS, crystallographic_systems, make_system
 
 
 @st.composite
@@ -84,6 +69,35 @@ class TestReduce:
     def test_keys_ignore_the_closure_guard(self, atilde2):
         word = (0, 1, 0, 2, 1, 0, 1, 2, 0, 1)
         assert reduce_word(atilde2, word, max_states=1) == reduce_by_rewriting(atilde2, word)
+
+
+class TestMClassSize:
+    @given(system_and_word())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_enumeration(self, pair):
+        system, word = pair
+        canonical = reduce_word(system, word)
+        assert m_class_size(system, canonical) == len(m_class(system, canonical))
+
+    def test_two_blocks_without_enumeration(self):
+        # two blocks of four commuting generators, infinite order between
+        # blocks: (4!)^4 reduced words, counted over 1 + 4 * 15 elements
+        # (peel a nonempty subset of the leading block, four times)
+        system = make_system(
+            "a b c d e f g h",
+            *[(s, t, 2) for block in ((0, 1, 2, 3), (4, 5, 6, 7)) for s in block for t in block if s < t],
+        )
+        word = tuple(range(8)) * 2
+        assert reduce_word(system, word) == word
+        assert m_class_size(system, word, max_states=61) == 331_776
+        with pytest.raises(LimitExceeded):
+            m_class_size(system, word, max_states=60)
+
+    def test_fallback_enumerates(self):
+        system = make_system("a b", (0, 1, 5))
+        assert m_class_size(system, (0, 1, 0, 1, 0)) == 2
+        with pytest.raises(LimitExceeded):
+            m_class_size(system, (0, 1, 0, 1, 0), max_states=1)
 
 
 class TestBall:
