@@ -21,6 +21,7 @@ from .system import (
     CoxeterSystem,
     DiagramAutomorphism,
     FlexibilityWitness,
+    identity_automorphism,
     is_label_preserving,
     validate_witness,
 )
@@ -53,20 +54,21 @@ class BallAutomorphism:
         return [v for v, x in enumerate(self.vmap) if x is not None]
 
 
+def _ball_map(ball: CayleyBall, f, interior_radius: int) -> BallAutomorphism:
+    """The ball map x -> f(x) for a map f on words; None where f(x) leaves the ball."""
+    vmap = tuple(ball.index.get(reduce_word(ball.system, f(x))) for x in ball.words)
+    return BallAutomorphism(vmap, interior_radius)
+
+
 def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
     """x -> w x.  Interior shrinks by the length of w unless the ball is complete."""
     w = reduce_word(ball.system, tuple(word))
-    if len(w) > ball.radius:
-        raise ValueError(f"multiplier length {len(w)} exceeds the ball radius {ball.radius}")
-    vmap = tuple(ball.index.get(multiply(ball.system, w, x)) for x in ball.words)
-    interior = ball.radius if ball.complete else ball.radius - len(w)
-    return BallAutomorphism(vmap, interior)
+    return FactoredAutomorphism(w, identity_automorphism(ball.system)).to_ball(ball)
 
 
 def diagram_aut(ball: CayleyBall, d: DiagramAutomorphism) -> BallAutomorphism:
     """x -> d(x) letterwise.  Total: diagram automorphisms preserve word length."""
-    vmap = tuple(ball.index.get(reduce_word(ball.system, d.apply_word(x))) for x in ball.words)
-    return BallAutomorphism(vmap, ball.radius)
+    return FactoredAutomorphism((), d).to_ball(ball)
 
 
 @dataclass(frozen=True)
@@ -94,15 +96,15 @@ class FactoredAutomorphism:
         return not self.word and self.diagram.is_identity()
 
     def to_ball(self, ball: CayleyBall) -> BallAutomorphism:
+        """The ball map; it loses len(word) of interior unless the ball is complete."""
         if len(self.word) > ball.radius:
             raise ValueError(f"multiplier length {len(self.word)} exceeds the ball radius {ball.radius}")
-        vmap = tuple(ball.index.get(self.act(ball.system, x)) for x in ball.words)
         interior = ball.radius if ball.complete else ball.radius - len(self.word)
-        return BallAutomorphism(vmap, interior)
+        return _ball_map(ball, lambda x: self.word + self.diagram.apply_word(x), interior)
 
 
 def identity_factored(system: CoxeterSystem) -> FactoredAutomorphism:
-    return FactoredAutomorphism((), DiagramAutomorphism(tuple(system.generators())))
+    return FactoredAutomorphism((), identity_automorphism(system))
 
 
 # -- exotic maps -------------------------------------------------------------
@@ -127,10 +129,7 @@ def psi_phi_word(system: CoxeterSystem, witness: FlexibilityWitness, word: Word)
 
 def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
     validate_witness(ball.system, witness)
-    vmap = tuple(
-        ball.index.get(reduce_word(ball.system, psi_phi_word(ball.system, witness, x))) for x in ball.words
-    )
-    return BallAutomorphism(vmap, ball.radius)
+    return _ball_map(ball, lambda x: psi_phi_word(ball.system, witness, x), ball.radius)
 
 
 def psi_n_word(system: CoxeterSystem, witness: FlexibilityWitness, n: int, word: Word) -> Word:
@@ -152,10 +151,7 @@ def psi_n_word(system: CoxeterSystem, witness: FlexibilityWitness, n: int, word:
 
 def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorphism:
     validate_witness(ball.system, witness)
-    vmap = tuple(
-        ball.index.get(reduce_word(ball.system, psi_n_word(ball.system, witness, n, x))) for x in ball.words
-    )
-    return BallAutomorphism(vmap, ball.radius)
+    return _ball_map(ball, lambda x: psi_n_word(ball.system, witness, n, x), ball.radius)
 
 
 # -- verification ------------------------------------------------------------
@@ -191,7 +187,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
         else:
             images[x] = v
     total = all(x is not None for x in aut.vmap)
-    for u, v, s in sorted(ball.edges):
+    for u, v, s in ball.edges:
         fu, fv = aut.vmap[u], aut.vmap[v]
         if fu is None or fv is None:
             continue
@@ -348,9 +344,9 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
     if not is_label_preserving(ball.system, images):
         raise ValueError("the local permutation at the identity does not preserve pair orders")
     candidate = FactoredAutomorphism(ball.words[fe], DiagramAutomorphism(images))
+    expected = candidate.to_ball(ball).vmap
     for v in ball.interior(aut.interior_radius):
-        expected = ball.index.get(candidate.act(ball.system, ball.words[v]))
-        if expected is None or expected != aut.vmap[v]:
+        if expected[v] is None or expected[v] != aut.vmap[v]:
             return None
     return candidate
 
@@ -432,14 +428,16 @@ def identity_stabilizer_census(
     assignment[0] = 0
     used = [False] * size
     used[0] = True
-    restrictions: set[tuple[int, ...]] = set()
+    # distinct and sorted as emitted: each probe assignment is reached at
+    # most once, and candidates are tried in increasing order
+    restrictions: list[tuple[int, ...]] = []
     nodes = 0
 
     # pending[v] yields the untried candidates for vertex v; the vertices
     # below v are assigned, and v holds its last tried candidate, or -1
     pending: list = [None] * size
     if size == 1:
-        restrictions.add((0,))
+        restrictions.append((0,))
         v = 0
     else:
         pending[1] = iter(sorted_neighbors[0])
@@ -470,7 +468,7 @@ def identity_stabilizer_census(
         if v < size:
             pending[v] = iter(sorted_neighbors[assignment[first_anchor[v]]])
             continue
-        restrictions.add(tuple(assignment[:probe_count]))
+        restrictions.append(tuple(assignment[:probe_count]))
         # one extension per probe assignment: undo it and go on with the
         # next candidate of the last probe vertex
         for u in range(probe_count, size):
@@ -486,7 +484,7 @@ def identity_stabilizer_census(
         diagram_restrictions.setdefault(restr, d)
 
     entries = []
-    for images in sorted(restrictions):
+    for images in restrictions:
         d = diagram_restrictions.get(images)
         padded = images + (None,) * (size - probe_count)
         entries.append(

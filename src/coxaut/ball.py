@@ -12,6 +12,7 @@ of a larger one.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from .system import CoxeterSystem
 from .words import DEFAULT_MAX_STATES, LimitExceeded, Word, format_word, multiply, reflect
@@ -29,12 +30,15 @@ class CayleyBall:
         self.index: dict[Word, int] = {w: i for i, w in enumerate(words)}
         # adj[v][s] = the vertex v·s when it lies in the ball
         self.adj: list[dict[int, int]] = [dict() for _ in words]
-        self.edges: set[tuple[int, int, int]] = set()
 
     def _add_edge(self, u: int, v: int, label: int) -> None:
         self.adj[u][label] = v
         self.adj[v][label] = u
-        self.edges.add((min(u, v), max(u, v), label))
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Every edge once, as sorted (u, v, label) triples with u < v."""
+        return sorted((u, v, s) for u, nbrs in enumerate(self.adj) for s, v in nbrs.items() if u < v)
 
     @property
     def size(self) -> int:
@@ -46,7 +50,7 @@ class CayleyBall:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @property
+    @cached_property
     def complete(self) -> bool:
         """True when the ball is the whole Cayley graph (the group is finite).
 
@@ -77,7 +81,7 @@ class CayleyBall:
         return {
             "radius": self.radius,
             "vertices": [{"id": i, "word": format_word(self.system, w)} for i, w in enumerate(self.words)],
-            "edges": [[u, v, self.system.name_of(s)] for u, v, s in sorted(self.edges)],
+            "edges": [[u, v, self.system.name_of(s)] for u, v, s in self.edges],
         }
 
     def to_dot(self) -> str:
@@ -85,7 +89,7 @@ class CayleyBall:
         lines = ["graph cayley_ball {"]
         for i, w in enumerate(self.words):
             lines.append(f'  v{i} [label="{format_word(self.system, w)}"];')
-        for u, v, s in sorted(self.edges):
+        for u, v, s in self.edges:
             lines.append(f'  v{u} -- v{v} [label="{self.system.name_of(s)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -206,29 +206,24 @@ def run_system_checks(
 
     add("no-odd-cycles", no_odd_cycles)
 
+    characterization = verify_essential_characterization(ball, all_cycles)
+    certified_essential = characterization.essential
+
     def essential_census() -> tuple[str, str]:
-        report = verify_essential_characterization(ball)
-        if not report.ok:
-            extra = report.essential_not_relator or report.relator_not_essential
+        if not characterization.ok:
+            extra = characterization.essential_not_relator or characterization.relator_not_essential
             return "fail", (
-                f"{len(report.essential_not_relator)} essential non-relator, "
-                f"{len(report.relator_not_essential)} relator non-essential; e.g. {extra[0].vertices}"
+                f"{len(characterization.essential_not_relator)} essential non-relator, "
+                f"{len(characterization.relator_not_essential)} relator non-essential; e.g. {extra[0].vertices}"
             )
-        if report.certified_essential == 0:
+        if characterization.certified_essential == 0:
             return "vacuous", "no certified cycles at this radius"
         return "pass", (
-            f"{report.certified_essential} certified essential = "
-            f"{report.certified_relator} certified relator cycles"
+            f"{characterization.certified_essential} certified essential = "
+            f"{characterization.certified_relator} certified relator cycles"
         )
 
     add("essential-census", essential_census)
-
-    certified_essential = []
-    for c in all_cycles:
-        if len(c) % 2 == 0:
-            r = is_essential(ball, c)
-            if r.essential and r.certified:
-                certified_essential.append(c)
 
     def essential_alternation() -> tuple[str, str]:
         if not certified_essential:

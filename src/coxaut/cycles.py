@@ -190,45 +190,49 @@ def is_relator_shape(system: CoxeterSystem, cycle: EmbeddedCycle) -> bool:
 class CharacterizationReport:
     """Certified-essential vs certified-relator comparison on one ball."""
 
-    max_length: int
     cycles_examined: int
-    certified_essential: int
+    essential: tuple[EmbeddedCycle, ...]
+    """The certified essential cycles, in the order they were examined."""
     certified_relator: int
     essential_not_relator: tuple[EmbeddedCycle, ...]
     relator_not_essential: tuple[EmbeddedCycle, ...]
+
+    @property
+    def certified_essential(self) -> int:
+        return len(self.essential)
 
     @property
     def ok(self) -> bool:
         return not self.essential_not_relator and not self.relator_not_essential
 
 
-def verify_essential_characterization(ball: CayleyBall, max_length: int | None = None) -> CharacterizationReport:
+def verify_essential_characterization(
+    ball: CayleyBall, cycles: list[EmbeddedCycle] | None = None
+) -> CharacterizationReport:
     """Check that certified essential cycles and certified relator cycles agree.
 
+    cycles must hold every embedded cycle up to twice the largest finite order
+    (they are enumerated here when omitted); each even one is tested once.
     Only certified cycles participate on either side: an uncertified relator
     cycle near the boundary may fail the distance test purely because the
     ball cuts off its second arc's competitors.
     """
-    if max_length is None:
+    if cycles is None:
         m = ball.system.max_finite_order()
-        max_length = 2 * m if m is not None else 4
+        cycles = enumerate_embedded_cycles(ball, 2 * m if m is not None else 4)
     relators = {c.vertices: c for c in relator_cycles(ball) if certifies(ball, c)}
     essentials: dict[tuple[int, ...], EmbeddedCycle] = {}
     examined = 0
-    for cycle in enumerate_embedded_cycles(ball, max_length):
-        examined += 1
-        report = is_essential(ball, cycle)
-        if report.essential and report.certified:
-            essentials[cycle.vertices] = cycle
-    missing_relator = tuple(c for key, c in sorted(essentials.items()) if key not in relators)
-    missing_essential = tuple(
-        c for key, c in sorted(relators.items()) if key not in essentials and len(c) <= max_length
-    )
+    for cycle in cycles:
+        if len(cycle) % 2 == 0:
+            examined += 1
+            report = is_essential(ball, cycle)
+            if report.essential and report.certified:
+                essentials[cycle.vertices] = cycle
     return CharacterizationReport(
-        max_length=max_length,
         cycles_examined=examined,
-        certified_essential=len(essentials),
-        certified_relator=len([k for k, c in relators.items() if len(c) <= max_length]),
-        essential_not_relator=missing_relator,
-        relator_not_essential=missing_essential,
+        essential=tuple(essentials.values()),
+        certified_relator=len(relators),
+        essential_not_relator=tuple(c for key, c in sorted(essentials.items()) if key not in relators),
+        relator_not_essential=tuple(c for key, c in sorted(relators.items()) if key not in essentials),
     )

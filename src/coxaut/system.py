@@ -151,9 +151,9 @@ def parse_system(text: str) -> CoxeterSystem:
     if names is None:
         raise ParseError("missing 'gens' line")
 
+    # CoxeterSystem checks generator names and orders; this checks only what
+    # the file format adds, including self-pairs, which an inf line never passes on
     index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise ParseError("duplicate generator names")
     orders: dict[tuple[int, int], int] = {}
     seen: set[tuple[int, int]] = set()
     for a, b, m_token in pair_lines:
@@ -173,8 +173,6 @@ def parse_system(text: str) -> CoxeterSystem:
             m = int(m_token)
         except ValueError:
             raise ParseError(f"order must be an integer or 'inf', got {m_token!r}") from None
-        if m < 2:
-            raise ParseError(f"order for ({a}, {b}) must be >= 2, got {m}")
         orders[(s, t)] = m
     return CoxeterSystem(names, orders)
 

@@ -130,13 +130,41 @@ class TestFactored:
         assert f.compose(a3, f.inverse(a3)).is_identity(a3)
         assert f.inverse(a3).compose(a3, f).is_identity(a3)
 
-    def test_to_ball_matches_pointwise_action(self, a3):
-        ball = build_ball(a3, 4)
-        f = FactoredAutomorphism(parse_word(a3, "a"), DiagramAutomorphism((2, 1, 0)))
-        aut = f.to_ball(ball)
-        for v in range(ball.size):
-            assert aut.vmap[v] == ball.index.get(f.act(a3, ball.words[v]))
-        assert aut.interior_radius == 3
+    @pytest.mark.parametrize("radius", [4, 6])
+    @pytest.mark.parametrize("constructor", ["left_mult", "diagram_aut", "psi_phi", "psi_n", "to_ball"])
+    def test_to_ball_matches_pointwise_action(self, constructor, radius, a3, branched, branched_witness):
+        # reference: reduce f(x) and look it up.  The a3 ball is complete at
+        # radius 6; the psi maps need a flexible diagram, whose balls are proper.
+        rev = DiagramAutomorphism((2, 1, 0))
+        a = parse_word(a3, "a")
+        cases = {
+            "left_mult": (a3, lambda ball: left_mult(ball, a * 3), lambda x: a + x, {4: 3, 6: 6}),
+            "diagram_aut": (a3, lambda ball: diagram_aut(ball, rev), rev.apply_word, {4: 4, 6: 6}),
+            "psi_phi": (
+                branched,
+                lambda ball: psi_phi(ball, branched_witness),
+                lambda x: psi_phi_word(branched, branched_witness, x),
+                {4: 4, 6: 6},
+            ),
+            "psi_n": (
+                branched,
+                lambda ball: psi_n(ball, branched_witness, 2),
+                lambda x: psi_n_word(branched, branched_witness, 2, x),
+                {4: 4, 6: 6},
+            ),
+            "to_ball": (
+                a3,
+                lambda ball: FactoredAutomorphism(a, rev).to_ball(ball),
+                lambda x: a + rev.apply_word(x),
+                {4: 3, 6: 6},
+            ),
+        }
+        system, construct, f, interior = cases[constructor]
+        ball = build_ball(system, radius)
+        assert ball.complete == (system is a3 and radius == 6)
+        aut = construct(ball)
+        assert aut.vmap == tuple(ball.index.get(reduce_word(system, f(x))) for x in ball.words)
+        assert aut.interior_radius == interior[radius]
 
 
 class TestPsiPhi:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +225,23 @@ class TestErrorsAndGuards:
         out = capsys.readouterr().out
         assert "[INDETERMINATE] census-verified: stabilizer search exceeded 1000000 nodes" in out
         assert "verdict: INDETERMINATE" in out
+
+
+def test_benchmark_tracer_runs_verify(capsys, monkeypatch):
+    # perfbench's --trace 1 wraps coxaut functions by name; installing its
+    # tracer fails when a name in tracing.SPANS no longer resolves
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench.tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["verify", str(root / "diagrams" / "a2.cox"), "--radius", "3", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["checks"]
+    metrics = tracer.layer_metrics()
+    assert metrics["ball.edges"] > 0
+    assert metrics["automorphisms.map_build.self_s"] > 0

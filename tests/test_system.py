@@ -51,6 +51,8 @@ class TestParsing:
             "gens a b\npair a b x\n",  # bad token
             "gens a b\npair a c 2\n",  # unknown name
             "gens a b\npair a b 2\npair b a 3\n",  # duplicate pair
+            "gens a b\npair a a inf\n",  # self pair that never reaches CoxeterSystem
+            "gens a b\npair a b inf\npair b a inf\n",  # duplicate inf pair
             "gens a b\nfrobnicate a b\n",  # unknown directive
             "gens a b\npair a b\n",  # wrong arity
             "",  # empty file
