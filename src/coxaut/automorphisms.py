@@ -50,13 +50,10 @@ class BallAutomorphism:
     def is_total(self) -> bool:
         return all(x is not None for x in self.vmap)
 
-    def defined_vertices(self) -> list[int]:
-        return [v for v, x in enumerate(self.vmap) if x is not None]
-
 
 def _ball_map(ball: CayleyBall, f, interior_radius: int) -> BallAutomorphism:
     """The ball map x -> f(x) for a map f on words; None where f(x) leaves the ball."""
-    vmap = tuple(ball.index.get(reduce_word(ball.system, f(x))) for x in ball.words)
+    vmap = tuple(ball.vertex_of(f(x)) for x in ball.words)
     return BallAutomorphism(vmap, interior_radius)
 
 
@@ -186,7 +183,6 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
             violations.append(f"not injective: vertices {images[x]} and {v} both map to {x}")
         else:
             images[x] = v
-    total = all(x is not None for x in aut.vmap)
     for u, v, s in ball.edges:
         fu, fv = aut.vmap[u], aut.vmap[v]
         if fu is None or fv is None:
@@ -195,7 +191,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
             violations.append(
                 f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})"
             )
-    return VerificationReport(ok=not violations, total=total, violations=tuple(violations))
+    return VerificationReport(ok=not violations, total=aut.is_total, violations=tuple(violations))
 
 
 # -- local permutations ------------------------------------------------------
@@ -542,8 +538,7 @@ def psi_family_distinctness(
         row: list[bool] = []
         for k in range(1, n_max + 1):
             word = tuple((s, t)[i % 2] for i in range(2 * k))
-            image = reduce_word(system, psi_n_word(system, witness, n, word))
-            fixed = image == reduce_word(system, word)
+            fixed = ball.vertex_of(psi_n_word(system, witness, n, word)) == ball.vertex_of(word)
             row.append(fixed)
             if fixed != (k < n):
                 problems.append(f"psi_{n} on (st)^{k}: fixed={fixed}, expected {k < n}")

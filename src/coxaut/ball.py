@@ -1,6 +1,7 @@
 """Balls in the Cayley graph with respect to right multiplication.
 
-Vertices are group elements stored as canonical words; x and y are joined
+Vertices are group elements stored as canonical words and found by their
+key (words.element_key), so vertex_of takes any spelling; x and y are joined
 by an edge labeled s exactly when y = x s (equivalently x = y s).  The
 ball of radius r contains every element of word length at most r.  Vertex
 ids are assigned by breadth-first search from the identity, expanding the
@@ -15,7 +16,7 @@ from collections import deque
 from functools import cached_property
 
 from .system import CoxeterSystem
-from .words import DEFAULT_MAX_STATES, LimitExceeded, Word, format_word, multiply, reflect
+from .words import DEFAULT_MAX_STATES, LimitExceeded, Word, element_key, format_word, right_step
 
 DEFAULT_MAX_VERTICES = 10**6
 
@@ -23,13 +24,25 @@ DEFAULT_MAX_VERTICES = 10**6
 class CayleyBall:
     """A radius-r ball; vertex 0 is the identity."""
 
-    def __init__(self, system: CoxeterSystem, radius: int, words: list[Word]):
+    def __init__(self, system: CoxeterSystem, radius: int):
         self.system = system
         self.radius = radius
-        self.words = words
-        self.index: dict[Word, int] = {w: i for i, w in enumerate(words)}
+        self.words: list[Word] = []
+        # _ids[key] = the vertex of the element with that key
+        self._ids: dict[tuple[int, ...], int] = {}
         # adj[v][s] = the vertex v·s when it lies in the ball
-        self.adj: list[dict[int, int]] = [dict() for _ in words]
+        self.adj: list[dict[int, int]] = []
+
+    def _add_vertex(self, key: tuple[int, ...], word: Word) -> int:
+        v = len(self.words)
+        self._ids[key] = v
+        self.words.append(word)
+        self.adj.append({})
+        return v
+
+    def vertex_of(self, word: Word) -> int | None:
+        """The vertex of the element that word spells, in any spelling; None outside the ball."""
+        return self._ids.get(element_key(self.system, word))
 
     def _add_edge(self, u: int, v: int, label: int) -> None:
         self.adj[u][label] = v
@@ -99,65 +112,39 @@ def build_ball(
     system: CoxeterSystem,
     radius: int,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_states: int | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> CayleyBall:
     """Breadth-first enumeration of all elements of length <= radius.
 
     A vertex's word is its parent's word plus the generator that reached it
     first.  Parents are expanded in id order and generators in index order,
     so that word is the lexicographically least reduced word: the canonical
-    form.  Vertices are told apart by a key; step(key, s) gives the key of
-    x·s and whether s is a right descent of x (x·s is shorter, so it must
-    already be in the ball).
+    form.  A key not yet seen that right_step reaches through a right
+    descent is a shorter element, so by BFS order it cannot be new.
     """
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cartan = system.cartan
-    if cartan is None:
-        # Rewriting: x is keyed by its canonical word.
-        def step(key: Word, s: int) -> tuple[Word, bool]:
-            target = multiply(system, key, (s,), max_states=max_states)
-            return target, len(target) < len(key)
-
-        root: tuple[int, ...] = ()
-    else:
-        # Root-system keys: x is keyed by x^-1·rho, so x·s is one reflection.
-        def step(key: tuple[int, ...], s: int) -> tuple[tuple[int, ...], bool]:
-            return reflect(cartan, key, s), key[s] < 0
-
-        root = (1,) * system.rank
-    words: list[Word] = [()]
-    keys = [root]
-    ids = {root: 0}
-    ball = CayleyBall(system, radius, words)
-    frontier = [0]
+    ball = CayleyBall(system, radius)
+    root = element_key(system, (), max_states=max_states)
+    frontier = [(ball._add_vertex(root, ()), root)]
     for _ in range(radius):
-        next_frontier: list[int] = []
-        for v in frontier:
+        next_frontier: list[tuple[int, tuple[int, ...]]] = []
+        for v, key in frontier:
             for s in system.generators():
-                target, descent = step(keys[v], s)
-                u = ids.get(target)
-                if u is not None:
-                    ball._add_edge(v, u, s)
-                    continue
-                if descent:
-                    # a shorter product: its vertex already exists by BFS order
-                    raise AssertionError("BFS invariant violated")
-                if len(words) >= max_vertices:
-                    raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
-                vid = len(words)
-                ids[target] = vid
-                keys.append(target)
-                words.append(words[v] + (s,))
-                ball.adj.append(dict())
-                next_frontier.append(vid)
-                ball._add_edge(v, vid, s)
+                target, descent = right_step(system, key, s, max_states=max_states)
+                u = ball._ids.get(target)
+                if u is None:
+                    if descent:
+                        # a shorter product: its vertex already exists by BFS order
+                        raise AssertionError("BFS invariant violated")
+                    if ball.size >= max_vertices:
+                        raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
+                    u = ball._add_vertex(target, ball.words[v] + (s,))
+                    next_frontier.append((u, target))
+                ball._add_edge(v, u, s)
         frontier = next_frontier
         if not frontier:
             break
-    ball.index = {w: i for i, w in enumerate(words)}
     return ball
 
 

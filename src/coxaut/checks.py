@@ -10,6 +10,7 @@ with what the structure theory predicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .automorphisms import (
     DEFAULT_MAX_NODES,
@@ -27,7 +28,7 @@ from .automorphisms import (
     psi_phi_word,
     verify_ball_automorphism,
 )
-from .ball import DEFAULT_MAX_VERTICES, build_ball, distances_from
+from .ball import DEFAULT_MAX_VERTICES, CayleyBall, build_ball, distances_from
 from .cycles import (
     enumerate_embedded_cycles,
     is_alternating,
@@ -118,6 +119,21 @@ def default_probe_radius(system: CoxeterSystem, radius: int) -> int:
     m = system.max_finite_order()
     probe = radius - m if m is not None else radius - 1
     return max(probe, 0)
+
+
+def _exotic_map_problem(ball: CayleyBall, aut: BallAutomorphism, name: str) -> str | None:
+    """Why aut is not verified, total, identity-fixing and length-preserving; None if it is."""
+    report = verify_ball_automorphism(ball, aut)
+    if not report.ok:
+        return f"{name} not verified: {report.violations[0]}"
+    if not report.total:
+        return f"{name} vertex map is not total"
+    if aut.vmap[0] != 0:
+        return f"{name} moves the identity vertex"
+    for v in range(ball.size):
+        if ball.word_length(aut.vmap[v]) != ball.word_length(v):
+            return f"{name} changes word length at vertex {v}"
+    return None
 
 
 def run_system_checks(
@@ -323,12 +339,16 @@ def run_system_checks(
 
     add("census-diagram-consistency", census_diagram_consistency)
 
+    @cache
+    def psi() -> BallAutomorphism:
+        return psi_phi(ball, witness)
+
     def essential_image() -> tuple[str, str]:
         if census is None:
             return "indeterminate", "census unavailable"
         auts: list[BallAutomorphism] = [e.automorphism for e in census.entries]
         if witness is not None and radius >= 2:
-            auts.append(psi_phi(ball, witness))
+            auts.append(psi())
         checked = 0
         for aut in auts:
             for cycle in certified_essential:
@@ -354,17 +374,10 @@ def run_system_checks(
             return "vacuous", "diagram is not flexible"
         if radius < 2:
             return "vacuous", "radius too small for the exotic map"
-        aut = psi_phi(ball, witness)
-        report = verify_ball_automorphism(ball, aut)
-        if not report.ok:
-            return "fail", f"psi not verified: {report.violations[0]}"
-        if not report.total:
-            return "fail", "psi vertex map is not total"
-        if aut.vmap[0] != 0:
-            return "fail", "psi moves the identity vertex"
-        for v in range(ball.size):
-            if ball.word_length(aut.vmap[v]) != ball.word_length(v):
-                return "fail", f"psi changes word length at vertex {v}"
+        aut = psi()
+        problem = _exotic_map_problem(ball, aut, "psi")
+        if problem:
+            return "fail", problem
         try:
             factored = decompose(ball, aut)
         except ValueError as exc:
@@ -394,13 +407,12 @@ def run_system_checks(
             return "vacuous", "diagram is not flexible"
         if radius < 2:
             return "vacuous", "radius too small to see the field"
-        aut = psi_phi(ball, witness)
+        aut = psi()
         field = local_permutation_field(ball, aut)
         if field.is_constant:
             return "fail", "psi field is constant; expected an exotic, non-label-permuting map"
-        pivot_vertex = ball.index[(witness.pivot,)]
         pi_e = local_permutation(ball, aut, 0)
-        pi_s = local_permutation(ball, aut, pivot_vertex)
+        pi_s = local_permutation(ball, aut, ball.adj[0][witness.pivot])
         moved = [t for t in system.generators() if witness.phi(t) != t]
         for t in moved:
             if pi_e.get(t) != witness.phi(t):
@@ -420,15 +432,9 @@ def run_system_checks(
         if radius < 2:
             return "vacuous", "radius too small"
         for n in range(1, min(radius, 5) + 1):
-            aut = psi_n(ball, witness, n)
-            report = verify_ball_automorphism(ball, aut)
-            if not report.ok:
-                return "fail", f"psi_{n} not verified: {report.violations[0]}"
-            if aut.vmap[0] != 0:
-                return "fail", f"psi_{n} moves the identity vertex"
-            for v in range(ball.size):
-                if ball.word_length(aut.vmap[v]) != ball.word_length(v):
-                    return "fail", f"psi_{n} changes word length at vertex {v}"
+            problem = _exotic_map_problem(ball, psi_n(ball, witness, n), f"psi_{n}")
+            if problem:
+                return "fail", problem
         return "pass", f"psi_1 .. psi_{min(radius, 5)} verified, identity-fixing, length-preserving"
 
     add("psi-n-verified", psi_n_checks)

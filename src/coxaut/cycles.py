@@ -71,7 +71,7 @@ def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[Embedde
                     if len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(_canonical_cycle(ball, list(path)))
                     continue
-                if nxt < root or nxt in on_path or len(path) == max_length:
+                if nxt < root or nxt in on_path or len(path) >= max_length:
                     continue
                 path.append(nxt)
                 on_path.add(nxt)

@@ -9,15 +9,15 @@ words represent the same element exactly when they lie in the same
 closure.  The canonical form of an element is the lexicographically
 least word in the m-class of any reduced word for it.
 
-When the system has an integer Cartan matrix (every finite order in
-{2, 3, 4, 6}), reduce_word skips the rewriting: an element x is stored as
-the weight x·rho in fundamental-weight coordinates, with rho = (1, ..., 1),
-and s is a left descent of x exactly when coordinate s is negative
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).  Peeling the
-smallest left descent until none is left spells the lexicographically
-least reduced word, which is the canonical form, and summing over every
-left descent counts the reduced words (m_class_size).  The m-closure functions
-stay as the reference oracle and the engine for every other system.
+Every element x has one key (element_key).  With an integer Cartan matrix
+(every finite order in {2, 3, 4, 6}) it is the weight x^-1·rho in
+fundamental-weight coordinates, rho = (1, ..., 1), and s is a right descent
+of x exactly when coordinate s is negative (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, ch. 4); otherwise it is the canonical word.  reduce_word
+peels the key of the inverse word, x·rho, smallest left descent first, which
+spells the canonical form; m_class_size sums over right descents.  The
+m-closure functions stay as the reference oracle and the engine for every
+other system.
 """
 
 from __future__ import annotations
@@ -122,28 +122,41 @@ def reflect(cartan: tuple[tuple[int, ...], ...], key: tuple[int, ...], s: int) -
     return tuple([k - c * a for k, a in zip(key, cartan[s])])
 
 
-def element_key(cartan: tuple[tuple[int, ...], ...], word: Word) -> tuple[int, ...]:
-    """The weight x·rho of the element x spelled by word, with rho = (1, ..., 1)."""
-    key = (1,) * len(cartan)
-    for s in reversed(word):
+def element_key(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> tuple[int, ...]:
+    """The key of the element x that word spells: x^-1·rho, or the canonical word."""
+    cartan = system.cartan
+    if cartan is None:
+        return reduce_by_rewriting(system, word, max_states=max_states)
+    key = (1,) * system.rank
+    for s in word:
         key = reflect(cartan, key, s)
     return key
+
+
+def right_step(
+    system: CoxeterSystem, key: tuple[int, ...], s: int, max_states: int = DEFAULT_MAX_STATES
+) -> tuple[tuple[int, ...], bool]:
+    """The key of x·s from the key of x, and whether s is a right descent of x."""
+    cartan = system.cartan
+    if cartan is None:
+        target = reduce_by_rewriting(system, key + (s,), max_states=max_states)
+        return target, len(target) < len(key)
+    return reflect(cartan, key, s), key[s] < 0
 
 
 def m_class_size(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> int:
     """len(m_class(system, word)): the number of reduced words for the element
     of a reduced word.
 
-    With a Cartan matrix no word is listed.  Every reduced word of x starts
-    with a left descent s and continues with a reduced word of s·x, so the
-    count is a sum over left descents, memoized by key down to the identity
-    (count 1); max_states then bounds the number of elements counted.
-    Otherwise the m-class is enumerated.
+    With a Cartan matrix no word is listed: every reduced word of x is a
+    reduced word of x·s followed by a right descent s, so the count is a sum
+    over right descents, memoized by key down to the identity (count 1), and
+    max_states bounds the elements counted.  Otherwise the m-class is listed.
     """
     cartan = system.cartan
     if cartan is None:
         return len(m_class(system, word, max_states=max_states))
-    top = element_key(cartan, tuple(word))
+    top = element_key(system, word)
     counts: dict[tuple[int, ...], int] = {}
     stack = [top]
     while stack:
@@ -164,16 +177,13 @@ def m_class_size(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MA
 
 
 def reduce_word(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> Word:
-    """Canonical form: lexicographically least word in the m-class.
-
-    Uses root-system keys when the system has a Cartan matrix, and the
-    rewriting engine (where max_states applies) otherwise.
-    """
+    """Canonical form: lexicographically least word in the m-class; with a
+    Cartan matrix, left descents peeled off x·rho, the key of the inverse word."""
     word = tuple(word)
     cartan = system.cartan
     if cartan is None:
         return reduce_by_rewriting(system, word, max_states=max_states)
-    key = element_key(cartan, word)
+    key = element_key(system, inverse_word(word))
     canonical = []
     while True:
         for s, c in enumerate(key):

@@ -98,7 +98,7 @@ def test_criterion_03_essential_cycles_are_exactly_relator_cycles(a2, a3, cube, 
     # the commuting-cube hexagon through three distinct labels is a certified
     # non-essential cycle: its opposite corners are joined by six geodesics
     ball = build_ball(cube, 4)
-    word_ids = [ball.index[parse_word(cube, text)] for text in ["e", "a", "a b", "a b c", "b c", "c"]]
+    word_ids = [ball.vertex_of(parse_word(cube, text)) for text in ["e", "a", "a b", "a b c", "b c", "c"]]
     from coxaut.cycles import enumerate_embedded_cycles
 
     cycle = next(c for c in enumerate_embedded_cycles(ball, 6) if set(c.vertices) == set(word_ids))
@@ -172,7 +172,7 @@ def test_criterion_05_exotic_map_on_flexible_example(branched):
     assert not field.is_constant
     t, u = parse_word(branched, "t")[0], parse_word(branched, "u")[0]
     assert local_permutation(ball, aut, 0)[t] == u
-    pivot_vertex = ball.index[(witness.pivot,)]
+    pivot_vertex = ball.vertex_of((witness.pivot,))
     assert local_permutation(ball, aut, pivot_vertex)[t] == t
 
     assert decompose(ball, aut) is None

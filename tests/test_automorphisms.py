@@ -22,13 +22,13 @@ from coxaut.automorphisms import (
 )
 from coxaut.ball import build_ball
 from coxaut.system import DiagramAutomorphism, FlexibilityWitness, is_flexible
-from coxaut.words import LimitExceeded, parse_word, reduce_word
+from coxaut.words import LimitExceeded, parse_word, reduce_by_rewriting, reduce_word
 
 from conftest import make_system
 
 
 def vid(ball, text):
-    return ball.index[parse_word(ball.system, text)]
+    return ball.vertex_of(parse_word(ball.system, text))
 
 
 @pytest.fixture(scope="module")
@@ -130,41 +130,53 @@ class TestFactored:
         assert f.compose(a3, f.inverse(a3)).is_identity(a3)
         assert f.inverse(a3).compose(a3, f).is_identity(a3)
 
-    @pytest.mark.parametrize("radius", [4, 6])
+    @pytest.mark.parametrize("radius", [4, 6, "no-cartan"])
     @pytest.mark.parametrize("constructor", ["left_mult", "diagram_aut", "psi_phi", "psi_n", "to_ball"])
-    def test_to_ball_matches_pointwise_action(self, constructor, radius, a3, branched, branched_witness):
-        # reference: reduce f(x) and look it up.  The a3 ball is complete at
-        # radius 6; the psi maps need a flexible diagram, whose balls are proper.
-        rev = DiagramAutomorphism((2, 1, 0))
-        a = parse_word(a3, "a")
+    def test_to_ball_matches_pointwise_action(self, constructor, radius, a3, branched):
+        # reference: reduce f(x) by rewriting and look it up among the ball's
+        # words, independent of keys.  The a3 ball is complete at radius 6;
+        # the psi maps need a flexible diagram, whose balls are proper.  The
+        # no-cartan diagrams have an order 5, so their keys are words: I2(5)
+        # is complete at radius 5, and the flexible one (pivot t, phi
+        # swapping u and v) is proper at radius 4.
+        if radius == "no-cartan":
+            rigid, rigid_radius = make_system("a b", (0, 1, 5)), 5
+            flexible, flexible_radius = make_system("s t u v", (0, 1, 5), (0, 2, 2), (0, 3, 2)), 4
+            assert rigid.cartan is None and flexible.cartan is None
+        else:
+            rigid, flexible = a3, branched
+            rigid_radius = flexible_radius = radius
+        witness = is_flexible(flexible)
+        rev = DiagramAutomorphism(tuple(reversed(rigid.generators())))
+        a = (0,)
         cases = {
-            "left_mult": (a3, lambda ball: left_mult(ball, a * 3), lambda x: a + x, {4: 3, 6: 6}),
-            "diagram_aut": (a3, lambda ball: diagram_aut(ball, rev), rev.apply_word, {4: 4, 6: 6}),
+            "left_mult": (rigid, lambda ball: left_mult(ball, a * 3), lambda x: a + x),
+            "diagram_aut": (rigid, lambda ball: diagram_aut(ball, rev), rev.apply_word),
             "psi_phi": (
-                branched,
-                lambda ball: psi_phi(ball, branched_witness),
-                lambda x: psi_phi_word(branched, branched_witness, x),
-                {4: 4, 6: 6},
+                flexible,
+                lambda ball: psi_phi(ball, witness),
+                lambda x: psi_phi_word(flexible, witness, x),
             ),
             "psi_n": (
-                branched,
-                lambda ball: psi_n(ball, branched_witness, 2),
-                lambda x: psi_n_word(branched, branched_witness, 2, x),
-                {4: 4, 6: 6},
+                flexible,
+                lambda ball: psi_n(ball, witness, 2),
+                lambda x: psi_n_word(flexible, witness, 2, x),
             ),
             "to_ball": (
-                a3,
+                rigid,
                 lambda ball: FactoredAutomorphism(a, rev).to_ball(ball),
                 lambda x: a + rev.apply_word(x),
-                {4: 3, 6: 6},
             ),
         }
-        system, construct, f, interior = cases[constructor]
-        ball = build_ball(system, radius)
-        assert ball.complete == (system is a3 and radius == 6)
+        system, construct, f = cases[constructor]
+        ball = build_ball(system, rigid_radius if system is rigid else flexible_radius)
+        assert ball.complete == (system is rigid and radius != 4)
         aut = construct(ball)
-        assert aut.vmap == tuple(ball.index.get(reduce_word(system, f(x))) for x in ball.words)
-        assert aut.interior_radius == interior[radius]
+        ids = {w: i for i, w in enumerate(ball.words)}
+        assert aut.vmap == tuple(ids.get(reduce_by_rewriting(system, f(x))) for x in ball.words)
+        # a left factor of length 1 costs one unit of interior in a proper ball
+        shrink = constructor in ("left_mult", "to_ball") and not ball.complete
+        assert aut.interior_radius == ball.radius - shrink
 
 
 class TestPsiPhi:
@@ -390,7 +402,7 @@ class TestComposeAndDecompose:
         system = make_system("a b c", (0, 1, 3))
         ball = build_ball(system, 2)
         sigma = {0: 2, 1: 1, 2: 0}
-        vmap = tuple(ball.index[tuple(sigma[x] for x in w)] for w in ball.words)
+        vmap = tuple(ball.vertex_of(tuple(sigma[x] for x in w)) for w in ball.words)
         aut = BallAutomorphism(vmap, 2)
         assert verify_ball_automorphism(ball, aut).ok
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from conftest import make_system
 
 
 def vid(ball, text):
-    return ball.index[parse_word(ball.system, text)]
+    return ball.vertex_of(parse_word(ball.system, text))
 
 
 class TestBuild:
@@ -30,8 +30,8 @@ class TestBuild:
         words = {ball.system.names[x] for w in ball.words for x in w}
         assert ball.size == 9  # e, s, t, u, st, su, ts, us, tu (=ut)
         assert words == {"s", "t", "u"}
-        assert vid(ball, "t u") == vid(ball, "t u")
-        assert (2, 1) not in ball.index  # only the canonical spelling is a key
+        # any spelling finds the vertex of the canonical word
+        assert ball.vertex_of((2, 1)) == ball.vertex_of((1, 2)) == ball.words.index((1, 2))
 
     def test_deterministic_prefix(self, a3):
         small, large = build_ball(a3, 2), build_ball(a3, 4)

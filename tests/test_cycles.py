@@ -24,7 +24,7 @@ def cycle_words(ball, cycle):
 
 
 def find_cycle(ball, texts):
-    ids = {ball.index[parse_word(ball.system, t)] for t in texts}
+    ids = {ball.vertex_of(parse_word(ball.system, t)) for t in texts}
     for cycle in enumerate_embedded_cycles(ball, len(texts)):
         if set(cycle.vertices) == ids:
             return cycle
@@ -56,6 +56,10 @@ class TestEnumeration:
 
     def test_max_length_respected(self, a2):
         assert enumerate_embedded_cycles(build_ball(a2, 3), 4) == []
+
+    @pytest.mark.parametrize("max_length,count", [(-1, 0), (0, 0), (3, 0), (5, 0), (6, 1)])
+    def test_small_bounds_give_no_cycles(self, a2, max_length, count):
+        assert len(enumerate_embedded_cycles(build_ball(a2, 3), max_length)) == count
 
     def test_cube_cycle_counts(self, cube):
         # the 3-cube has 6 faces (4-cycles) and 16 embedded 6-cycles
@@ -114,7 +118,7 @@ class TestEssentiality:
         assert not report.essential
         assert report.certified  # the ball is the whole group
         u, v, dist, paths = report.failure
-        assert {u, v} == {0, ball.index[parse_word(cube, "a b c")]}
+        assert {u, v} == {0, ball.vertex_of(parse_word(cube, "a b c"))}
         assert dist == 3
         assert paths == 6
 

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +25,9 @@ from coxaut.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+
+# Guards set in the environment would change the output.
+GUARD_VARS = ("COXAUT_MAX_STATES", "COXAUT_MAX_VERTICES", "COXAUT_MAX_NODES")
 
 # Diagrams without a Cartan matrix (an order outside {2, 3, 4, 6}), so
 # their elements are keyed by canonical words.
@@ -73,6 +77,12 @@ def _write_fallbacks(directory: Path) -> None:
         (directory / name).write_text(text)
 
 
+@pytest.fixture(autouse=True)
+def default_guards(monkeypatch):
+    for name in GUARD_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -95,6 +105,8 @@ def test_output_unchanged(argv, golden, fallback_dir):
 
 
 if __name__ == "__main__":
+    for name in GUARD_VARS:
+        os.environ.pop(name, None)
     with tempfile.TemporaryDirectory() as tmp:
         _write_fallbacks(Path(tmp))
         recorded = {" ".join(argv): run(argv, Path(tmp)) for argv in COMMANDS}

@@ -1,18 +1,28 @@
 """Root-system keys against the m-operation rewriting engine.
 
-reduce_word, m_class_size and build_ball use integer root-system keys
-whenever every finite order is in {2, 3, 4, 6}.  The rewriting engine is
-the reference here: random diagrams with orders in {2, 3, 4, 6, inf} and
-every shipped diagram must give the same canonical forms, m-class sizes
-and balls both ways.
+reduce_word, m_class_size, build_ball and CayleyBall.vertex_of use
+integer root-system keys whenever every finite order is in {2, 3, 4, 6}.
+The rewriting engine is the reference here: random diagrams with orders in
+{2, 3, 4, 6, inf} and every shipped diagram must give the same canonical
+forms, m-class sizes, balls and vertex lookups both ways.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxaut.ball import build_ball
 from coxaut.system import parse_system
-from coxaut.words import LimitExceeded, m_class, m_class_size, reduce_by_rewriting, reduce_word
+from coxaut.words import (
+    LimitExceeded,
+    element_key,
+    m_class,
+    m_class_size,
+    reduce_by_rewriting,
+    reduce_word,
+    right_step,
+)
 
 from conftest import DIAGRAMS, crystallographic_systems, make_system
 
@@ -53,7 +63,13 @@ def assert_same_ball(system, radius):
     words, adj = rewriting_ball(system, radius)
     assert ball.words == words
     assert ball.adj == adj
-    assert ball.index == {w: i for i, w in enumerate(words)}
+    assert [ball.vertex_of(w) for w in words] == list(range(len(words)))
+
+
+def assert_vertex_of_matches_rewriting(ball, word):
+    canonical = reduce_by_rewriting(ball.system, word)
+    expected = ball.words.index(canonical) if len(canonical) <= ball.radius else None
+    assert ball.vertex_of(word) == expected
 
 
 class TestReduce:
@@ -118,6 +134,44 @@ class TestBall:
         system.cartan = ((3,),)
         with pytest.raises(AssertionError):
             build_ball(system, 2)
+
+
+class TestVertexOf:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_rewriting(self, data):
+        system = data.draw(crystallographic_systems())
+        radius = data.draw(st.integers(0, 4))
+        ball = build_ball(system, radius)
+        letters = st.integers(0, system.rank - 1)
+        for word in data.draw(st.lists(st.lists(letters, max_size=2 * radius).map(tuple), min_size=1, max_size=8)):
+            assert_vertex_of_matches_rewriting(ball, word)
+        # every reduced spelling of a vertex, and each with a cancelling pair inserted
+        v = data.draw(st.integers(0, ball.size - 1))
+        s = data.draw(letters)
+        for word in sorted(m_class(system, ball.words[v])):
+            assert ball.vertex_of(word) == v
+            assert ball.vertex_of(word[:1] + (s, s) + word[1:]) == v
+
+    def test_fallback_keys_are_words(self):
+        system = make_system("a b", (0, 1, 5))
+        ball = build_ball(system, 3)  # proper: lengths 4 and 5 lie outside
+        assert system.cartan is None
+        for length in range(7):
+            for word in product(system.generators(), repeat=length):
+                assert_vertex_of_matches_rewriting(ball, word)
+
+
+class TestRightStep:
+    @pytest.mark.parametrize("path", [*DIAGRAMS, None], ids=lambda p: p.stem if p else "i2_5")
+    def test_steps_match_rewriting(self, path):
+        system = parse_system(path.read_text()) if path else make_system("a b", (0, 1, 5))
+        for word in build_ball(system, 4).words:
+            key = element_key(system, word)
+            for s in system.generators():
+                target, descent = right_step(system, key, s)
+                assert target == element_key(system, word + (s,))
+                assert descent == (len(reduce_by_rewriting(system, word + (s,))) < len(word))
 
 
 class TestFallback:
