@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ball import CayleyBall
+from .ball import CayleyBall, field_map
 from .system import (
     CoxeterSystem,
     DiagramAutomorphism,
     FlexibilityWitness,
+    enumerate_diagram_automorphisms,
     identity_automorphism,
     is_label_preserving,
     validate_witness,
@@ -49,12 +50,6 @@ class BallAutomorphism:
     @property
     def is_total(self) -> bool:
         return all(x is not None for x in self.vmap)
-
-
-def _ball_map(ball: CayleyBall, f, interior_radius: int) -> BallAutomorphism:
-    """The ball map x -> f(x) for a map f on words; None where f(x) leaves the ball."""
-    vmap = tuple(ball.vertex_of(f(x)) for x in ball.words)
-    return BallAutomorphism(vmap, interior_radius)
 
 
 def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
@@ -97,7 +92,7 @@ class FactoredAutomorphism:
         if len(self.word) > ball.radius:
             raise ValueError(f"multiplier length {len(self.word)} exceeds the ball radius {ball.radius}")
         interior = ball.radius if ball.complete else ball.radius - len(self.word)
-        return _ball_map(ball, lambda x: self.word + self.diagram.apply_word(x), interior)
+        return BallAutomorphism(field_map(ball, self.word, lambda x: self.diagram.images), interior)
 
 
 def identity_factored(system: CoxeterSystem) -> FactoredAutomorphism:
@@ -107,48 +102,48 @@ def identity_factored(system: CoxeterSystem) -> FactoredAutomorphism:
 # -- exotic maps -------------------------------------------------------------
 
 
-def psi_phi_word(system: CoxeterSystem, witness: FlexibilityWitness, word: Word) -> Word:
-    """Apply phi before the first pivot occurrence, keep the rest.
+def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = None):
+    """The label field of psi_phi (n None: phi where the canonical word has no
+    pivot) or of psi_n (phi where it has at least n pivots), else the identity.
 
-    For a reduced word w = w1 s w2 with s the pivot and w1 pivot-free, the
-    image is phi(w1) s w2; a word with no pivot maps to phi(word).  The
-    result is independent of the chosen reduced word, so applying it to the
-    canonical form gives a well-defined map on elements.
+    psi_phi applies phi to a reduced word before its first pivot and psi_n
+    after its n-th; phi fixes the pivot, so the image of w s is the image of w
+    followed by field(w)[s].  Raises ValueError unless witness is valid.
     """
-    phi = witness.phi
-    word = tuple(word)
-    try:
-        cut = word.index(witness.pivot)
-    except ValueError:
-        return phi.apply_word(word)
-    return phi.apply_word(word[:cut]) + word[cut:]
+    validate_witness(ball.system, witness)
+    phi = witness.phi.images
+    identity = tuple(ball.system.generators())
+    pivot = witness.pivot
+    if n is None:
+        return lambda x: identity if pivot in ball.words[x] else phi
+    return lambda x: phi if ball.words[x].count(pivot) >= n else identity
 
 
 def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
-    validate_witness(ball.system, witness)
-    return _ball_map(ball, lambda x: psi_phi_word(ball.system, witness, x), ball.radius)
-
-
-def psi_n_word(system: CoxeterSystem, witness: FlexibilityWitness, n: int, word: Word) -> Word:
-    """Keep everything through the n-th pivot occurrence, apply phi after it.
-
-    Words with fewer than n pivot occurrences are fixed.  In particular the
-    alternating words (s t)^k for a generator t moved by phi are fixed
-    exactly when k < n, which separates the members of the family.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    word = tuple(word)
-    positions = [i for i, x in enumerate(word) if x == witness.pivot]
-    if len(positions) < n:
-        return word
-    cut = positions[n - 1]
-    return word[: cut + 1] + witness.phi.apply_word(word[cut + 1 :])
+    return BallAutomorphism(field_map(ball, (), pivot_field(ball, witness)), ball.radius)
 
 
 def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorphism:
-    validate_witness(ball.system, witness)
-    return _ball_map(ball, lambda x: psi_n_word(ball.system, witness, n, x), ball.radius)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return BallAutomorphism(field_map(ball, (), pivot_field(ball, witness, n)), ball.radius)
+
+
+def field_violations(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tuple[int, int, int]]:
+    """The edges (u, v, s), u the shorter end, where aut(v) is not the
+    field(u)[s]-neighbor of aut(u); edges with an unmapped end are skipped.
+
+    Every reduced word of v is a reduced word of such a u followed by s, so,
+    by induction on length, no violation for psi_phi and its field means that
+    psi_phi's image does not depend on the reduced word (the field reads only
+    which letters a word has, and m-operations keep them).
+    """
+    bad = []
+    for u, v, s in ball.edges:
+        fu, fv = aut.vmap[u], aut.vmap[v]
+        if fu is not None and fv is not None and ball.adj[fu].get(field(u)[s]) != fv:
+            bad.append((u, v, s))
+    return bad
 
 
 # -- verification ------------------------------------------------------------
@@ -310,15 +305,9 @@ def coupling_violations(
 
 def compose_ball(ball: CayleyBall, outer: BallAutomorphism, inner: BallAutomorphism) -> BallAutomorphism:
     """outer after inner; the interior radius is recomputed from actual definedness."""
-    vmap: list[int | None] = []
-    for v in range(ball.size):
-        mid = inner.vmap[v]
-        vmap.append(outer.vmap[mid] if mid is not None else None)
-    interior = ball.radius
-    for v, x in enumerate(vmap):
-        if x is None:
-            interior = min(interior, ball.word_length(v) - 1)
-    return BallAutomorphism(tuple(vmap), interior)
+    vmap = tuple(None if mid is None else outer.vmap[mid] for mid in inner.vmap)
+    undefined = [ball.word_length(v) - 1 for v, x in enumerate(vmap) if x is None]
+    return BallAutomorphism(vmap, min([ball.radius, *undefined]))
 
 
 def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism | None:
@@ -473,8 +462,6 @@ def identity_stabilizer_census(
         v = probe_count - 1
 
     diagram_restrictions: dict[tuple[int, ...], DiagramAutomorphism] = {}
-    from .system import enumerate_diagram_automorphisms
-
     for d in enumerate_diagram_automorphisms(ball.system):
         restr = tuple(diagram_aut(ball, d).vmap[:probe_count])
         diagram_restrictions.setdefault(restr, d)
@@ -529,20 +516,18 @@ def psi_family_distinctness(
     if ball.radius < 2 * n_max:
         raise ValueError(f"radius {ball.radius} too small; need at least {2 * n_max} for n_max={n_max}")
     validate_witness(system, witness)
-    moved = [t for t in system.generators() if witness.phi(t) != t]
-    t = moved[0]
-    s = witness.pivot
+    t = next(t for t in system.generators() if witness.phi(t) != t)
+    tests = [ball.vertex_of((witness.pivot, t) * k) for k in range(1, n_max + 1)]
     rows: list[tuple[bool, ...]] = []
-    problems: list[str] = []
     for n in range(1, n_max + 1):
-        row: list[bool] = []
-        for k in range(1, n_max + 1):
-            word = tuple((s, t)[i % 2] for i in range(2 * k))
-            fixed = ball.vertex_of(psi_n_word(system, witness, n, word)) == ball.vertex_of(word)
-            row.append(fixed)
-            if fixed != (k < n):
-                problems.append(f"psi_{n} on (st)^{k}: fixed={fixed}, expected {k < n}")
-        rows.append(tuple(row))
+        vmap = psi_n(ball, witness, n).vmap
+        rows.append(tuple(vmap[v] == v for v in tests))
+    problems = [
+        f"psi_{n} on (st)^{k}: fixed={fixed}, expected {k < n}"
+        for n, row in enumerate(rows, 1)
+        for k, fixed in enumerate(row, 1)
+        if fixed != (k < n)
+    ]
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
             if rows[a] == rows[b]:

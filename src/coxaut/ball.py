@@ -148,6 +148,23 @@ def build_ball(
     return ball
 
 
+def field_map(ball: CayleyBall, start: Word, field) -> tuple[int | None, ...]:
+    """The vertex map f with f(e) = start and f(x·s) = f(x)·field(x)[s], field(x)
+    a label permutation as an image tuple; None where f(x) leaves the ball.
+
+    Walked down the BFS tree: a vertex v is p·s for its parent p = v·s, s the
+    last letter of its canonical word, so its image key is one right_step from
+    p's.  Only tree edges are read; automorphisms.field_violations checks the rest.
+    """
+    system = ball.system
+    keys = [element_key(system, start)]
+    for v in range(1, ball.size):
+        s = ball.words[v][-1]
+        p = ball.adj[v][s]
+        keys.append(right_step(system, keys[p], field(p)[s])[0])
+    return tuple(ball._ids.get(key) for key in keys)
+
+
 def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:
     """Graph distance inside the ball from source to every vertex, by one BFS."""
     dist = {source: 0}
@@ -181,8 +198,8 @@ def distance(ball: CayleyBall, u: int, v: int) -> int | None:
 def count_paths(ball: CayleyBall, u: int, v: int, length: int) -> int:
     """Number of simple paths from u to v of exactly the given length.
 
-    Depth-first with a distance-from-target prune: a partial path with k
-    steps left is abandoned unless the current vertex is within k of v.
+    Depth-first on an explicit stack, with a distance-from-target prune: a
+    partial path with k steps left is abandoned unless it is within k of v.
     """
     if length == 0:
         return 1 if u == v else 0
@@ -198,23 +215,23 @@ def count_paths(ball: CayleyBall, u: int, v: int, length: int) -> int:
                 queue.append(y)
 
     count = 0
-    path_set = {u}
-
-    def walk(x: int, remaining: int) -> None:
-        nonlocal count
-        if remaining == 0:
-            if x == v:
-                count += 1
-            return
-        for y in ball.adj[x].values():
-            if y in path_set:
-                continue
+    path = [u]
+    on_path = {u}
+    stack = [iter(ball.adj[u].values())]
+    while stack:
+        remaining = length - len(path)  # steps left once y is on the path
+        for y in stack[-1]:
             d = dist_to_v.get(y)
-            if d is None or d > remaining - 1:
+            if d is None or d > remaining or y in on_path:
                 continue
-            path_set.add(y)
-            walk(y, remaining - 1)
-            path_set.discard(y)
-
-    walk(u, length)
+            if remaining == 0:
+                count += 1  # d == 0: y is v
+                continue
+            path.append(y)
+            on_path.add(y)
+            stack.append(iter(ball.adj[y].values()))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
     return count

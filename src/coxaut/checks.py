@@ -18,6 +18,7 @@ from .automorphisms import (
     coupling_violations,
     decompose,
     diagram_aut,
+    field_violations,
     identity_stabilizer_census,
     left_mult,
     local_permutation,
@@ -25,7 +26,7 @@ from .automorphisms import (
     psi_family_distinctness,
     psi_n,
     psi_phi,
-    psi_phi_word,
+    pivot_field,
     verify_ball_automorphism,
 )
 from .ball import DEFAULT_MAX_VERTICES, CayleyBall, build_ball, distances_from
@@ -43,7 +44,7 @@ from .system import (
     enumerate_diagram_automorphisms,
     flexibility_witness,
 )
-from .words import DEFAULT_MAX_STATES, LimitExceeded, apply_m_operation, m_class, reduce_word
+from .words import DEFAULT_MAX_STATES, LimitExceeded, apply_m_operation
 
 
 @dataclass(frozen=True)
@@ -391,13 +392,10 @@ def run_system_checks(
     def psi_well_defined() -> tuple[str, str]:
         if witness is None:
             return "vacuous", "diagram is not flexible"
-        for v in range(ball.size):
-            targets = {
-                reduce_word(system, psi_phi_word(system, witness, w), max_states=max_states)
-                for w in m_class(system, ball.words[v], max_states=max_states)
-            }
-            if len(targets) != 1:
-                return "fail", f"psi images differ across the m-class of vertex {v}: {sorted(targets)}"
+        bad = field_violations(ball, psi(), pivot_field(ball, witness))
+        if bad:
+            u, v, s = bad[0]
+            return "fail", f"psi breaks its field on edge ({u}, {v}) labeled {system.name_of(s)}"
         return "pass", f"psi constant on the m-class at all {ball.size} vertices"
 
     add("psi-m-class-well-defined", psi_well_defined)

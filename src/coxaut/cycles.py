@@ -55,31 +55,29 @@ def _canonical_cycle(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
 def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[EmbeddedCycle]:
     """All embedded cycles of length <= max_length, each exactly once.
 
-    Each cycle is found only from its minimal vertex (the DFS root only
-    visits larger ids) and only in one direction (recorded when the second
-    vertex is smaller than the last), so no deduplication pass is needed.
+    Each cycle is found only from its minimal vertex (the DFS, on an explicit
+    stack, only visits larger ids from the root) and only in one direction
+    (recorded when the second vertex is smaller than the last), so no
+    deduplication pass is needed.
     """
     cycles: list[EmbeddedCycle] = []
     for root in range(ball.size):
         path = [root]
         on_path = {root}
-
-        def walk() -> None:
-            current = path[-1]
-            for nxt in ball.neighbors(current):
+        stack = [iter(ball.neighbors(root))]
+        while stack:
+            for nxt in stack[-1]:
                 if nxt == root:
                     if len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(_canonical_cycle(ball, list(path)))
-                    continue
-                if nxt < root or nxt in on_path or len(path) >= max_length:
-                    continue
-                path.append(nxt)
-                on_path.add(nxt)
-                walk()
-                path.pop()
-                on_path.discard(nxt)
-
-        walk()
+                elif nxt > root and nxt not in on_path and len(path) < max_length:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(ball.neighbors(nxt)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     cycles.sort(key=lambda c: (len(c), c.vertices))
     return cycles
 

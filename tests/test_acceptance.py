@@ -23,7 +23,6 @@ from coxaut.automorphisms import (
     psi_family_distinctness,
     psi_n,
     psi_phi,
-    psi_phi_word,
     verify_ball_automorphism,
 )
 from coxaut.ball import build_ball
@@ -32,6 +31,7 @@ from coxaut.system import enumerate_diagram_automorphisms, is_flexible
 from coxaut.words import m_class, multiply, parse_word, reduce_word
 
 from conftest import make_system
+from psi_words import psi_phi_word
 
 
 # -- permutation-group oracle -------------------------------------------------

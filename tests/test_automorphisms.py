@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxaut.automorphisms import (
     BallAutomorphism,
@@ -7,24 +8,32 @@ from coxaut.automorphisms import (
     coupling_violations,
     decompose,
     diagram_aut,
+    field_violations,
     identity_factored,
     identity_stabilizer_census,
     left_mult,
     local_permutation,
     local_permutation_field,
+    pivot_field,
     psi_family_distinctness,
     psi_n,
-    psi_n_word,
     psi_phi,
-    psi_phi_word,
     star_interior,
     verify_ball_automorphism,
 )
-from coxaut.ball import build_ball
-from coxaut.system import DiagramAutomorphism, FlexibilityWitness, is_flexible
+from coxaut.ball import build_ball, field_map
+from coxaut.system import (
+    CoxeterSystem,
+    DiagramAutomorphism,
+    FlexibilityWitness,
+    enumerate_diagram_automorphisms,
+    is_flexible,
+    parse_system,
+)
 from coxaut.words import LimitExceeded, parse_word, reduce_by_rewriting, reduce_word
 
-from conftest import make_system
+from conftest import DIAGRAMS, make_system
+from psi_words import psi_n_word, psi_phi_word
 
 
 def vid(ball, text):
@@ -181,7 +190,8 @@ class TestFactored:
 
 class TestPsiPhi:
     def test_word_images(self, branched, branched_witness):
-        w = branched_witness
+        ball = build_ball(branched, 3)
+        aut = psi_phi(ball, branched_witness)
         cases = [
             ("t", "u"),  # no pivot: phi applies
             ("u s", "t s"),  # phi before the pivot
@@ -189,8 +199,7 @@ class TestPsiPhi:
             ("t u s", "t u s"),  # phi(tu) = ut = tu as an element
         ]
         for src, out in cases:
-            image = reduce_word(branched, psi_phi_word(branched, w, parse_word(branched, src)))
-            assert image == reduce_word(branched, parse_word(branched, out))
+            assert aut.image(vid(ball, src)) == vid(ball, out)
 
     def test_ball_map_is_automorphism(self, branched, branched_witness):
         ball = build_ball(branched, 5)
@@ -218,7 +227,7 @@ class TestPsiPhi:
 
 class TestPsiN:
     def test_word_images(self, branched, branched_witness):
-        w = branched_witness
+        ball = build_ball(branched, 4)
         cases = [
             (1, "s t", "s u"),
             (2, "s t s t", "s t s u"),
@@ -226,12 +235,13 @@ class TestPsiN:
             (1, "t u", "t u"),  # pivot-free words are always fixed
         ]
         for n, src, out in cases:
-            image = reduce_word(branched, psi_n_word(branched, w, n, parse_word(branched, src)))
-            assert image == reduce_word(branched, parse_word(branched, out))
+            assert psi_n(ball, branched_witness, n).image(vid(ball, src)) == vid(ball, out)
 
     def test_n_must_be_positive(self, branched, branched_witness):
-        with pytest.raises(ValueError):
-            psi_n_word(branched, branched_witness, 0, ())
+        ball = build_ball(branched, 2)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                psi_n(ball, branched_witness, n)
 
     def test_ball_maps_verify(self, branched, branched_witness):
         ball = build_ball(branched, 6)
@@ -254,6 +264,116 @@ class TestPsiN:
     def test_family_needs_deep_ball(self, branched, branched_witness):
         with pytest.raises(ValueError):
             psi_family_distinctness(build_ball(branched, 3), branched_witness, 2)
+
+
+ORDERS = (2, 3, 4, 5, 6, None)  # None is infinite; an order 5 makes the keys canonical words
+
+
+@st.composite
+def coxeter_systems(draw, max_rank=4):
+    """Random diagrams of rank <= max_rank with every order in ORDERS."""
+    rank = draw(st.integers(1, max_rank))
+    orders = {}
+    for s in range(rank):
+        for t in range(s + 1, rank):
+            m = draw(st.sampled_from(ORDERS))
+            if m is not None:
+                orders[(s, t)] = m
+    return CoxeterSystem([f"g{i}" for i in range(rank)], orders)
+
+
+@st.composite
+def flexible_systems(draw, max_rank=4):
+    """Random flexible diagrams: generators 1 and 2 are swapped by a symmetry
+    of the diagram and joined to the pivot 0 by infinite orders."""
+    rank = draw(st.integers(3, max_rank))
+    swap = {1: 2, 2: 1}
+    orders = {}
+    for s in range(rank):
+        for t in range(s + 1, rank):
+            image = tuple(sorted((swap.get(s, s), swap.get(t, t))))
+            if image < (s, t):
+                m = orders.get(image)  # the image pair is already drawn
+            else:
+                m = None if s == 0 and t in swap else draw(st.sampled_from(ORDERS))
+            if m is not None:
+                orders[(s, t)] = m
+    return CoxeterSystem([f"g{i}" for i in range(rank)], orders)
+
+
+def witnesses(system):
+    """Every flexibility witness: a pivot and a nontrivial phi fixing it and its neighbors."""
+    return [
+        FlexibilityWitness(pivot, phi)
+        for pivot in system.generators()
+        for phi in enumerate_diagram_automorphisms(system)
+        if not phi.is_identity() and all(phi(x) == x for x in [pivot] + system.neighbors(pivot))
+    ]
+
+
+def assert_matches_rewriting(ball, aut, f, interior):
+    """aut is "reduce f(x) by rewriting, look it up among the ball's words"."""
+    ids = {w: i for i, w in enumerate(ball.words)}
+    assert aut.vmap == tuple(ids.get(reduce_by_rewriting(ball.system, f(x))) for x in ball.words)
+    assert aut.interior_radius == interior
+
+
+class TestFieldWalk:
+    """The BFS-tree walk of every constructor against the rewriting oracle."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_factored_maps_match_rewriting(self, data):
+        system = data.draw(coxeter_systems())
+        ball = build_ball(system, data.draw(st.integers(0, 4)))
+        w = tuple(data.draw(st.lists(st.integers(0, system.rank - 1), max_size=ball.radius)))
+        d = data.draw(st.sampled_from(enumerate_diagram_automorphisms(system)))
+        shrink = 0 if ball.complete else len(w)
+        to_ball = FactoredAutomorphism(w, d).to_ball(ball)
+        assert_matches_rewriting(ball, to_ball, lambda x: w + d.apply_word(x), ball.radius - shrink)
+        assert_matches_rewriting(ball, diagram_aut(ball, d), d.apply_word, ball.radius)
+        shrink = 0 if ball.complete else len(reduce_by_rewriting(system, w))
+        assert_matches_rewriting(ball, left_mult(ball, w), lambda x: w + x, ball.radius - shrink)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_psi_maps_match_rewriting(self, data):
+        system = data.draw(flexible_systems())
+        ball = build_ball(system, data.draw(st.integers(0, 4)))
+        witness = data.draw(st.sampled_from(witnesses(system)))
+        n = data.draw(st.integers(1, 3))
+        psi, psi_k = psi_phi(ball, witness), psi_n(ball, witness, n)
+        assert_matches_rewriting(ball, psi, lambda x: psi_phi_word(system, witness, x), ball.radius)
+        assert_matches_rewriting(ball, psi_k, lambda x: psi_n_word(system, witness, n, x), ball.radius)
+        # psi_phi's image does not depend on the reduced word: every edge follows its field
+        assert field_violations(ball, psi, pivot_field(ball, witness)) == []
+
+
+class TestFieldViolations:
+    def test_standard_maps_follow_constant_fields(self, branched):
+        ball = build_ball(branched, 4)
+        swap = DiagramAutomorphism((0, 2, 1))
+        identity = tuple(branched.generators())
+        assert field_violations(ball, left_mult(ball, (0, 1)), lambda x: identity) == []
+        assert field_violations(ball, diagram_aut(ball, swap), lambda x: swap.images) == []
+        # the swap's field is not the identity's
+        assert field_violations(ball, diagram_aut(ball, swap), lambda x: identity)
+
+    def test_fails_on_a_rule_that_is_no_witness(self):
+        # phi swaps the pivot t with u: validate_witness rejects it, and the
+        # walk down the BFS tree then disagrees with the non-tree edges
+        system = parse_system(next(p for p in DIAGRAMS if p.stem == "flexible").read_text())
+        bad = FlexibilityWitness(pivot=1, phi=DiagramAutomorphism((0, 2, 1)))
+        ball = build_ball(system, 3)
+        identity = tuple(system.generators())
+
+        def field(x):  # pivot_field's rule for psi_phi
+            return identity if bad.pivot in ball.words[x] else bad.phi.images
+
+        aut = BallAutomorphism(field_map(ball, (), field), ball.radius)
+        assert field_violations(ball, aut, field)
+        with pytest.raises(ValueError):
+            pivot_field(ball, bad)
 
 
 class TestVerification:

@@ -117,6 +117,11 @@ class TestQueries:
         # walks of length 2 from e back to e exist, simple paths do not
         assert count_paths(ball, 0, 0, 2) == 0
 
+    def test_count_paths_deeper_than_the_recursion_limit(self, free2):
+        # the search keeps its path on an explicit stack
+        ball = build_ball(free2, 1500)
+        assert count_paths(ball, 0, vid(ball, "a b " * 750), 1500) == 1
+
 
 class TestExports:
     def test_json_shape(self, a2):

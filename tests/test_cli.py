@@ -108,6 +108,12 @@ class TestCyclesCommand:
         assert all(row["relator"] == ["t", "u"] for row in relators)
         assert all(row["essential"] for row in relators)
 
+    def test_paths_deeper_than_the_recursion_limit(self, capsys):
+        # the search keeps its path on an explicit stack
+        path = Path(__file__).resolve().parent.parent / "diagrams" / "free2.cox"
+        assert main(["cycles", str(path), "--radius", "1100", "--max-length", "2300"]) == 0
+        assert capsys.readouterr().out == "0 embedded cycles of length <= 2300 at radius 1100\n"
+
 
 class TestExoticCommand:
     def test_rigid_input_is_an_error(self, a2_file, capsys):
