@@ -18,23 +18,17 @@ from dataclasses import dataclass
 
 from .ball import CayleyBall, field_map
 from .system import (
+    DEFAULT_MAX_NODES,
     CoxeterSystem,
     DiagramAutomorphism,
     FlexibilityWitness,
+    LimitExceeded,
     enumerate_diagram_automorphisms,
     identity_automorphism,
     is_label_preserving,
     validate_witness,
 )
-from .words import (
-    LimitExceeded,
-    Word,
-    inverse_word,
-    multiply,
-    reduce_word,
-)
-
-DEFAULT_MAX_NODES = 10**6
+from .words import Word, inverse_word, multiply, reduce_word
 
 
 @dataclass(frozen=True)
@@ -182,7 +176,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
         fu, fv = aut.vmap[u], aut.vmap[v]
         if fu is None or fv is None:
             continue
-        if not ball.has_edge(fu, fv):
+        if ball.label(fu, fv) is None:
             violations.append(
                 f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})"
             )
@@ -206,9 +200,10 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
         fu = aut.vmap[u]
         if fu is None:
             continue
-        if not ball.has_edge(fv, fu):
+        label = ball.label(fv, fu)
+        if label is None:
             raise ValueError(f"edge ({v}, {u}) maps to non-adjacent pair ({fv}, {fu})")
-        result[s] = ball.edge_label(fv, fu)
+        result[s] = label
     return result
 
 
@@ -274,7 +269,8 @@ def coupling_violations(
     ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
 ) -> list[tuple[int, int, int, int]]:
     """Adjacent-vertex coupling: across an s-edge, perm_at(vs)^-1 perm_at(v) fixes
-    s and every generator at finite order with s.
+    s and every generator at finite order with s, that is, the two local
+    permutations agree there.
 
     Returns (v, u, s, x) tuples naming each violation; empty means the law
     holds throughout the checked region.
@@ -285,17 +281,13 @@ def coupling_violations(
         s: [s] + ball.system.neighbors(s) for s in ball.system.generators()
     }
     violations: list[tuple[int, int, int, int]] = []
-    for v in field.vertices:
+    for v, pv in zip(field.vertices, field.perms):
         for s, u in ball.adj[v].items():
             if u not in position:
                 continue
-            pv = field.perms[position[v]]
             pu = field.perms[position[u]]
-            inv_pu = [0] * len(pu)
-            for i, val in enumerate(pu):
-                inv_pu[val] = i
             for x in fixed_sets[s]:
-                if inv_pu[pv[x]] != x:
+                if pv[x] != pu[x]:
                     violations.append((v, u, s, x))
     return violations
 

@@ -81,14 +81,12 @@ class CayleyBall:
     def neighbors(self, v: int) -> list[int]:
         return sorted(self.adj[v].values())
 
-    def edge_label(self, u: int, v: int) -> int:
-        for label, w in self.adj[u].items():
+    def label(self, u: int, v: int) -> int | None:
+        """The label of the edge between u and v; None when they are not adjacent."""
+        for s, w in self.adj[u].items():
             if w == v:
-                return label
-        raise KeyError(f"no edge between {u} and {v}")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(w == v for w in self.adj[u].values())
+                return s
+        return None
 
     def to_json_dict(self) -> dict:
         return {

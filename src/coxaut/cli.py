@@ -15,7 +15,6 @@ import os
 import sys
 
 from .automorphisms import (
-    DEFAULT_MAX_NODES,
     identity_stabilizer_census,
     local_permutation_field,
     psi_n,
@@ -25,8 +24,8 @@ from .automorphisms import (
 from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .checks import default_probe_radius, run_system_checks
 from .cycles import enumerate_embedded_cycles, is_essential, is_relator_shape
-from .system import CoxeterSystem, ParseError, is_flexible, parse_system
-from .words import DEFAULT_MAX_STATES, LimitExceeded, format_word, m_class_size, parse_word, reduce_word
+from .system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, ParseError, is_flexible, parse_system
+from .words import DEFAULT_MAX_STATES, format_word, m_class_size, parse_word, reduce_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

@@ -48,7 +48,7 @@ def _canonical_cycle(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
     rotated = vertices[start:] + vertices[:start]
     if rotated[-1] < rotated[1]:
         rotated = [rotated[0]] + rotated[1:][::-1]
-    labels = tuple(ball.edge_label(rotated[i], rotated[(i + 1) % k]) for i in range(k))
+    labels = tuple(ball.label(rotated[i], rotated[(i + 1) % k]) for i in range(k))
     return EmbeddedCycle(tuple(rotated), labels)
 
 
@@ -124,11 +124,10 @@ def map_cycle(ball: CayleyBall, vmap, cycle: EmbeddedCycle) -> EmbeddedCycle | N
         return None
     if len(set(images)) != len(images):
         raise ValueError("cycle image has repeated vertices")
-    k = len(images)
-    for i in range(k):
-        if not ball.has_edge(images[i], images[(i + 1) % k]):
-            raise ValueError("cycle image is not a cycle")
-    return _canonical_cycle(ball, images)
+    image = _canonical_cycle(ball, images)
+    if None in image.labels:
+        raise ValueError("cycle image is not a cycle")
+    return image
 
 
 @dataclass(frozen=True)

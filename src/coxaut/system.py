@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 INFINITY = math.inf
 
-# Diagram automorphism enumeration is factorial in the rank.
-MAX_RANK = 12
+# Node guard of the diagram-automorphism search (read at call time) and the
+# default max_nodes of the identity-stabilizer census.
+DEFAULT_MAX_NODES = 10**6
 
 # Integer Cartan entries (a_st, a_ts), s < t, by the finite order m(s, t).
 # With a_st = a_ts = -2 for an infinite order, the Weyl group of the
@@ -27,6 +27,10 @@ CARTAN_ENTRIES = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
 
 class ParseError(ValueError):
     """Raised for malformed diagram files or word strings."""
+
+
+class LimitExceeded(RuntimeError):
+    """An enumeration guard tripped; the result is indeterminate, not wrong."""
 
 
 class CoxeterSystem:
@@ -234,19 +238,51 @@ def is_label_preserving(system: CoxeterSystem, images: tuple[int, ...]) -> bool:
     )
 
 
+def _label_preserving_images(system: CoxeterSystem, fixed=frozenset()):
+    """Yield the label-preserving permutations of S that fix every generator
+    in fixed, as image tuples in lexicographic order (the identity first).
+
+    Depth-first on an explicit stack of assigned images: generator s tries the
+    unused images c in increasing order and keeps one only when c == s or s is
+    not fixed, and m(c, images[t]) == m(s, t) for every t < s.  Every kept
+    candidate is a node; more than DEFAULT_MAX_NODES raise LimitExceeded.
+    """
+    n = system.rank
+    order = [[system.order(s, t) for t in range(n)] for s in range(n)]
+    images: list[int] = []
+    used = [False] * n
+    nodes = 0
+    c = 0  # the next image to try for generator len(images)
+    while True:
+        s = len(images)
+        if s < n and c < n:
+            if not used[c] and (c == s or s not in fixed) and [order[c][x] for x in images] == order[s][:s]:
+                nodes += 1
+                if nodes > DEFAULT_MAX_NODES:
+                    raise LimitExceeded(f"diagram automorphism search exceeded {DEFAULT_MAX_NODES} nodes")
+                images.append(c)
+                used[c] = True
+                c = 0
+            else:
+                c += 1
+            continue
+        if s == n:
+            yield tuple(images)
+        if not images:
+            return
+        c = images.pop()
+        used[c] = False
+        c += 1
+
+
 def enumerate_diagram_automorphisms(system: CoxeterSystem) -> list[DiagramAutomorphism]:
     """All label-preserving permutations of S, in image-sequence order.
 
     The identity comes first (it is lexicographically least).  The result is
     closed under composition and inverse: it is the diagram automorphism group.
+    Raises LimitExceeded when the search passes DEFAULT_MAX_NODES nodes.
     """
-    if system.rank > MAX_RANK:
-        raise ValueError(f"rank {system.rank} exceeds the automorphism enumeration cap of {MAX_RANK}")
-    return [
-        DiagramAutomorphism(images)
-        for images in permutations(range(system.rank))
-        if is_label_preserving(system, images)
-    ]
+    return [DiagramAutomorphism(images) for images in _label_preserving_images(system)]
 
 
 @dataclass(frozen=True)
@@ -276,21 +312,13 @@ def validate_witness(system: CoxeterSystem, witness: FlexibilityWitness) -> None
 def is_flexible(system: CoxeterSystem) -> FlexibilityWitness | None:
     """Search for a flexibility witness; None when the diagram is not flexible.
 
-    Brute force over pivots and label-preserving permutations; deterministic
-    choice: smallest pivot index, then lexicographically smallest images.
+    Deterministic choice: smallest pivot index, then lexicographically
+    smallest images; each pivot's search stops after the identity and one more.
     """
-    return flexibility_witness(system, enumerate_diagram_automorphisms(system))
-
-
-def flexibility_witness(
-    system: CoxeterSystem, automorphisms: list[DiagramAutomorphism]
-) -> FlexibilityWitness | None:
-    """is_flexible over an already enumerated diagram automorphism group."""
     for pivot in system.generators():
-        required = [pivot] + system.neighbors(pivot)
-        for phi in automorphisms:
-            if phi.is_identity():
-                continue
-            if all(phi(x) == x for x in required):
-                return FlexibilityWitness(pivot, phi)
+        found = _label_preserving_images(system, frozenset([pivot, *system.neighbors(pivot)]))
+        next(found)
+        images = next(found, None)
+        if images is not None:
+            return FlexibilityWitness(pivot, DiagramAutomorphism(images))
     return None

@@ -24,17 +24,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from .system import CoxeterSystem
+from .system import CoxeterSystem, LimitExceeded
 
 Word = tuple[int, ...]
 
 # Closure sizes grow with the rank and word length; this cap turns a
 # runaway enumeration into a clean failure instead of an OOM kill.
 DEFAULT_MAX_STATES = 10**6
-
-
-class LimitExceeded(RuntimeError):
-    """An enumeration guard tripped; the result is indeterminate, not wrong."""
 
 
 def apply_m_operation(system: CoxeterSystem, word: Word, position: int, s: int, t: int) -> Word:
@@ -88,23 +84,8 @@ def _adjacent_repeat(word: Word) -> int | None:
 
 
 def is_reduced(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """True when no word in the m-closure contains an adjacent equal pair."""
-    word = tuple(word)
-    if _adjacent_repeat(word) is not None:
-        return False
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        current = queue.popleft()
-        for nxt, _ in _m_moves(system, current):
-            if nxt not in seen:
-                if _adjacent_repeat(nxt) is not None:
-                    return False
-                if len(seen) >= max_states:
-                    raise LimitExceeded(f"m-operation closure exceeded {max_states} words")
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    """True when the word spells an element of its own length."""
+    return len(reduce_word(system, word, max_states=max_states)) == len(word)
 
 
 def m_class(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> set[Word]:

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -15,16 +16,30 @@ def make_system(names: str, *pairs) -> CoxeterSystem:
 
 
 @st.composite
-def crystallographic_systems(draw, max_rank=4):
-    """Random diagrams of rank <= max_rank with every finite order in {2, 3, 4, 6}."""
+def random_systems(draw, max_rank=4, finite_orders=(2, 3, 4, 6)):
+    """Random diagrams of rank <= max_rank with every finite order in finite_orders."""
     rank = draw(st.integers(1, max_rank))
     orders = {}
     for s in range(rank):
         for t in range(s + 1, rank):
-            m = draw(st.sampled_from((2, 3, 4, 6, None)))
+            m = draw(st.sampled_from((*finite_orders, None)))
             if m is not None:
                 orders[(s, t)] = m
     return CoxeterSystem([f"g{i}" for i in range(rank)], orders)
+
+
+def crystallographic_systems(max_rank=4):
+    """Random diagrams of rank <= max_rank with every finite order in {2, 3, 4, 6}."""
+    return random_systems(max_rank)
+
+
+# Every rank-3 diagram with orders in {2, 3, 4, 5, 6, inf} up to relabelling
+# (56): relabelling permutes the three pairs freely, so a diagram is a
+# multiset of three orders.
+RANK3 = [
+    make_system("a b c", *((s, t, m) for (s, t), m in zip(((0, 1), (0, 2), (1, 2)), ms) if m is not None))
+    for ms in combinations_with_replacement((2, 3, 4, 5, 6, None), 3)
+]
 
 
 @pytest.fixture(scope="session")

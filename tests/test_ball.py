@@ -83,7 +83,8 @@ class TestBuild:
         for u, v, s in ball.edges:
             assert ball.adj[u][s] == v
             assert ball.adj[v][s] == u
-            assert ball.edge_label(u, v) == s
+            assert ball.label(u, v) == s
+        assert ball.label(0, ball.size - 1) is None
 
 
 class TestQueries:

@@ -10,7 +10,7 @@ from coxaut.checks import (
 )
 from coxaut.system import DiagramAutomorphism, is_flexible, is_label_preserving, parse_system
 
-from conftest import DIAGRAMS, crystallographic_systems, make_system
+from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system
 
 
 class TestCommutation:
@@ -150,3 +150,15 @@ class TestRunChecks:
         report = run_system_checks(make_system("s"), radius=1)
         assert not report.failures
         assert not report.indeterminate
+
+    def test_rank3_verdicts_follow_flexibility(self):
+        # the paper's dichotomy over all 56 rank-3 diagrams: evidence of
+        # nondiscreteness only on flexible diagrams, of discreteness only on rigid ones
+        for system in RANK3:
+            report = run_system_checks(system, radius=5)
+            assert not report.failures, (system, report.failures)
+            flexible = is_flexible(system) is not None
+            if report.verdict == "NONDISCRETE-EVIDENCE":
+                assert flexible, system
+            if report.verdict == "DISCRETE-EVIDENCE":
+                assert not flexible, system

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import coxaut.system
 from coxaut import cli
 from coxaut.cli import EXIT_INDETERMINATE, EXIT_INTERNAL, main
+from coxaut.system import ParseError, parse_system
+
+from conftest import random_systems
 
 A2 = "gens a b\npair a b 3\n"
 BRANCHED = "gens s t u\npair t u 2\n"
@@ -222,6 +229,17 @@ class TestErrorsAndGuards:
         assert main(["check-flexible", a2_file]) == EXIT_INTERNAL == 4
         assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
+    def test_diagram_search_guard_exit_code(self, tmp_path, capsys, monkeypatch):
+        # no rank cap: listing the 10! automorphisms of a free diagram trips the
+        # node guard, while flexibility needs only the first two of them
+        monkeypatch.setattr(coxaut.system, "DEFAULT_MAX_NODES", 1000)
+        path = tmp_path / "free10.cox"
+        path.write_text("gens " + " ".join(f"g{i}" for i in range(10)) + "\n")
+        assert main(["check-flexible", str(path)]) == 0
+        assert capsys.readouterr().out == "FLEXIBLE pivot=g0 phi=(g8 g9)\n"
+        assert main(["verify", str(path), "--radius", "3"]) == EXIT_INDETERMINATE
+        assert capsys.readouterr().err == "INDETERMINATE: diagram automorphism search exceeded 1000 nodes\n"
+
     def test_deep_census_is_not_a_violation(self, tmp_path, capsys):
         # the census on this 1 534-vertex ball once died of a RecursionError;
         # it now searches without recursion until its node guard trips
@@ -251,3 +269,45 @@ def test_benchmark_tracer_runs_verify(capsys, monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["ball.edges"] > 0
     assert metrics["automorphisms.map_build.self_s"] > 0
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+TOKENS = st.sampled_from(["gens", "pair", "a", "b", "c", "e", "2", "3", "7", "inf", "1", "0", "-2", "x", "#"])
+DIAGRAM_TEXTS = st.one_of(st.text(), st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=6).map("\n".join))
+
+
+@given(DIAGRAM_TEXTS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fuzz_parse_system_raises_only_parse_error(text):
+    try:
+        parse_system(text)
+    except ParseError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "diagram.cox"
+
+
+@given(
+    random_systems(max_rank=4, finite_orders=(2, 3, 4, 5, 6, 7)),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 3), max_size=8),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fuzz_every_subcommand_exits_with_a_documented_code(fuzz_file, system, radius, letters):
+    pairs = [f"pair {system.names[s]} {system.names[t]} {m}" for s, t, m in system.finite_pairs()]
+    fuzz_file.write_text("\n".join(["gens " + " ".join(system.names), *pairs]) + "\n")
+    word = " ".join(system.names[x % system.rank] for x in letters) or "e"
+    r = ["--radius", str(radius)]
+    commands = [["check-flexible"], ["reduce", word], ["ball", *r], ["cycles", *r], ["exotic", *r]]
+    commands += [["exotic", *r, "--n", "2"], ["stabilizer", *r], ["verify", *r]]
+    for command, *rest in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(fuzz_file), "--format", "json", *rest])
+        assert code in (0, 1, 2, 3), (system, command, rest, err.getvalue())
+        if code == 0:
+            json.loads(out.getvalue())

@@ -1,11 +1,15 @@
 import math
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import coxaut.system
 from coxaut.system import (
     CoxeterSystem,
     DiagramAutomorphism,
     FlexibilityWitness,
+    LimitExceeded,
     ParseError,
     enumerate_diagram_automorphisms,
     identity_automorphism,
@@ -15,7 +19,7 @@ from coxaut.system import (
     validate_witness,
 )
 
-from conftest import make_system
+from conftest import RANK3, make_system, random_systems
 
 
 class TestParsing:
@@ -109,9 +113,11 @@ class TestDiagramAutomorphisms:
         assert auts[0].cycle_notation(branched.names) == "id"
         assert auts[1].cycle_notation(branched.names) == "(t u)"
 
-    def test_rank_cap(self):
+    def test_node_guard(self, monkeypatch):
+        # rank 13 has no cap; the free diagram's 13! automorphisms trip the node guard
+        monkeypatch.setattr(coxaut.system, "DEFAULT_MAX_NODES", 1000)
         system = CoxeterSystem([f"g{i}" for i in range(13)], {})
-        with pytest.raises(ValueError):
+        with pytest.raises(LimitExceeded, match="diagram automorphism search exceeded 1000 nodes"):
             enumerate_diagram_automorphisms(system)
 
 
@@ -151,3 +157,41 @@ class TestFlexibility:
     def test_label_preservation_predicate(self, a3):
         assert is_label_preserving(a3, (2, 1, 0))
         assert not is_label_preserving(a3, (1, 0, 2))
+
+
+def brute_force_automorphisms(system):
+    return [images for images in permutations(system.generators()) if is_label_preserving(system, images)]
+
+
+def brute_force_witness(system):
+    """The smallest pivot, then the lexicographically smallest non-identity
+    automorphism fixing it and its neighbors, as (pivot, images)."""
+    automorphisms = brute_force_automorphisms(system)[1:]
+    for pivot in system.generators():
+        star = [pivot] + system.neighbors(pivot)
+        for images in automorphisms:
+            if all(images[x] == x for x in star):
+                return pivot, images
+    return None
+
+
+class TestSearchMatchesBruteForce:
+    """The pruned search lists what filtering every permutation lists, in order."""
+
+    @staticmethod
+    def assert_matches(system):
+        assert [d.images for d in enumerate_diagram_automorphisms(system)] == brute_force_automorphisms(system)
+        witness = is_flexible(system)
+        found = None if witness is None else (witness.pivot, witness.phi.images)
+        assert found == brute_force_witness(system)
+
+    def test_every_rank3_diagram(self):
+        for system in RANK3:
+            self.assert_matches(system)
+
+    # one order and infinity: mostly symmetric diagrams, many of them flexible
+    @pytest.mark.parametrize("finite_orders", [(2, 3, 4, 5, 6, 7), (3,)])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_diagrams(self, finite_orders, data):
+        self.assert_matches(data.draw(random_systems(max_rank=6, finite_orders=finite_orders)))
