@@ -277,9 +277,7 @@ def coupling_violations(
     """
     field = local_permutation_field(ball, aut, interior_radius)
     position = {v: i for i, v in enumerate(field.vertices)}
-    fixed_sets = {
-        s: [s] + ball.system.neighbors(s) for s in ball.system.generators()
-    }
+    fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
     violations: list[tuple[int, int, int, int]] = []
     for v, pv in zip(field.vertices, field.perms):
         for s, u in ball.adj[v].items():

@@ -238,41 +238,44 @@ def is_label_preserving(system: CoxeterSystem, images: tuple[int, ...]) -> bool:
     )
 
 
-def _label_preserving_images(system: CoxeterSystem, fixed=frozenset()):
+def _label_preserving_images(system: CoxeterSystem, fixed=()):
     """Yield the label-preserving permutations of S that fix every generator
     in fixed, as image tuples in lexicographic order (the identity first).
 
-    Depth-first on an explicit stack of assigned images: generator s tries the
-    unused images c in increasing order and keeps one only when c == s or s is
-    not fixed, and m(c, images[t]) == m(s, t) for every t < s.  Every kept
-    candidate is a node; more than DEFAULT_MAX_NODES raise LimitExceeded.
+    Depth-first on an explicit stack: generator s tries, in increasing order,
+    each c whose row m(c, .) is a rearrangement of m(s, .) equal to it on
+    fixed, and keeps an unused c with m(c, images[t]) == m(s, t) for t < s.
+    Every kept c is a node; more than DEFAULT_MAX_NODES raise LimitExceeded.
     """
     n = system.rank
     order = [[system.order(s, t) for t in range(n)] for s in range(n)]
+    shapes = [sorted(row) for row in order]
+    candidates = [
+        [c for c in range(n) if shapes[c] == shape and all(order[c][f] == row[f] for f in fixed)]
+        for shape, row in zip(shapes, order)
+    ]
     images: list[int] = []
-    used = [False] * n
+    stack = [iter(candidates[0])]  # the untried candidates of generators 0 .. len(images)
     nodes = 0
-    c = 0  # the next image to try for generator len(images)
-    while True:
+    while stack:
         s = len(images)
-        if s < n and c < n:
-            if not used[c] and (c == s or s not in fixed) and [order[c][x] for x in images] == order[s][:s]:
-                nodes += 1
-                if nodes > DEFAULT_MAX_NODES:
-                    raise LimitExceeded(f"diagram automorphism search exceeded {DEFAULT_MAX_NODES} nodes")
-                images.append(c)
-                used[c] = True
-                c = 0
-            else:
-                c += 1
+        for c in stack[-1]:
+            if c not in images and [order[c][x] for x in images] == order[s][:s]:
+                break
+        else:
+            stack.pop()
+            if images:
+                images.pop()
             continue
-        if s == n:
+        nodes += 1
+        if nodes > DEFAULT_MAX_NODES:
+            raise LimitExceeded(f"diagram automorphism search exceeded {DEFAULT_MAX_NODES} nodes")
+        images.append(c)
+        if s + 1 < n:
+            stack.append(iter(candidates[s + 1]))
+        else:
             yield tuple(images)
-        if not images:
-            return
-        c = images.pop()
-        used[c] = False
-        c += 1
+            images.pop()
 
 
 def enumerate_diagram_automorphisms(system: CoxeterSystem) -> list[DiagramAutomorphism]:
@@ -316,9 +319,8 @@ def is_flexible(system: CoxeterSystem) -> FlexibilityWitness | None:
     smallest images; each pivot's search stops after the identity and one more.
     """
     for pivot in system.generators():
-        found = _label_preserving_images(system, frozenset([pivot, *system.neighbors(pivot)]))
-        next(found)
-        images = next(found, None)
-        if images is not None:
+        found = _label_preserving_images(system, [pivot, *system.neighbors(pivot)])
+        next(found)  # the identity
+        for images in found:
             return FlexibilityWitness(pivot, DiagramAutomorphism(images))
     return None
