@@ -14,6 +14,7 @@ automorphism acting by x -> w * d(x).  These compose by
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .ball import CayleyBall, field_map
@@ -43,7 +44,7 @@ class BallAutomorphism:
 
     @property
     def is_total(self) -> bool:
-        return all(x is not None for x in self.vmap)
+        return None not in self.vmap
 
 
 def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
@@ -160,23 +161,24 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
     sending edges to edges sends non-edges to non-edges, so these checks
     suffice for total maps to certify a genuine graph automorphism.
     """
-    violations: list[str] = []
-    for v in ball.interior(aut.interior_radius):
-        if aut.vmap[v] is None:
-            violations.append(f"undefined at interior vertex {v} (length {ball.word_length(v)})")
+    vmap = aut.vmap
+    violations: list[str] = [
+        f"undefined at interior vertex {v} (length {ball.word_length(v)})"
+        for v in ball.interior(aut.interior_radius)
+        if vmap[v] is None
+    ]
     images: dict[int, int] = {}
-    for v, x in enumerate(aut.vmap):
+    for v, x in enumerate(vmap):
         if x is None:
             continue
         if x in images:
             violations.append(f"not injective: vertices {images[x]} and {v} both map to {x}")
         else:
             images[x] = v
+    labels = ball.labels
     for u, v, s in ball.edges:
-        fu, fv = aut.vmap[u], aut.vmap[v]
-        if fu is None or fv is None:
-            continue
-        if ball.label(fu, fv) is None:
+        fu, fv = vmap[u], vmap[v]
+        if fu is not None and fv is not None and fv not in labels[fu]:
             violations.append(
                 f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})"
             )
@@ -195,33 +197,17 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
     fv = aut.vmap[v]
     if fv is None:
         raise ValueError(f"vertex {v} has no image")
+    image_labels = ball.labels[fv]
     result: dict[int, int] = {}
     for s, u in ball.adj[v].items():
         fu = aut.vmap[u]
         if fu is None:
             continue
-        label = ball.label(fv, fu)
+        label = image_labels.get(fu)
         if label is None:
             raise ValueError(f"edge ({v}, {u}) maps to non-adjacent pair ({fv}, {fu})")
         result[s] = label
     return result
-
-
-def star_interior(ball: CayleyBall, interior_radius: int) -> list[int]:
-    """Vertices with a full star whose members all lie in the certified region.
-
-    In a proper ball this is word length <= interior_radius - 1; in a complete
-    ball vertices at the interior radius itself qualify whenever all their
-    neighbors stay within it (e.g. the longest element of a finite group).
-    """
-    rank = ball.system.rank
-    return [
-        v
-        for v in range(ball.size)
-        if ball.word_length(v) <= interior_radius
-        and ball.degree(v) == rank
-        and all(ball.word_length(u) <= interior_radius for u in ball.adj[v].values())
-    ]
 
 
 @dataclass(frozen=True)
@@ -252,38 +238,42 @@ def local_permutation_field(
     """
     if interior_radius is None:
         interior_radius = aut.interior_radius
-    vertices = star_interior(ball, interior_radius)
-    rank = ball.system.rank
+    vertices = ball.star_interior(interior_radius)
+    vmap, adj, labels = aut.vmap, ball.adj, ball.labels
+    generators = ball.system.generators()
     perms: list[tuple[int, ...]] = []
     for v in vertices:
-        pi = local_permutation(ball, aut, v)
-        if len(pi) != rank:
-            raise ValueError(f"local permutation at star-interior vertex {v} is not total")
-        perms.append(tuple(pi[s] for s in range(rank)))
+        fv = vmap[v]
+        if fv is not None:
+            image_labels, star = labels[fv], adj[v]  # a full star: every label is present
+            perm = tuple([image_labels.get(vmap[star[s]]) for s in generators])
+            if None not in perm:
+                perms.append(perm)
+                continue
+        # an image is missing or leaves the graph; local_permutation names it
+        local_permutation(ball, aut, v)
+        raise ValueError(f"local permutation at star-interior vertex {v} is not total")
     distinct = set(perms)
     constant = perms[0] if len(distinct) == 1 else None
-    return PermutationField(tuple(vertices), tuple(perms), len(distinct) <= 1, constant)
+    return PermutationField(vertices, tuple(perms), len(distinct) <= 1, constant)
 
 
-def coupling_violations(
-    ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
-) -> list[tuple[int, int, int, int]]:
+def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple[int, int, int, int]]:
     """Adjacent-vertex coupling: across an s-edge, perm_at(vs)^-1 perm_at(v) fixes
     s and every generator at finite order with s, that is, the two local
     permutations agree there.
 
     Returns (v, u, s, x) tuples naming each violation; empty means the law
-    holds throughout the checked region.
+    holds throughout the field's vertices.
     """
-    field = local_permutation_field(ball, aut, interior_radius)
-    position = {v: i for i, v in enumerate(field.vertices)}
+    perm_of = dict(zip(field.vertices, field.perms))
     fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
     violations: list[tuple[int, int, int, int]] = []
-    for v, pv in zip(field.vertices, field.perms):
+    for v, pv in perm_of.items():
         for s, u in ball.adj[v].items():
-            if u not in position:
+            pu = perm_of.get(u)
+            if pu is None or pu == pv:
                 continue
-            pu = field.perms[position[u]]
             for x in fixed_sets[s]:
                 if pv[x] != pu[x]:
                     violations.append((v, u, s, x))
@@ -361,7 +351,10 @@ class StabilizerCensus:
 
 
 def identity_stabilizer_census(
-    ball: CayleyBall, probe_radius: int, max_nodes: int = DEFAULT_MAX_NODES
+    ball: CayleyBall,
+    probe_radius: int,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    diagram_maps: Iterable[tuple[DiagramAutomorphism, BallAutomorphism]] | None = None,
 ) -> StabilizerCensus:
     """All graph automorphisms of the ball fixing the identity, up to agreement
     on the probe sub-ball.
@@ -384,6 +377,10 @@ def identity_stabilizer_census(
     depth-first search on an explicit stack of candidate iterators, one per
     vertex, with no recursion, and every placed candidate counts as a node
     against max_nodes.
+
+    diagram_maps, the pairs (d, diagram_aut(ball, d)) for every diagram
+    automorphism d in enumeration order, classify the entries; they are built
+    here when not given.
     """
     if probe_radius < 0 or probe_radius > ball.radius:
         raise ValueError("probe radius must lie between 0 and the ball radius")
@@ -392,7 +389,7 @@ def identity_stabilizer_census(
     # word length and degree as one number: images must match both
     shape = [ball.word_length(v) * (ball.system.rank + 1) + ball.degree(v) for v in range(size)]
     neighbor_ids = [set(ball.adj[v].values()) for v in range(size)]
-    sorted_neighbors = [sorted(ids) for ids in neighbor_ids]
+    sorted_neighbors = list(map(ball.neighbors, range(size)))
     # the smallest neighbor of a vertex other than the identity is assigned
     # before it (its BFS parent has a smaller id) and supplies the candidates;
     # the other smaller neighbors are checked against each candidate
@@ -451,10 +448,11 @@ def identity_stabilizer_census(
             assignment[u] = -1
         v = probe_count - 1
 
+    if diagram_maps is None:
+        diagram_maps = ((d, diagram_aut(ball, d)) for d in enumerate_diagram_automorphisms(ball.system))
     diagram_restrictions: dict[tuple[int, ...], DiagramAutomorphism] = {}
-    for d in enumerate_diagram_automorphisms(ball.system):
-        restr = tuple(diagram_aut(ball, d).vmap[:probe_count])
-        diagram_restrictions.setdefault(restr, d)
+    for d, aut in diagram_maps:
+        diagram_restrictions.setdefault(aut.vmap[:probe_count], d)
 
     entries = []
     for images in restrictions:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import accumulate
 
 from .system import CoxeterSystem
 from .words import DEFAULT_MAX_STATES, LimitExceeded, Word, element_key, format_word, right_step
@@ -32,6 +33,8 @@ class CayleyBall:
         self._ids: dict[tuple[int, ...], int] = {}
         # adj[v][s] = the vertex v·s when it lies in the ball
         self.adj: list[dict[int, int]] = []
+        # star_interior results by radius
+        self._stars: dict[int, tuple[int, ...]] = {}
 
     def _add_vertex(self, key: tuple[int, ...], word: Word) -> int:
         v = len(self.words)
@@ -74,19 +77,57 @@ class CayleyBall:
         """
         return all(len(nbrs) == self.system.rank for nbrs in self.adj)
 
-    def interior(self, interior_radius: int) -> list[int]:
-        """Vertex ids at word length <= interior_radius."""
-        return [v for v in range(self.size) if len(self.words[v]) <= interior_radius]
+    @cached_property
+    def _layer_ends(self) -> list[int]:
+        """_layer_ends[k] = the number of vertices at word length <= k, k <= radius."""
+        counts = [0] * (self.radius + 1)
+        for w in self.words:
+            counts[len(w)] += 1
+        return list(accumulate(counts))
+
+    def interior(self, interior_radius: int) -> range:
+        """Vertex ids at word length <= interior_radius: an id prefix, since
+        breadth-first ids are sorted by word length."""
+        if interior_radius < 0:
+            return range(0)
+        return range(self._layer_ends[min(interior_radius, self.radius)])
+
+    def star_interior(self, interior_radius: int) -> tuple[int, ...]:
+        """Vertices with a full star whose members all lie in the certified region.
+
+        In a proper ball this is word length <= interior_radius - 1; in a complete
+        ball vertices at the interior radius itself qualify whenever all their
+        neighbors stay within it (e.g. the longest element of a finite group).
+        Memoized per radius.
+        """
+        stars = self._stars.get(interior_radius)
+        if stars is None:
+            end = len(self.interior(interior_radius))
+            rank = self.system.rank
+            stars = tuple(
+                v
+                for v, nbrs in enumerate(self.adj[:end])
+                if len(nbrs) == rank and all(u < end for u in nbrs.values())
+            )
+            self._stars[interior_radius] = stars
+        return stars
+
+    @cached_property
+    def _sorted_neighbors(self) -> list[list[int]]:
+        return [sorted(nbrs.values()) for nbrs in self.adj]
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj[v].values())
+        """The neighbors of v in increasing id order (a shared list: do not modify)."""
+        return self._sorted_neighbors[v]
+
+    @cached_property
+    def labels(self) -> list[dict[int, int]]:
+        """labels[u][v] = the label of the edge between u and v; built on first use."""
+        return [{v: s for s, v in nbrs.items()} for nbrs in self.adj]
 
     def label(self, u: int, v: int) -> int | None:
         """The label of the edge between u and v; None when they are not adjacent."""
-        for s, w in self.adj[u].items():
-            if w == v:
-                return s
-        return None
+        return self.labels[u].get(v)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from functools import cache
 
 from .automorphisms import (
     BallAutomorphism,
+    PermutationField,
     coupling_violations,
     decompose,
     diagram_aut,
@@ -258,28 +259,33 @@ def run_system_checks(
         sample = [w for w in ball.words if len(w) <= min(2, radius - 1)]
         if radius < 1:
             return "vacuous", "radius too small for left multiplications"
+        identity = tuple(system.generators())
         checked = 0
         for w in sample:
             aut = left_mult(ball, w)
             report = verify_ball_automorphism(ball, aut)
             if not report.ok:
                 return "fail", f"left_mult({w}) not verified: {report.violations[0]}"
-            field = local_permutation_field(ball, aut)
-            if field.perms and not (field.is_constant and field.constant == tuple(system.generators())):
+            # no violation: every defined edge keeps its label, so the local
+            # permutation is the identity wherever it is defined
+            if field_violations(ball, aut, lambda x: identity):
                 return "fail", f"left_mult({w}) field is not the constant identity"
             checked += 1
         return "pass", f"{checked} left multiplications verified with constant identity fields"
 
     add("left-mult-identity-field", left_mult_fields)
 
+    # built once, for this check and for the census's diagram restrictions
+    @cache
+    def diagram_maps() -> list[tuple[DiagramAutomorphism, BallAutomorphism]]:
+        return [(d, diagram_aut(ball, d)) for d in diagram_auts]
+
     def diagram_fields() -> tuple[str, str]:
-        for d in diagram_auts:
-            aut = diagram_aut(ball, d)
+        for d, aut in diagram_maps():
             report = verify_ball_automorphism(ball, aut)
             if not report.ok:
                 return "fail", f"diagram_aut({d.images}) not verified: {report.violations[0]}"
-            field = local_permutation_field(ball, aut)
-            if field.perms and not (field.is_constant and field.constant == d.images):
+            if field_violations(ball, aut, lambda x: d.images):
                 return "fail", f"diagram_aut({d.images}) field is not constantly d"
         if not ball.edges:
             return "vacuous", "no edges; fields are empty"
@@ -293,7 +299,7 @@ def run_system_checks(
 
     def census_runs() -> tuple[str, str]:
         nonlocal census
-        census = identity_stabilizer_census(ball, probe_radius, max_nodes=max_nodes)
+        census = identity_stabilizer_census(ball, probe_radius, max_nodes=max_nodes, diagram_maps=diagram_maps())
         for entry in census.entries:
             report = verify_ball_automorphism(ball, entry.automorphism)
             if not report.ok:
@@ -305,12 +311,17 @@ def run_system_checks(
 
     add("census-verified", census_runs)
 
+    # one field per census entry, for census-coupling and census-diagram-consistency
+    @cache
+    def entry_field(i: int) -> PermutationField:
+        return local_permutation_field(ball, census.entries[i].automorphism)
+
     def census_coupling() -> tuple[str, str]:
         if census is None:
             return "indeterminate", "census unavailable"
         checked = 0
-        for entry in census.entries:
-            bad = coupling_violations(ball, entry.automorphism)
+        for i, entry in enumerate(census.entries):
+            bad = coupling_violations(ball, entry_field(i))
             if bad:
                 v, u, s, x = bad[0]
                 return "fail", (
@@ -332,8 +343,8 @@ def run_system_checks(
         exotic = [e for e in census.entries if e.verdict != "diagram"]
         if exotic:
             return "fail", f"non-diagram census entry {exotic[0].images} on a non-flexible diagram"
-        for entry in census.entries:
-            field = local_permutation_field(ball, entry.automorphism)
+        for i, entry in enumerate(census.entries):
+            field = entry_field(i)
             if field.perms and not field.is_constant:
                 return "fail", f"entry {entry.images} has a non-constant field on a non-flexible diagram"
         return "pass", f"all {census.count} entries are diagram-automorphism restrictions with constant fields"

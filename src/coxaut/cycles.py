@@ -61,10 +61,11 @@ def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[Embedde
     deduplication pass is needed.
     """
     cycles: list[EmbeddedCycle] = []
+    neighbors = ball.neighbors
     for root in range(ball.size):
         path = [root]
         on_path = {root}
-        stack = [iter(ball.neighbors(root))]
+        stack = [iter(neighbors(root))]
         while stack:
             for nxt in stack[-1]:
                 if nxt == root:
@@ -73,7 +74,7 @@ def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[Embedde
                 elif nxt > root and nxt not in on_path and len(path) < max_length:
                     path.append(nxt)
                     on_path.add(nxt)
-                    stack.append(iter(ball.neighbors(nxt)))
+                    stack.append(iter(neighbors(nxt)))
                     break
             else:
                 stack.pop()

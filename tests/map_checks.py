@@ -1,0 +1,111 @@
+"""The ball-map checks read straight off the adjacency lists: the reference
+oracle for coxaut's table-driven checks.
+
+coxaut.automorphisms checks a map with the per-ball tables of CayleyBall
+(the label table, the interior prefix, the memoized star interior); these
+functions scan ball.adj and ball.words instead, as the checks were first
+written, so that a test can compare reports, fields and violation lists
+with code that shares none of those tables.
+"""
+
+from coxaut.automorphisms import BallAutomorphism, PermutationField, VerificationReport
+from coxaut.ball import CayleyBall
+
+
+def label(ball: CayleyBall, u: int, v: int) -> int | None:
+    for s, w in ball.adj[u].items():
+        if w == v:
+            return s
+    return None
+
+
+def interior(ball: CayleyBall, interior_radius: int) -> list[int]:
+    return [v for v in range(ball.size) if len(ball.words[v]) <= interior_radius]
+
+
+def star_interior(ball: CayleyBall, interior_radius: int) -> list[int]:
+    rank = ball.system.rank
+    return [
+        v
+        for v in range(ball.size)
+        if ball.word_length(v) <= interior_radius
+        and ball.degree(v) == rank
+        and all(ball.word_length(u) <= interior_radius for u in ball.adj[v].values())
+    ]
+
+
+def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> VerificationReport:
+    violations: list[str] = []
+    for v in interior(ball, aut.interior_radius):
+        if aut.vmap[v] is None:
+            violations.append(f"undefined at interior vertex {v} (length {ball.word_length(v)})")
+    images: dict[int, int] = {}
+    for v, x in enumerate(aut.vmap):
+        if x is None:
+            continue
+        if x in images:
+            violations.append(f"not injective: vertices {images[x]} and {v} both map to {x}")
+        else:
+            images[x] = v
+    for u, v, s in ball.edges:
+        fu, fv = aut.vmap[u], aut.vmap[v]
+        if fu is None or fv is None:
+            continue
+        if label(ball, fu, fv) is None:
+            violations.append(
+                f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})"
+            )
+    total = all(x is not None for x in aut.vmap)
+    return VerificationReport(ok=not violations, total=total, violations=tuple(violations))
+
+
+def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[int, int]:
+    fv = aut.vmap[v]
+    if fv is None:
+        raise ValueError(f"vertex {v} has no image")
+    result: dict[int, int] = {}
+    for s, u in ball.adj[v].items():
+        fu = aut.vmap[u]
+        if fu is None:
+            continue
+        image = label(ball, fv, fu)
+        if image is None:
+            raise ValueError(f"edge ({v}, {u}) maps to non-adjacent pair ({fv}, {fu})")
+        result[s] = image
+    return result
+
+
+def local_permutation_field(
+    ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
+) -> PermutationField:
+    if interior_radius is None:
+        interior_radius = aut.interior_radius
+    vertices = star_interior(ball, interior_radius)
+    rank = ball.system.rank
+    perms: list[tuple[int, ...]] = []
+    for v in vertices:
+        pi = local_permutation(ball, aut, v)
+        if len(pi) != rank:
+            raise ValueError(f"local permutation at star-interior vertex {v} is not total")
+        perms.append(tuple(pi[s] for s in range(rank)))
+    distinct = set(perms)
+    constant = perms[0] if len(distinct) == 1 else None
+    return PermutationField(tuple(vertices), tuple(perms), len(distinct) <= 1, constant)
+
+
+def coupling_violations(
+    ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
+) -> list[tuple[int, int, int, int]]:
+    field = local_permutation_field(ball, aut, interior_radius)
+    position = {v: i for i, v in enumerate(field.vertices)}
+    fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
+    violations: list[tuple[int, int, int, int]] = []
+    for v, pv in zip(field.vertices, field.perms):
+        for s, u in ball.adj[v].items():
+            if u not in position:
+                continue
+            pu = field.perms[position[u]]
+            for x in fixed_sets[s]:
+                if pv[x] != pu[x]:
+                    violations.append((v, u, s, x))
+    return violations

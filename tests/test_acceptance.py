@@ -270,4 +270,4 @@ def test_criterion_10_local_permutation_laws(a3, branched):
         census = identity_stabilizer_census(ball, probe)
         for entry in census.entries:
             assert verify_ball_automorphism(ball, entry.automorphism).ok
-            assert coupling_violations(ball, entry.automorphism) == []
+            assert coupling_violations(ball, local_permutation_field(ball, entry.automorphism)) == []

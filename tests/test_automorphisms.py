@@ -18,7 +18,6 @@ from coxaut.automorphisms import (
     psi_family_distinctness,
     psi_n,
     psi_phi,
-    star_interior,
     verify_ball_automorphism,
 )
 from coxaut.ball import build_ball, field_map
@@ -32,6 +31,7 @@ from coxaut.system import (
 )
 from coxaut.words import LimitExceeded, parse_word, reduce_by_rewriting, reduce_word
 
+import map_checks
 from conftest import DIAGRAMS, make_system
 from psi_words import psi_n_word, psi_phi_word
 
@@ -434,14 +434,14 @@ class TestLocalPermutations:
 
     def test_star_interior_boundary_rule(self, branched):
         ball = build_ball(branched, 3)
-        inside = star_interior(ball, 2)
+        inside = ball.star_interior(2)
         assert vid(ball, "e") in inside
         assert vid(ball, "t") in inside
         assert vid(ball, "t u") not in inside  # neighbor ts has length 3
 
     def test_star_interior_includes_longest_element(self, a2):
         ball = build_ball(a2, 3)  # complete: the hexagon
-        assert star_interior(ball, 3) == list(range(6))
+        assert ball.star_interior(3) == tuple(range(6))
 
     def test_undefined_vertex_raises(self, a2):
         ball = build_ball(a2, 3)
@@ -454,12 +454,12 @@ class TestCoupling:
     def test_left_mult_and_diagram_satisfy_coupling(self, a3):
         ball = build_ball(a3, 4)
         for aut in [left_mult(ball, parse_word(a3, "a")), diagram_aut(ball, DiagramAutomorphism((2, 1, 0)))]:
-            assert coupling_violations(ball, aut) == []
+            assert coupling_violations(ball, local_permutation_field(ball, aut)) == []
 
     def test_exotic_map_satisfies_coupling(self, branched, branched_witness):
         # the whole point: the local permutations differ but couple correctly
         ball = build_ball(branched, 5)
-        assert coupling_violations(ball, psi_phi(ball, branched_witness)) == []
+        assert coupling_violations(ball, local_permutation_field(ball, psi_phi(ball, branched_witness))) == []
 
     def test_boundary_artifact_fails_coupling(self):
         # the radius-2 ball of this system is a tree, so swapping the two
@@ -473,9 +473,85 @@ class TestCoupling:
         vmap[ab], vmap[ac] = ac, ab
         aut = BallAutomorphism(tuple(vmap), 2)
         assert verify_ball_automorphism(ball, aut).ok
-        violations = coupling_violations(ball, aut, 2)
+        violations = coupling_violations(ball, local_permutation_field(ball, aut, 2))
         assert violations
+        assert violations == map_checks.coupling_violations(ball, aut, 2)
         assert any(s == 0 and x == 1 for _, _, s, x in violations)
+
+
+def outcome(check, *args):
+    """check(*args), or the message of the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_checks_match_oracle(ball, aut):
+    """The table-driven report, field and coupling list equal map_checks' on aut."""
+    assert verify_ball_automorphism(ball, aut) == map_checks.verify_ball_automorphism(ball, aut)
+    field = outcome(local_permutation_field, ball, aut)
+    assert field == outcome(map_checks.local_permutation_field, ball, aut)
+    if not isinstance(field, str):
+        assert coupling_violations(ball, field) == map_checks.coupling_violations(ball, aut)
+
+
+def shipped_maps(ball):
+    """Every map verify builds on this ball: left multiplications by words of
+    length <= 2, diagram maps, psi_phi and psi_1..psi_3, census entries."""
+    system = ball.system
+    maps = [left_mult(ball, w) for w in ball.words if len(w) <= min(2, ball.radius)]
+    maps += [diagram_aut(ball, d) for d in enumerate_diagram_automorphisms(system)]
+    witness = is_flexible(system)
+    if witness is not None:
+        maps.append(psi_phi(ball, witness))
+        maps += [psi_n(ball, witness, n) for n in (1, 2, 3)]
+    probe = max(ball.radius - (system.max_finite_order() or 1), 0)
+    maps += [e.automorphism for e in identity_stabilizer_census(ball, probe).entries]
+    return maps
+
+
+class TestChecksMatchOracle:
+    """The checks on the per-ball tables against map_checks, which scans adj."""
+
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_shipped_maps(self, path):
+        system = parse_system(path.read_text())
+        for radius in range(6):
+            ball = build_ball(system, radius)
+            for aut in shipped_maps(ball):
+                assert_checks_match_oracle(ball, aut)
+
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_corrupted_maps(self, path):
+        system = parse_system(path.read_text())
+        ball = build_ball(system, 4)
+        for aut in shipped_maps(ball):
+            vmap = list(aut.vmap)
+            # swap two images, including an adjacent pair and a far pair
+            for u, v in [(1, min(2, ball.size - 1)), (0, ball.size - 1), (1, ball.neighbors(1)[-1])]:
+                swapped = vmap.copy()
+                swapped[u], swapped[v] = swapped[v], swapped[u]
+                assert_checks_match_oracle(ball, BallAutomorphism(tuple(swapped), aut.interior_radius))
+            # an interior image set to None
+            for v in (0, 1, len(ball.interior(1)) - 1):
+                holed = vmap.copy()
+                holed[v] = None
+                assert_checks_match_oracle(ball, BallAutomorphism(tuple(holed), aut.interior_radius))
+            # an image moved to a vertex not adjacent to the images of its neighbors
+            for v in (1, len(ball.interior(1)) - 1):
+                if vmap[v] is None:
+                    continue
+                near = {vmap[u] for u in ball.adj[v].values()} | {vmap[v]}
+                far = [x for x in range(ball.size) if all(x not in ball.adj[y].values() for y in near - {None})]
+                if far:
+                    moved = vmap.copy()
+                    moved[v] = far[-1]
+                    corrupted = BallAutomorphism(tuple(moved), aut.interior_radius)
+                    report = verify_ball_automorphism(ball, corrupted)
+                    assert not report.ok
+                    assert report.violations[0] == map_checks.verify_ball_automorphism(ball, corrupted).violations[0]
+                    assert_checks_match_oracle(ball, corrupted)
 
 
 class TestComposeAndDecompose:

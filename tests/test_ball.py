@@ -1,11 +1,13 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from coxaut.ball import build_ball, count_paths, distance
+from coxaut.system import parse_system
 from coxaut.words import LimitExceeded, parse_word, reduce_word
 
-from conftest import make_system
+from conftest import DIAGRAMS, make_system, random_systems
 
 
 def vid(ball, text):
@@ -137,3 +139,45 @@ class TestExports:
         assert dot.startswith("graph")
         assert 'label="a"' in dot
         assert "v0 -- v1" in dot
+
+
+def assert_tables_match_definitions(ball):
+    """label, interior, star_interior and neighbors against their definitions, read off adj and words."""
+    n, rank = ball.size, ball.system.rank
+    length = [len(w) for w in ball.words]
+    for u in range(n):
+        for v in range(n):
+            edge = [s for s, w in ball.adj[u].items() if w == v]
+            assert ball.label(u, v) == (edge[0] if edge else None)
+        assert ball.neighbors(u) == sorted(ball.adj[u].values())
+    for r in range(-1, ball.radius + 2):
+        assert list(ball.interior(r)) == [v for v in range(n) if length[v] <= r]
+        star = [
+            v
+            for v in range(n)
+            if length[v] <= r and len(ball.adj[v]) == rank and all(length[u] <= r for u in ball.adj[v].values())
+        ]
+        assert ball.star_interior(r) == tuple(star)
+        assert ball.star_interior(r) is ball.star_interior(r)  # memoized
+
+
+class TestTables:
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_shipped_diagrams(self, path):
+        system = parse_system(path.read_text())
+        for radius in range(7):
+            assert_tables_match_definitions(build_ball(system, radius))
+
+    @given(random_systems())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_diagrams(self, system):
+        assert_tables_match_definitions(build_ball(system, 3))
+
+    def test_json_export_builds_no_label_table(self, atilde2):
+        # ball --format json must not pay for the label table
+        ball = build_ball(atilde2, 4)
+        ball.to_json_dict()
+        ball.to_dot()
+        assert "labels" not in vars(ball)
+        ball.label(0, 1)
+        assert "labels" in vars(ball)
