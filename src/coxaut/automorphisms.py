@@ -104,13 +104,29 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
     psi_phi applies phi to a reduced word before its first pivot and psi_n
     after its n-th; phi fixes the pivot, so the image of w s is the image of w
     followed by field(w)[s].  Raises ValueError unless witness is valid.
+
+    psi_n is a map on elements only when the number of pivots is: when each
+    diagram neighbour t of the pivot p has even order with it, else this
+    raises ValueError.  Reduced words of one element are joined by
+    m-operations.  phi carries one on a pair without p, a block on one side of
+    the n-th pivot, to the move on the image pair; one on (p, t) with m(p, t)
+    even keeps the block's pivot count, and phi fixes its letters.  Either way
+    the images differ by one m-operation.  With m(p, t) odd, p t p and t p t
+    differ in pivot count.
     """
-    validate_witness(ball.system, witness)
+    system = ball.system
+    validate_witness(system, witness)
     phi = witness.phi.images
-    identity = tuple(ball.system.generators())
+    identity = tuple(system.generators())
     pivot = witness.pivot
     if n is None:
         return lambda x: identity if pivot in ball.words[x] else phi
+    for t in system.neighbors(pivot):
+        if system.order(pivot, t) % 2:
+            raise ValueError(
+                f"psi_n is undefined: the pivot {system.name_of(pivot)} has odd order "
+                f"{system.order(pivot, t)} with {system.name_of(t)}, so words of one element differ in pivot count"
+            )
     return lambda x: phi if ball.words[x].count(pivot) >= n else identity
 
 
@@ -385,10 +401,10 @@ def identity_stabilizer_census(
     if probe_radius < 0 or probe_radius > ball.radius:
         raise ValueError("probe radius must lie between 0 and the ball radius")
     size = ball.size
-    probe_count = sum(1 for w in ball.words if len(w) <= probe_radius)
+    probe_count = len(ball.interior(probe_radius))
     # word length and degree as one number: images must match both
     shape = [ball.word_length(v) * (ball.system.rank + 1) + ball.degree(v) for v in range(size)]
-    neighbor_ids = [set(ball.adj[v].values()) for v in range(size)]
+    labels = ball.labels
     sorted_neighbors = list(map(ball.neighbors, range(size)))
     # the smallest neighbor of a vertex other than the identity is assigned
     # before it (its BFS parent has a smaller id) and supplies the candidates;
@@ -423,7 +439,7 @@ def identity_stabilizer_census(
             if used[c] or shape[c] != shape_v:
                 continue
             if anchors:
-                ids = neighbor_ids[c]
+                ids = labels[c]
                 if any(assignment[u] not in ids for u in anchors):
                     continue
             nodes += 1

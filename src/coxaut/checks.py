@@ -35,7 +35,6 @@ from .cycles import (
     is_alternating,
     is_essential,
     map_cycle,
-    relator_cycles,
     verify_essential_characterization,
 )
 from .system import (
@@ -189,7 +188,7 @@ def run_system_checks(
     add("bipartite-edges", bipartite)
 
     def interior_degree() -> tuple[str, str]:
-        vertices = [v for v in range(ball.size) if ball.word_length(v) <= radius - 1]
+        vertices = ball.interior(radius - 1)
         if not vertices:
             return "vacuous", "no interior vertices at this radius"
         bad = [v for v in vertices if ball.degree(v) != system.rank]
@@ -256,7 +255,7 @@ def run_system_checks(
     # -- standard automorphisms and their fields -------------------------
 
     def left_mult_fields() -> tuple[str, str]:
-        sample = [w for w in ball.words if len(w) <= min(2, radius - 1)]
+        sample = [ball.words[v] for v in ball.interior(min(2, radius - 1))]
         if radius < 1:
             return "vacuous", "radius too small for left multiplications"
         identity = tuple(system.generators())
@@ -444,7 +443,10 @@ def run_system_checks(
         if radius < 2:
             return "vacuous", "radius too small"
         for n in range(1, min(radius, 5) + 1):
-            problem = _exotic_map_problem(ball, psi_n(ball, witness, n), f"psi_{n}")
+            try:
+                problem = _exotic_map_problem(ball, psi_n(ball, witness, n), f"psi_{n}")
+            except ValueError as exc:  # an odd-order neighbour of the pivot
+                return "vacuous", str(exc)
             if problem:
                 return "fail", problem
         return "pass", f"psi_1 .. psi_{min(radius, 5)} verified, identity-fixing, length-preserving"
@@ -457,7 +459,10 @@ def run_system_checks(
         n_max = radius // 2
         if n_max < 2:
             return "vacuous", f"radius {radius} too small to separate two family members"
-        report = psi_family_distinctness(ball, witness, n_max)
+        try:
+            report = psi_family_distinctness(ball, witness, n_max)
+        except ValueError as exc:  # an odd-order neighbour of the pivot
+            return "vacuous", str(exc)
         if not report.ok:
             return "fail", report.detail
         return "pass", report.detail

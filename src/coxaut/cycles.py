@@ -3,7 +3,7 @@
 An embedded 2n-cycle is essential when every pair of opposite vertices is
 at graph distance n with exactly two simple paths of length n between
 them (the two arcs of the cycle itself).  A relator cycle is the trace of
-the relation (st)^m from some base vertex: 2m edges alternating s, t.
+(st)^m from some base vertex, found by its shape: 2m edges alternating s, t.
 On the full Cayley graph the essential cycles are exactly the relator
 cycles; on a finite ball that equivalence is only trustworthy for cycles
 far enough from the boundary, so every classification carries a
@@ -83,37 +83,6 @@ def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[Embedde
     return cycles
 
 
-def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:
-    """Traces of (st)^m for each finite pair, from every base vertex in the ball.
-
-    A trace survives only if all 2m edges lie in the ball and it returns to
-    its base; distinct bases on the same cycle give the same canonical form,
-    which is deduplicated.
-    """
-    seen: dict[tuple[int, ...], EmbeddedCycle] = {}
-    for base in range(ball.size):
-        for s, t, m in ball.system.finite_pairs():
-            vertices = [base]
-            ok = True
-            for i in range(2 * m - 1):
-                label = (s, t)[i % 2]
-                nxt = ball.adj[vertices[-1]].get(label)
-                if nxt is None:
-                    ok = False
-                    break
-                vertices.append(nxt)
-            if not ok:
-                continue
-            # the 2m edge labels alternate s,t,...; the closing one is t
-            if ball.adj[vertices[-1]].get(t) != base:
-                continue
-            if len(set(vertices)) != 2 * m:
-                continue
-            cycle = _canonical_cycle(ball, vertices)
-            seen.setdefault(cycle.vertices, cycle)
-    return sorted(seen.values(), key=lambda c: (len(c), c.vertices))
-
-
 def map_cycle(ball: CayleyBall, vmap, cycle: EmbeddedCycle) -> EmbeddedCycle | None:
     """Image of a cycle under a vertex map, or None when any image is missing.
 
@@ -143,29 +112,27 @@ def certifies(ball: CayleyBall, cycle: EmbeddedCycle) -> bool:
     """Whether the ball is large enough to trust the essentiality verdict.
 
     A complete ball is the whole graph, so every verdict stands.  Otherwise
-    every cycle vertex must sit at word length <= radius - n: all length-n
-    simple paths between opposite vertices then stay inside the ball, so
-    distances and path counts match the full Cayley graph.
+    every cycle vertex must lie in the id prefix interior(radius - n): all
+    length-n simple paths between opposite vertices then stay inside the
+    ball, so distances and path counts match the full Cayley graph.
     """
-    if ball.complete:
-        return True
-    n = cycle.half_length
-    return all(ball.word_length(v) <= ball.radius - n for v in cycle.vertices)
+    return ball.complete or max(cycle.vertices) < len(ball.interior(ball.radius - cycle.half_length))
 
 
 def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
     """Test every opposite pair: distance n and exactly two simple n-paths."""
+    certified = certifies(ball, cycle)
     if len(cycle) % 2 != 0:
-        return EssentialityReport(False, certifies(ball, cycle), None)
+        return EssentialityReport(False, certified, None)
     n = cycle.half_length
     for u, v in cycle.opposite_pairs():
         d = distance(ball, u, v)
         if d != n:
-            return EssentialityReport(False, certifies(ball, cycle), (u, v, d if d is not None else -1, -1))
+            return EssentialityReport(False, certified, (u, v, d if d is not None else -1, -1))
         paths = count_paths(ball, u, v, n)
         if paths != 2:
-            return EssentialityReport(False, certifies(ball, cycle), (u, v, d, paths))
-    return EssentialityReport(True, certifies(ball, cycle), None)
+            return EssentialityReport(False, certified, (u, v, d, paths))
+    return EssentialityReport(True, certified, None)
 
 
 def is_alternating(cycle: EmbeddedCycle) -> bool:
@@ -182,6 +149,15 @@ def is_relator_shape(system: CoxeterSystem, cycle: EmbeddedCycle) -> bool:
         return False
     s, t = cycle.labels[0], cycle.labels[1]
     return system.order(s, t) == len(cycle) // 2
+
+
+def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:
+    """The traces of (st)^m in the ball: its embedded cycles of relator shape,
+    sorted by length, then vertices."""
+    m = ball.system.max_finite_order()
+    if m is None:
+        return []
+    return [c for c in enumerate_embedded_cycles(ball, 2 * m) if is_relator_shape(ball.system, c)]
 
 
 @dataclass(frozen=True)
@@ -210,7 +186,8 @@ def verify_essential_characterization(
     """Check that certified essential cycles and certified relator cycles agree.
 
     cycles must hold every embedded cycle up to twice the largest finite order
-    (they are enumerated here when omitted); each even one is tested once.
+    (enumerated here when omitted), hence every relator cycle, which is found
+    by its shape; each even certified cycle is tested once.
     Only certified cycles participate on either side: an uncertified relator
     cycle near the boundary may fail the distance test purely because the
     ball cuts off its second arc's competitors.
@@ -218,17 +195,18 @@ def verify_essential_characterization(
     if cycles is None:
         m = ball.system.max_finite_order()
         cycles = enumerate_embedded_cycles(ball, 2 * m if m is not None else 4)
-    relators = {c.vertices: c for c in relator_cycles(ball) if certifies(ball, c)}
+    even = [c for c in cycles if len(c) % 2 == 0]
     essentials: dict[tuple[int, ...], EmbeddedCycle] = {}
-    examined = 0
-    for cycle in cycles:
-        if len(cycle) % 2 == 0:
-            examined += 1
-            report = is_essential(ball, cycle)
-            if report.essential and report.certified:
-                essentials[cycle.vertices] = cycle
+    relators: dict[tuple[int, ...], EmbeddedCycle] = {}
+    for cycle in even:
+        if not certifies(ball, cycle):
+            continue
+        if is_relator_shape(ball.system, cycle):
+            relators[cycle.vertices] = cycle
+        if is_essential(ball, cycle).essential:
+            essentials[cycle.vertices] = cycle
     return CharacterizationReport(
-        cycles_examined=examined,
+        cycles_examined=len(even),
         essential=tuple(essentials.values()),
         certified_relator=len(relators),
         essential_not_relator=tuple(c for key, c in sorted(essentials.items()) if key not in relators),

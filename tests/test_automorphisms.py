@@ -147,10 +147,16 @@ class TestFactored:
         # the psi maps need a flexible diagram, whose balls are proper.  The
         # no-cartan diagrams have an order 5, so their keys are words: I2(5)
         # is complete at radius 5, and the flexible one (pivot t, phi
-        # swapping u and v) is proper at radius 4.
+        # swapping u and v) is proper at radius 4.  Its pivot has order 5
+        # with s, so psi_n is undefined there; psi_n is tested on a diagram
+        # whose pivot s has no diagram neighbour (phi swapping t and u).
         if radius == "no-cartan":
             rigid, rigid_radius = make_system("a b", (0, 1, 5)), 5
             flexible, flexible_radius = make_system("s t u v", (0, 1, 5), (0, 2, 2), (0, 3, 2)), 4
+            if constructor == "psi_n":
+                with pytest.raises(ValueError, match="pivot t has odd order 5 with s"):
+                    psi_n(build_ball(flexible, flexible_radius), is_flexible(flexible), 2)
+                flexible = make_system("s t u v", (1, 2, 5))
             assert rigid.cartan is None and flexible.cartan is None
         else:
             rigid, flexible = a3, branched
@@ -342,11 +348,19 @@ class TestFieldWalk:
         ball = build_ball(system, data.draw(st.integers(0, 4)))
         witness = data.draw(st.sampled_from(witnesses(system)))
         n = data.draw(st.integers(1, 3))
-        psi, psi_k = psi_phi(ball, witness), psi_n(ball, witness, n)
+        psi = psi_phi(ball, witness)
         assert_matches_rewriting(ball, psi, lambda x: psi_phi_word(system, witness, x), ball.radius)
-        assert_matches_rewriting(ball, psi_k, lambda x: psi_n_word(system, witness, n, x), ball.radius)
         # psi_phi's image does not depend on the reduced word: every edge follows its field
         assert field_violations(ball, psi, pivot_field(ball, witness)) == []
+        odd = [t for t in system.neighbors(witness.pivot) if system.order(witness.pivot, t) % 2]
+        if odd:
+            with pytest.raises(ValueError, match=f"odd order {system.order(witness.pivot, odd[0])} with"):
+                psi_n(ball, witness, n)
+            return
+        psi_k = psi_n(ball, witness, n)
+        assert_matches_rewriting(ball, psi_k, lambda x: psi_n_word(system, witness, n, x), ball.radius)
+        # so does psi_n's, when every neighbour of the pivot has even order with it
+        assert field_violations(ball, psi_k, pivot_field(ball, witness, n)) == []
 
 
 class TestFieldViolations:

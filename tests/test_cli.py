@@ -15,6 +15,8 @@ from conftest import random_systems
 
 A2 = "gens a b\npair a b 3\n"
 BRANCHED = "gens s t u\npair t u 2\n"
+# flexible at pivot s, whose neighbour t has order 3 with it: psi_n is undefined
+ODD_PIVOT = str(Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "odd-pivot.cox")
 
 
 @pytest.fixture()
@@ -142,6 +144,14 @@ class TestExoticCommand:
     def test_family_index_validated(self, branched_file, capsys):
         assert main(["exotic", branched_file, "--n", "0"]) == 2
 
+    def test_family_member_needs_an_even_pivot(self, capsys):
+        assert main(["exotic", ODD_PIVOT, "--radius", "4", "--n", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: psi_n is undefined: the pivot s has odd order 3 with t, "
+            "so words of one element differ in pivot count\n"
+        )
+        assert main(["exotic", ODD_PIVOT, "--radius", "4"]) == 0
+
     def test_json_map_entries(self, branched_file, capsys):
         assert main(["exotic", branched_file, "--radius", "3", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -180,6 +190,16 @@ class TestVerifyCommand:
     def test_flexible_system_verdict(self, branched_file, capsys):
         assert main(["verify", branched_file, "--radius", "4"]) == 0
         assert "verdict: NONDISCRETE-EVIDENCE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("radius", [4, 5])
+    def test_odd_pivot_leaves_psi_n_vacuous(self, radius, capsys):
+        assert main(["verify", ODD_PIVOT, "--radius", str(radius), "--format", "json"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not [c for c in checks.values() if c["status"] == "fail"]
+        for name in ("psi-n-verified", "psi-family-distinct"):
+            assert checks[name]["status"] == "vacuous"
+            assert checks[name]["detail"].startswith("psi_n is undefined: the pivot s has odd order 3 with t")
+        assert checks["psi-verified"]["status"] == "pass"
 
     def test_radius_zero(self, a2_file, capsys):
         assert main(["verify", a2_file, "--radius", "0"]) == 0

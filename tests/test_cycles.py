@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coxaut.ball import build_ball
 from coxaut.cycles import (
@@ -14,7 +15,8 @@ from coxaut.cycles import (
 )
 from coxaut.words import parse_word
 
-from conftest import make_system
+import relator_traces
+from conftest import make_system, random_systems
 
 
 def cycle_words(ball, cycle):
@@ -90,13 +92,22 @@ class TestRelatorCycles:
 
     def test_matches_enumeration_on_complete_ball(self, a3):
         ball = build_ball(a3, 6)
-        relators = {c.vertices for c in relator_cycles(ball)}
-        shaped = {
-            c.vertices
-            for c in enumerate_embedded_cycles(ball, 6)
-            if is_relator_shape(a3, c)
-        }
-        assert relators == shaped
+        assert ball.complete
+        assert relator_cycles(ball) == relator_traces.relator_cycles(ball)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_shape_matches_traces_on_incomplete_balls(self, data):
+        # an order 5 makes the keys canonical words
+        system = data.draw(random_systems(max_rank=4, finite_orders=(2, 3, 4, 5, 6)))
+        ball = build_ball(system, data.draw(st.integers(0, 5)))
+        assume(not ball.complete)
+        assert relator_cycles(ball) == relator_traces.relator_cycles(ball)
+        m = system.max_finite_order()
+        cycles = enumerate_embedded_cycles(ball, 2 * m + 1 if m is not None else 7)
+        assert verify_essential_characterization(ball, cycles) == relator_traces.verify_essential_characterization(
+            ball, cycles
+        )
 
 
 class TestEssentiality:
