@@ -1,10 +1,12 @@
 """Automorphisms of Cayley balls: standard, factored, and exotic.
 
 Maps of a ball are stored as partial vertex maps with an interior radius:
-the map is guaranteed defined on every vertex of word length at most that
-radius, and anything it does further out is best-effort.  Left
-multiplications lose one unit of interior per letter; diagram
-automorphisms and the exotic maps are total.
+the map is defined on every vertex of word length at most that radius.
+Further out, a vertex has its true image when the images of every prefix
+of its canonical word lie in the ball (ball.field_map), and None otherwise,
+even where the true image lies in the ball.  Left multiplications lose one
+unit of interior per letter; diagram automorphisms and the exotic maps are
+total.
 
 A factored automorphism is a pair (w, d) of a group element and a diagram
 automorphism acting by x -> w * d(x).  These compose by
@@ -14,7 +16,6 @@ automorphism acting by x -> w * d(x).  These compose by
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .ball import CayleyBall, field_map
@@ -24,7 +25,6 @@ from .system import (
     DiagramAutomorphism,
     FlexibilityWitness,
     LimitExceeded,
-    enumerate_diagram_automorphisms,
     identity_automorphism,
     is_label_preserving,
     validate_witness,
@@ -370,7 +370,6 @@ def identity_stabilizer_census(
     ball: CayleyBall,
     probe_radius: int,
     max_nodes: int = DEFAULT_MAX_NODES,
-    diagram_maps: Iterable[tuple[DiagramAutomorphism, BallAutomorphism]] | None = None,
 ) -> StabilizerCensus:
     """All graph automorphisms of the ball fixing the identity, up to agreement
     on the probe sub-ball.
@@ -394,9 +393,10 @@ def identity_stabilizer_census(
     vertex, with no recursion, and every placed candidate counts as a node
     against max_nodes.
 
-    diagram_maps, the pairs (d, diagram_aut(ball, d)) for every diagram
-    automorphism d in enumeration order, classify the entries; they are built
-    here when not given.
+    An entry is a diagram entry when it is the restriction of diagram_aut(d)
+    for d its label permutation at the identity (the identity when the probe
+    sub-ball is the identity alone).  No other d can match: diagram_aut(d)
+    sends the s-neighbour of e to the d(s)-neighbour.
     """
     if probe_radius < 0 or probe_radius > ball.radius:
         raise ValueError("probe radius must lie between 0 and the ball radius")
@@ -464,15 +464,16 @@ def identity_stabilizer_census(
             assignment[u] = -1
         v = probe_count - 1
 
-    if diagram_maps is None:
-        diagram_maps = ((d, diagram_aut(ball, d)) for d in enumerate_diagram_automorphisms(ball.system))
-    diagram_restrictions: dict[tuple[int, ...], DiagramAutomorphism] = {}
-    for d, aut in diagram_maps:
-        diagram_restrictions.setdefault(aut.vmap[:probe_count], d)
-
+    # an entry's label permutation at e reads the labels of its images of e's star
+    star = [ball.adj[0][s] for s in ball.system.generators()] if probe_count > 1 else []
+    identity = tuple(ball.system.generators())
+    restriction_of = {}  # diagram_aut(d) on the probe ids, built once per label-preserving d
     entries = []
     for images in restrictions:
-        d = diagram_restrictions.get(images)
+        perm = tuple(labels[0][images[u]] for u in star) or identity
+        if perm not in restriction_of and is_label_preserving(ball.system, perm):
+            restriction_of[perm] = diagram_aut(ball, DiagramAutomorphism(perm)).vmap[:probe_count]
+        d = DiagramAutomorphism(perm) if restriction_of.get(perm) == images else None
         padded = images + (None,) * (size - probe_count)
         entries.append(
             StabilizerEntry(
@@ -521,7 +522,11 @@ def psi_family_distinctness(
         raise ValueError(f"radius {ball.radius} too small; need at least {2 * n_max} for n_max={n_max}")
     validate_witness(system, witness)
     t = next(t for t in system.generators() if witness.phi(t) != t)
-    tests = [ball.vertex_of((witness.pivot, t) * k) for k in range(1, n_max + 1)]
+    # phi fixes the pivot's neighbours, so m(pivot, t) is infinite and (pivot t)^k reduced
+    tests, v = [], 0
+    for _ in range(n_max):
+        v = ball.adj[ball.adj[v][witness.pivot]][t]
+        tests.append(v)
     rows: list[tuple[bool, ...]] = []
     for n in range(1, n_max + 1):
         vmap = psi_n(ball, witness, n).vmap

@@ -189,19 +189,24 @@ def build_ball(
 
 def field_map(ball: CayleyBall, start: Word, field) -> tuple[int | None, ...]:
     """The vertex map f with f(e) = start and f(x·s) = f(x)·field(x)[s], field(x)
-    a label permutation as an image tuple; None where f(x) leaves the ball.
+    a label permutation as an image tuple, walked along ball edges down the
+    BFS tree: a vertex v is p·s for its parent p = v·s, s the last letter of
+    its canonical word, so f(v) is the field(p)[s]-neighbour of f(p).  Only
+    tree edges are read; automorphisms.field_violations checks the rest.
 
-    Walked down the BFS tree: a vertex v is p·s for its parent p = v·s, s the
-    last letter of its canonical word, so its image key is one right_step from
-    p's.  Only tree edges are read; automorphisms.field_violations checks the rest.
+    f(v) is given exactly when the images of v and of every prefix of its
+    canonical word lie in the ball, and is None otherwise.  That includes
+    interior(radius - |start|): the image of a prefix p is start followed by
+    |p| letters, of length at most |start| + |p| <= radius.
     """
-    system = ball.system
-    keys = [element_key(system, start)]
+    adj, words = ball.adj, ball.words
+    images = [ball.vertex_of(start)]
     for v in range(1, ball.size):
-        s = ball.words[v][-1]
-        p = ball.adj[v][s]
-        keys.append(right_step(system, keys[p], field(p)[s])[0])
-    return tuple(ball._ids.get(key) for key in keys)
+        s = words[v][-1]
+        p = adj[v][s]
+        fp = images[p]
+        images.append(None if fp is None else adj[fp].get(field(p)[s]))
+    return tuple(images)
 
 
 def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:

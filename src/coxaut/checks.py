@@ -274,13 +274,9 @@ def run_system_checks(
 
     add("left-mult-identity-field", left_mult_fields)
 
-    # built once, for this check and for the census's diagram restrictions
-    @cache
-    def diagram_maps() -> list[tuple[DiagramAutomorphism, BallAutomorphism]]:
-        return [(d, diagram_aut(ball, d)) for d in diagram_auts]
-
     def diagram_fields() -> tuple[str, str]:
-        for d, aut in diagram_maps():
+        for d in diagram_auts:
+            aut = diagram_aut(ball, d)
             report = verify_ball_automorphism(ball, aut)
             if not report.ok:
                 return "fail", f"diagram_aut({d.images}) not verified: {report.violations[0]}"
@@ -298,7 +294,7 @@ def run_system_checks(
 
     def census_runs() -> tuple[str, str]:
         nonlocal census
-        census = identity_stabilizer_census(ball, probe_radius, max_nodes=max_nodes, diagram_maps=diagram_maps())
+        census = identity_stabilizer_census(ball, probe_radius, max_nodes=max_nodes)
         for entry in census.entries:
             report = verify_ball_automorphism(ball, entry.automorphism)
             if not report.ok:

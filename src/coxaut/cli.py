@@ -23,7 +23,7 @@ from .automorphisms import (
 )
 from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .checks import default_probe_radius, run_system_checks
-from .cycles import enumerate_embedded_cycles, is_essential, is_relator_shape
+from .cycles import enumerate_embedded_cycles, is_alternating, is_essential
 from .system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, ParseError, is_flexible, parse_system
 from .words import DEFAULT_MAX_STATES, format_word, m_class_size, parse_word, reduce_word
 
@@ -130,7 +130,7 @@ def cmd_cycles(args) -> int:
     for cycle in enumerate_embedded_cycles(ball, max_length):
         report = is_essential(ball, cycle)
         relator = None
-        if is_relator_shape(system, cycle):
+        if is_alternating(cycle):
             a, b = sorted(cycle.labels[:2])
             relator = [system.name_of(a), system.name_of(b)]
         rows.append(

@@ -3,7 +3,7 @@
 An embedded 2n-cycle is essential when every pair of opposite vertices is
 at graph distance n with exactly two simple paths of length n between
 them (the two arcs of the cycle itself).  A relator cycle is the trace of
-(st)^m from some base vertex, found by its shape: 2m edges alternating s, t.
+(st)^m from some base vertex: an embedded cycle alternating s and t.
 On the full Cayley graph the essential cycles are exactly the relator
 cycles; on a finite ball that equivalence is only trustworthy for cycles
 far enough from the boundary, so every classification carries a
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ball import CayleyBall, distance, count_paths
-from .system import CoxeterSystem
 
 
 @dataclass(frozen=True)
@@ -136,28 +135,22 @@ def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
 
 
 def is_alternating(cycle: EmbeddedCycle) -> bool:
-    """Labels read s t s t ... around the whole cycle (two labels, alternating)."""
+    """Labels read s t s t ... around the whole cycle: a relator cycle.  It lies in
+    one coset of <s, t>, a 2 m(s, t)-cycle (a path when m is infinite), so it
+    is that whole coset and its length is 2 m(s, t)."""
     k = len(cycle.labels)
     if k % 2 != 0:
         return False
     return all(cycle.labels[i] == cycle.labels[i % 2] for i in range(k)) and cycle.labels[0] != cycle.labels[1]
 
 
-def is_relator_shape(system: CoxeterSystem, cycle: EmbeddedCycle) -> bool:
-    """Alternating in two labels s, t with length exactly 2 m(s, t)."""
-    if not is_alternating(cycle):
-        return False
-    s, t = cycle.labels[0], cycle.labels[1]
-    return system.order(s, t) == len(cycle) // 2
-
-
 def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:
-    """The traces of (st)^m in the ball: its embedded cycles of relator shape,
+    """The traces of (st)^m in the ball: its alternating embedded cycles,
     sorted by length, then vertices."""
     m = ball.system.max_finite_order()
     if m is None:
         return []
-    return [c for c in enumerate_embedded_cycles(ball, 2 * m) if is_relator_shape(ball.system, c)]
+    return [c for c in enumerate_embedded_cycles(ball, 2 * m) if is_alternating(c)]
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,7 @@ def verify_essential_characterization(
 
     cycles must hold every embedded cycle up to twice the largest finite order
     (enumerated here when omitted), hence every relator cycle, which is found
-    by its shape; each even certified cycle is tested once.
+    by alternation; each even certified cycle is tested once.
     Only certified cycles participate on either side: an uncertified relator
     cycle near the boundary may fail the distance test purely because the
     ball cuts off its second arc's competitors.
@@ -201,7 +194,7 @@ def verify_essential_characterization(
     for cycle in even:
         if not certifies(ball, cycle):
             continue
-        if is_relator_shape(ball.system, cycle):
+        if is_alternating(cycle):
             relators[cycle.vertices] = cycle
         if is_essential(ball, cycle).essential:
             essentials[cycle.vertices] = cycle

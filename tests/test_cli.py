@@ -178,6 +178,16 @@ class TestStabilizerCommand:
         assert "[exotic]" in out
         assert "[(t u)]" in out
 
+    def test_entries_named_without_listing_the_symmetries(self, tmp_path, capsys):
+        # listing the 10! symmetries of this free diagram trips the diagram
+        # search guard; the census reads each entry's permutation at e instead
+        path = tmp_path / "free10.cox"
+        path.write_text("gens " + " ".join(f"g{i}" for i in range(10)) + "\n")
+        assert main(["stabilizer", str(path), "--radius", "1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == payload["diagram_count"] == 1
+        assert [entry["diagram"] for entry in payload["entries"]] == ["id"]
+
 
 class TestVerifyCommand:
     def test_rigid_system_passes(self, a2_file, capsys):

@@ -8,15 +8,15 @@ from coxaut.cycles import (
     enumerate_embedded_cycles,
     is_alternating,
     is_essential,
-    is_relator_shape,
     map_cycle,
     relator_cycles,
     verify_essential_characterization,
 )
+from coxaut.system import parse_system
 from coxaut.words import parse_word
 
 import relator_traces
-from conftest import make_system, random_systems
+from conftest import DIAGRAMS, make_system, random_systems
 
 
 def cycle_words(ball, cycle):
@@ -156,13 +156,24 @@ class TestAlternation:
         hexagon = find_cycle(ball, ["e", "a", "a b", "a b c", "b c", "c"])
         assert not is_alternating(hexagon)
 
-    def test_relator_shape_needs_matching_order(self, a2, b2):
-        hexagon = relator_cycles(build_ball(a2, 3))[0]
-        assert is_relator_shape(a2, hexagon)
-        square_ball = build_ball(b2, 4)
-        octagon = relator_cycles(square_ball)[0]
-        assert is_relator_shape(b2, octagon)
-        assert len(octagon) == 8
+    @staticmethod
+    def assert_alternating_cycles_have_relator_length(ball, max_length):
+        # an embedded cycle alternating s, t fills a coset of <s, t>: 2 m(s, t) edges
+        for cycle in enumerate_embedded_cycles(ball, max_length):
+            if is_alternating(cycle):
+                assert len(cycle) == 2 * ball.system.order(*cycle.labels[:2])
+
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_shipped_alternating_cycles_have_relator_length(self, path):
+        ball = build_ball(parse_system(path.read_text()), 6)
+        self.assert_alternating_cycles_have_relator_length(ball, 13)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_alternating_cycles_have_relator_length(self, data):
+        system = data.draw(random_systems(max_rank=4, finite_orders=(2, 3, 4, 5, 6)))
+        ball = build_ball(system, data.draw(st.integers(0, 4)))
+        self.assert_alternating_cycles_have_relator_length(ball, data.draw(st.integers(0, 13)))
 
 
 class TestCharacterization:
