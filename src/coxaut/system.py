@@ -238,20 +238,21 @@ def is_label_preserving(system: CoxeterSystem, images: tuple[int, ...]) -> bool:
     )
 
 
-def _label_preserving_images(system: CoxeterSystem, fixed=()):
-    """Yield the label-preserving permutations of S that fix every generator
-    in fixed, as image tuples in lexicographic order (the identity first).
+def _label_preserving_images(system: CoxeterSystem, prescribed: dict[int, int]):
+    """Yield the label-preserving permutations of S extending prescribed, a
+    partial assignment {s: image}, as image tuples in lexicographic order.
 
     Depth-first on an explicit stack: generator s tries, in increasing order,
-    each c whose row m(c, .) is a rearrangement of m(s, .) equal to it on
-    fixed, and keeps an unused c with m(c, images[t]) == m(s, t) for t < s.
-    Every kept c is a node; more than DEFAULT_MAX_NODES raise LimitExceeded.
+    each c whose row m(c, .) rearranges m(s, .), has m(c, prescribed[f]) == m(s, f)
+    for each prescribed f (only m(c, c) is 1: a prescribed s gets its image, no
+    other s does) and, unused, m(c, images[t]) == m(s, t) for t < s.  Every kept
+    c is a node; more than DEFAULT_MAX_NODES raise LimitExceeded.
     """
     n = system.rank
     order = [[system.order(s, t) for t in range(n)] for s in range(n)]
     shapes = [sorted(row) for row in order]
     candidates = [
-        [c for c in range(n) if shapes[c] == shape and all(order[c][f] == row[f] for f in fixed)]
+        [c for c in range(n) if shapes[c] == shape and all(order[c][prescribed[f]] == row[f] for f in prescribed)]
         for shape, row in zip(shapes, order)
     ]
     images: list[int] = []
@@ -285,7 +286,28 @@ def enumerate_diagram_automorphisms(system: CoxeterSystem) -> list[DiagramAutomo
     closed under composition and inverse: it is the diagram automorphism group.
     Raises LimitExceeded when the search passes DEFAULT_MAX_NODES nodes.
     """
-    return [DiagramAutomorphism(images) for images in _label_preserving_images(system)]
+    return [DiagramAutomorphism(images) for images in _label_preserving_images(system, {})]
+
+
+def diagram_group(system: CoxeterSystem) -> tuple[int, list[DiagramAutomorphism]]:
+    """The diagram automorphism group as (order, strong generators), unlisted.
+
+    Base: the generators in order.  The automorphisms fixing 0 .. i-1 move i to
+    itself and to each c > i for which {0: 0, ..., i-1: i-1, i: c} has a
+    label-preserving extension; the first one found is a coset representative,
+    kept as a strong generator.  By orbit-stabilizer at each level the order is
+    the product of the orbit sizes, and the representatives of levels i and up
+    generate level i (Sims; Seress, Permutation Group Algorithms, 2003, ch. 4).
+    Each extension search is guarded by DEFAULT_MAX_NODES.
+    """
+    order, strong_generators = 1, []
+    for i in system.generators():
+        fixed = {s: s for s in range(i)}
+        found = [next(_label_preserving_images(system, {**fixed, i: c}), None) for c in range(i + 1, system.rank)]
+        representatives = [DiagramAutomorphism(images) for images in found if images is not None]
+        strong_generators += representatives
+        order *= 1 + len(representatives)
+    return order, strong_generators
 
 
 @dataclass(frozen=True)
@@ -319,7 +341,7 @@ def is_flexible(system: CoxeterSystem) -> FlexibilityWitness | None:
     smallest images; each pivot's search stops after the identity and one more.
     """
     for pivot in system.generators():
-        found = _label_preserving_images(system, [pivot, *system.neighbors(pivot)])
+        found = _label_preserving_images(system, {t: t for t in [pivot, *system.neighbors(pivot)]})
         next(found)  # the identity
         for images in found:
             return FlexibilityWitness(pivot, DiagramAutomorphism(images))

@@ -17,6 +17,8 @@ A2 = "gens a b\npair a b 3\n"
 BRANCHED = "gens s t u\npair t u 2\n"
 # flexible at pivot s, whose neighbour t has order 3 with it: psi_n is undefined
 ODD_PIVOT = str(Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "odd-pivot.cox")
+# the free diagram of rank 10, whose 10! diagram automorphisms verify never lists
+FREE10 = str(Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "free10.cox")
 
 
 @pytest.fixture()
@@ -260,15 +262,23 @@ class TestErrorsAndGuards:
         assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
     def test_diagram_search_guard_exit_code(self, tmp_path, capsys, monkeypatch):
-        # no rank cap: listing the 10! automorphisms of a free diagram trips the
-        # node guard, while flexibility needs only the first two of them
+        # no rank cap: flexibility needs only the first two automorphisms of the
+        # free rank-10 diagram, and verify needs one extension search per strong
+        # generator; an extension places all 10 generators, so a 9-node guard
+        # trips by construction
         monkeypatch.setattr(coxaut.system, "DEFAULT_MAX_NODES", 1000)
         path = tmp_path / "free10.cox"
         path.write_text("gens " + " ".join(f"g{i}" for i in range(10)) + "\n")
         assert main(["check-flexible", str(path)]) == 0
         assert capsys.readouterr().out == "FLEXIBLE pivot=g0 phi=(g8 g9)\n"
+        monkeypatch.setattr(coxaut.system, "DEFAULT_MAX_NODES", 9)
         assert main(["verify", str(path), "--radius", "3"]) == EXIT_INDETERMINATE
-        assert capsys.readouterr().err == "INDETERMINATE: diagram automorphism search exceeded 1000 nodes\n"
+        assert capsys.readouterr().err == "INDETERMINATE: diagram automorphism search exceeded 9 nodes\n"
+
+    def test_free_rank10_verify_decides(self, capsys):
+        assert main(["verify", FREE10, "--radius", "1", "--format", "json"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert "order-3628800" in checks["diagram-aut-field"]["detail"]
 
     def test_deep_census_is_not_a_violation(self, tmp_path, capsys):
         # the census on this 1 534-vertex ball once died of a RecursionError;

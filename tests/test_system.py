@@ -11,6 +11,7 @@ from coxaut.system import (
     FlexibilityWitness,
     LimitExceeded,
     ParseError,
+    diagram_group,
     enumerate_diagram_automorphisms,
     identity_automorphism,
     is_flexible,
@@ -175,15 +176,45 @@ def brute_force_witness(system):
     return None
 
 
+def closure(system, generators):
+    """The image tuples of the group the generators generate."""
+    group = {tuple(system.generators())}
+    frontier = list(group)
+    while frontier:
+        images = frontier.pop()
+        for d in generators:
+            product = d.apply_word(images)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return group
+
+
 class TestSearchMatchesBruteForce:
-    """The pruned search lists what filtering every permutation lists, in order."""
+    """The pruned search lists what filtering every permutation lists, in
+    order, and the stabilizer chain has its order and generates it."""
 
     @staticmethod
     def assert_matches(system):
-        assert [d.images for d in enumerate_diagram_automorphisms(system)] == brute_force_automorphisms(system)
+        expected = brute_force_automorphisms(system)
+        assert [d.images for d in enumerate_diagram_automorphisms(system)] == expected
+        order, strong_generators = diagram_group(system)
+        assert order == len(expected)
+        assert closure(system, strong_generators) == set(expected)
         witness = is_flexible(system)
         found = None if witness is None else (witness.pivot, witness.phi.images)
         assert found == brute_force_witness(system)
+
+    def test_free_rank10_group_unlisted(self, monkeypatch):
+        # one extension search places each of the 10 generators once, so a
+        # 10-node guard admits the 45 searches and trips on any listing
+        monkeypatch.setattr(coxaut.system, "DEFAULT_MAX_NODES", 10)
+        system = CoxeterSystem([f"g{i}" for i in range(10)], {})
+        order, strong_generators = diagram_group(system)
+        assert order == math.factorial(10) == 3628800
+        assert len(strong_generators) == 45
+        with pytest.raises(LimitExceeded):
+            enumerate_diagram_automorphisms(system)
 
     def test_every_rank3_diagram(self):
         for system in RANK3:
