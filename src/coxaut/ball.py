@@ -1,13 +1,14 @@
 """Balls in the Cayley graph with respect to right multiplication.
 
-Vertices are group elements stored as canonical words and found by their
-key (words.element_key), so vertex_of takes any spelling; x and y are joined
-by an edge labeled s exactly when y = x s (equivalently x = y s).  The
-ball of radius r contains every element of word length at most r.  Vertex
-ids are assigned by breadth-first search from the identity, expanding the
-frontier in id order and the generators in index order, so ids are
-reproducible and the ball of a smaller radius is an id-prefix of the ball
-of a larger one.
+An element of the ball is its vertex id; its canonical word is kept beside
+it, and vertex_of takes any spelling.  x and y are joined by an edge
+labeled s exactly when y = x s (equivalently x = y s).  The ball of radius
+r contains every element of word length at most r.  Vertex ids are assigned
+by breadth-first search from the identity, expanding the frontier in id
+order and the generators in index order, so ids are reproducible and the
+ball of a smaller radius is an id-prefix of the ball of a larger one.  The
+search reads only the diagram and the ball built so far: it never calls
+the word engine.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .system import CoxeterSystem
-from .words import DEFAULT_MAX_STATES, LimitExceeded, Word, element_key, format_word, right_step
+from .words import LimitExceeded, Word, format_word, reduce_word
 
 DEFAULT_MAX_VERTICES = 10**6
 
@@ -29,23 +30,27 @@ class CayleyBall:
         self.system = system
         self.radius = radius
         self.words: list[Word] = []
-        # _ids[key] = the vertex of the element with that key
-        self._ids: dict[tuple[int, ...], int] = {}
         # adj[v][s] = the vertex v·s when it lies in the ball
         self.adj: list[dict[int, int]] = []
         # star_interior results by radius
         self._stars: dict[int, tuple[int, ...]] = {}
 
-    def _add_vertex(self, key: tuple[int, ...], word: Word) -> int:
+    def _add_vertex(self, word: Word) -> int:
         v = len(self.words)
-        self._ids[key] = v
         self.words.append(word)
         self.adj.append({})
         return v
 
     def vertex_of(self, word: Word) -> int | None:
-        """The vertex of the element that word spells, in any spelling; None outside the ball."""
-        return self._ids.get(element_key(self.system, word))
+        """The vertex of the element that word spells, in any spelling (its canonical
+        word walked from the identity); None outside the ball."""
+        canonical = reduce_word(self.system, word)
+        if len(canonical) > self.radius:
+            return None
+        v = 0
+        for s in canonical:
+            v = self.adj[v][s]
+        return v
 
     def _add_edge(self, u: int, v: int, label: int) -> None:
         self.adj[u][label] = v
@@ -147,40 +152,52 @@ class CayleyBall:
         return "\n".join(lines) + "\n"
 
 
-def build_ball(
-    system: CoxeterSystem,
-    radius: int,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> CayleyBall:
+def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> CayleyBall:
     """Breadth-first enumeration of all elements of length <= radius.
 
     A vertex's word is its parent's word plus the generator that reached it
     first.  Parents are expanded in id order and generators in index order,
     so that word is the lexicographically least reduced word: the canonical
-    form.  A key not yet seen that right_step reaches through a right
-    descent is a shorter element, so by BFS order it cannot be new.
+    form.  Expanding v, s is a right descent exactly when v already has an
+    s-edge.  Otherwise w = v·s may have an earlier parent u = w·t; then s, t
+    are right descents of w, so w = x·w0(s, t) with l(w) = l(x) + m(s, t)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2), and the letters
+    t, s, t, ... lead from v down m - 1 layers to x and back up to u, whose
+    t-edge, once u is expanded, ends at w.  When no walk finds w, w is new.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     ball = CayleyBall(system, radius)
-    root = element_key(system, (), max_states=max_states)
-    frontier = [(ball._add_vertex(root, ()), root)]
+    words, adj = ball.words, ball.adj
+    # braids[s] = (t, m(s, t)) for the diagram neighbours t of s
+    braids = [[(t, system.order(s, t)) for t in system.neighbors(s)] for s in system.generators()]
+    frontier = [ball._add_vertex(())]
     for _ in range(radius):
-        next_frontier: list[tuple[int, tuple[int, ...]]] = []
-        for v, key in frontier:
+        next_frontier: list[int] = []
+        for v in frontier:
             for s in system.generators():
-                target, descent = right_step(system, key, s, max_states=max_states)
-                u = ball._ids.get(target)
-                if u is None:
-                    if descent:
-                        # a shorter product: its vertex already exists by BFS order
-                        raise AssertionError("BFS invariant violated")
+                if s in adj[v]:
+                    continue
+                w = None
+                for t, m in braids[s]:
+                    x = v
+                    for i in range(2 * m - 2):  # a range: m may be 10**12, the walk stops by layer 0
+                        y = adj[x].get((t, s)[i % 2])
+                        if i < m - 1 and (y is None or len(words[y]) >= len(words[x])):
+                            break  # not m - 1 layers down: no parent of w ends in t
+                        if y is None:
+                            raise AssertionError("relator walk left the ball below its frontier")
+                        x = y
+                    else:
+                        w = adj[x].get(t)
+                        if w is not None:
+                            break
+                if w is None:
                     if ball.size >= max_vertices:
                         raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
-                    u = ball._add_vertex(target, ball.words[v] + (s,))
-                    next_frontier.append((u, target))
-                ball._add_edge(v, u, s)
+                    w = ball._add_vertex(words[v] + (s,))
+                    next_frontier.append(w)
+                ball._add_edge(v, w, s)
         frontier = next_frontier
         if not frontier:
             break

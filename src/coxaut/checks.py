@@ -44,7 +44,7 @@ from .system import (
     diagram_group,
     is_flexible,
 )
-from .words import DEFAULT_MAX_STATES, LimitExceeded, apply_m_operation
+from .words import LimitExceeded, apply_m_operation
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,6 @@ def run_system_checks(
     probe_radius: int | None = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_nodes: int = DEFAULT_MAX_NODES,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> SystemReport:
     if probe_radius is None:
         probe_radius = default_probe_radius(system, radius)
@@ -155,7 +154,7 @@ def run_system_checks(
     checks: list[CheckResult] = []
 
     try:
-        ball = build_ball(system, radius, max_vertices=max_vertices, max_states=max_states)
+        ball = build_ball(system, radius, max_vertices=max_vertices)
     except LimitExceeded as exc:
         return SystemReport(
             radius,

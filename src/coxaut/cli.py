@@ -105,8 +105,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_ball(args) -> int:
     system = _load_system(args.file)
-    max_states, max_vertices, _ = _guards(args)
-    ball = build_ball(system, args.radius, max_vertices=max_vertices, max_states=max_states)
+    _, max_vertices, _ = _guards(args)
+    ball = build_ball(system, args.radius, max_vertices=max_vertices)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(ball.to_dot())
@@ -122,8 +122,8 @@ def cmd_ball(args) -> int:
 
 def cmd_cycles(args) -> int:
     system = _load_system(args.file)
-    max_states, max_vertices, _ = _guards(args)
-    ball = build_ball(system, args.radius, max_vertices=max_vertices, max_states=max_states)
+    _, max_vertices, _ = _guards(args)
+    ball = build_ball(system, args.radius, max_vertices=max_vertices)
     max_m = system.max_finite_order()
     max_length = args.max_length if args.max_length is not None else (2 * max_m if max_m else 6)
     rows = []
@@ -159,12 +159,12 @@ def cmd_cycles(args) -> int:
 
 def cmd_exotic(args) -> int:
     system = _load_system(args.file)
-    max_states, max_vertices, _ = _guards(args)
+    _, max_vertices, _ = _guards(args)
     witness = is_flexible(system)
     if witness is None:
         print("error: the diagram is not flexible; no exotic map exists", file=sys.stderr)
         return EXIT_INPUT
-    ball = build_ball(system, args.radius, max_vertices=max_vertices, max_states=max_states)
+    ball = build_ball(system, args.radius, max_vertices=max_vertices)
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
     field = local_permutation_field(ball, aut)
@@ -199,9 +199,9 @@ def cmd_exotic(args) -> int:
 
 def cmd_stabilizer(args) -> int:
     system = _load_system(args.file)
-    max_states, max_vertices, max_nodes = _guards(args)
+    _, max_vertices, max_nodes = _guards(args)
     probe = args.probe if args.probe is not None else default_probe_radius(system, args.radius)
-    ball = build_ball(system, args.radius, max_vertices=max_vertices, max_states=max_states)
+    ball = build_ball(system, args.radius, max_vertices=max_vertices)
     census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
     entries = [
         {
@@ -241,14 +241,13 @@ def cmd_stabilizer(args) -> int:
 
 def cmd_verify(args) -> int:
     system = _load_system(args.file)
-    max_states, max_vertices, max_nodes = _guards(args)
+    _, max_vertices, max_nodes = _guards(args)
     report = run_system_checks(
         system,
         radius=args.radius,
         probe_radius=args.probe,
         max_vertices=max_vertices,
         max_nodes=max_nodes,
-        max_states=max_states,
     )
     if args.format == "json":
         _emit_json(report.to_json_dict())
@@ -273,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="diagram file (gens/pair format)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--max-states", type=int, default=None, help="m-operation closure guard (rewriting fallback and m-classes)"
-    )
+    common.add_argument("--max-states", type=int, default=None, help="reduce guard (m-operation closures, m-class counts)")
     common.add_argument("--max-vertices", type=int, default=None, help="ball size guard")
     common.add_argument("--max-nodes", type=int, default=None, help="stabilizer search guard")
 

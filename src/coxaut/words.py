@@ -9,15 +9,14 @@ words represent the same element exactly when they lie in the same
 closure.  The canonical form of an element is the lexicographically
 least word in the m-class of any reduced word for it.
 
-Every element x has one key (element_key).  With an integer Cartan matrix
-(every finite order in {2, 3, 4, 6}) it is the weight x^-1·rho in
-fundamental-weight coordinates, rho = (1, ..., 1), and s is a right descent
-of x exactly when coordinate s is negative (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, ch. 4); otherwise it is the canonical word.  reduce_word
-peels the key of the inverse word, x·rho, smallest left descent first, which
-spells the canonical form; m_class_size sums over right descents.  The
-m-closure functions stay as the reference oracle and the engine for every
-other system.
+With an integer Cartan matrix (every finite order in {2, 3, 4, 6}) an
+element x has a key (element_key): the weight x^-1·rho in fundamental-weight
+coordinates, rho = (1, ..., 1), and s is a right descent of x exactly when
+coordinate s is negative (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+ch. 4).  reduce_word peels the key of the inverse word, x·rho, smallest left
+descent first, which spells the canonical form; m_class_size sums over
+right descents.  Other systems reduce by m-operations, which stay as the
+reference oracle.  build_ball (coxaut.ball) uses none of this.
 """
 
 from __future__ import annotations
@@ -52,6 +51,8 @@ def apply_m_operation(system: CoxeterSystem, word: Word, position: int, s: int, 
 def _m_moves(system: CoxeterSystem, word: Word):
     """All words one m-operation away, each with the (position, s, t) that produced it."""
     for s, t, m in system.finite_pairs():
+        if m > len(word):
+            continue  # no segment of length m fits
         for u, v in ((s, t), (t, s)):
             pattern = tuple((u, v)[i % 2] for i in range(m))
             replacement = tuple((v, u)[i % 2] for i in range(m))
@@ -103,26 +104,12 @@ def reflect(cartan: tuple[tuple[int, ...], ...], key: tuple[int, ...], s: int) -
     return tuple([k - c * a for k, a in zip(key, cartan[s])])
 
 
-def element_key(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> tuple[int, ...]:
-    """The key of the element x that word spells: x^-1·rho, or the canonical word."""
-    cartan = system.cartan
-    if cartan is None:
-        return reduce_by_rewriting(system, word, max_states=max_states)
+def element_key(system: CoxeterSystem, word: Word) -> tuple[int, ...]:
+    """The key x^-1·rho of the element x that word spells; needs system.cartan."""
     key = (1,) * system.rank
     for s in word:
-        key = reflect(cartan, key, s)
+        key = reflect(system.cartan, key, s)
     return key
-
-
-def right_step(
-    system: CoxeterSystem, key: tuple[int, ...], s: int, max_states: int = DEFAULT_MAX_STATES
-) -> tuple[tuple[int, ...], bool]:
-    """The key of x·s from the key of x, and whether s is a right descent of x."""
-    cartan = system.cartan
-    if cartan is None:
-        target = reduce_by_rewriting(system, key + (s,), max_states=max_states)
-        return target, len(target) < len(key)
-    return reflect(cartan, key, s), key[s] < 0
 
 
 def m_class_size(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> int:

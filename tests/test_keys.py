@@ -1,13 +1,15 @@
-"""Root-system keys against the m-operation rewriting engine.
+"""Root-system keys and relator-walk balls against the m-operation rewriting engine.
 
-reduce_word, m_class_size, build_ball and CayleyBall.vertex_of use
-integer root-system keys whenever every finite order is in {2, 3, 4, 6}.
-The rewriting engine is the reference here: random diagrams with orders in
-{2, 3, 4, 6, inf} and every shipped diagram must give the same canonical
-forms, m-class sizes, balls and vertex lookups both ways.
+reduce_word and m_class_size use integer root-system keys whenever every
+finite order is in {2, 3, 4, 6}; build_ball walks relator cycles on every
+diagram and never calls the word engine.  The rewriting engine is the
+reference here: random diagrams, every shipped diagram and every rank-3
+diagram must give the same canonical forms, m-class sizes, balls and
+vertex lookups both ways.
 """
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,15 +18,15 @@ from coxaut.ball import build_ball
 from coxaut.system import parse_system
 from coxaut.words import (
     LimitExceeded,
-    element_key,
     m_class,
     m_class_size,
     reduce_by_rewriting,
     reduce_word,
-    right_step,
 )
 
-from conftest import DIAGRAMS, crystallographic_systems, make_system
+from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system, random_systems
+
+FLEXIBLE5 = Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "flexible5.cox"
 
 
 @st.composite
@@ -128,12 +130,27 @@ class TestBall:
     def test_random_diagrams_match_rewriting(self, system, radius):
         assert_same_ball(system, radius)
 
-    def test_bfs_invariant_can_fail(self):
-        # A wrong Cartan matrix: rho -> (-2) -> (4), a new key reached through a descent.
+    @given(random_systems(4, finite_orders=(2, 3, 4, 5, 6, 7, 8, 10, 12)), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_orders_match_rewriting(self, system, radius):
+        assert_same_ball(system, radius)
+
+    def test_rank3_diagrams_match_rewriting(self):
+        for system in RANK3:
+            assert_same_ball(system, 6)
+
+    def test_never_uses_the_word_engine(self):
+        # a wrong Cartan matrix changes nothing: the ball reads only the diagram
         system = make_system("a")
         system.cartan = ((3,),)
-        with pytest.raises(AssertionError):
-            build_ball(system, 2)
+        ball = build_ball(system, 2)
+        assert ball.words == [(), (0,)]
+        assert ball.complete
+        # an order 5 leaves no Cartan matrix, and still no word is reduced
+        system = parse_system(FLEXIBLE5.read_text())
+        assert system.cartan is None
+        build_ball(system, 8)
+        assert not system._reduce_cache
 
 
 class TestVertexOf:
@@ -162,20 +179,8 @@ class TestVertexOf:
                 assert_vertex_of_matches_rewriting(ball, word)
 
 
-class TestRightStep:
-    @pytest.mark.parametrize("path", [*DIAGRAMS, None], ids=lambda p: p.stem if p else "i2_5")
-    def test_steps_match_rewriting(self, path):
-        system = parse_system(path.read_text()) if path else make_system("a b", (0, 1, 5))
-        for word in build_ball(system, 4).words:
-            key = element_key(system, word)
-            for s in system.generators():
-                target, descent = right_step(system, key, s)
-                assert target == element_key(system, word + (s,))
-                assert descent == (len(reduce_by_rewriting(system, word + (s,))) < len(word))
-
-
 class TestFallback:
-    """Orders outside {2, 3, 4, 6} have no integer Cartan matrix and keep rewriting."""
+    """Orders outside {2, 3, 4, 6} have no integer Cartan matrix: reduce keeps rewriting."""
 
     def test_i2_5(self):
         system = make_system("a b", (0, 1, 5))
@@ -183,9 +188,10 @@ class TestFallback:
         ball = build_ball(system, 5)
         assert ball.size == 10
         assert ball.complete
-        assert system._reduce_cache  # ball and reduce went through rewriting
+        assert not system._reduce_cache  # the ball reduced no word
         assert reduce_word(system, (1, 0, 1, 0, 1)) == (0, 1, 0, 1, 0)
         assert reduce_word(system, (0, 1) * 5) == ()
+        assert system._reduce_cache  # reduce went through rewriting
         assert_same_ball(system, 5)
 
     def test_guard_applies(self):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from coxaut.words import (
     inverse_word,
     is_reduced,
     m_class,
+    m_class_size,
     m_closure,
     multiply,
     parse_word,
@@ -103,6 +106,17 @@ class TestReduce:
     def test_inverse_word(self, a3):
         word = (0, 1, 2)
         assert multiply(a3, word, inverse_word(word)) == ()
+
+    def test_order_longer_than_the_word(self):
+        # no m-operation of a pair with m > len(word) fits, so m(a, b) = 10**12
+        # acts on words this short as if (a, b) had infinite order
+        huge = make_system("a b c", (0, 1, 10**12), (1, 2, 5))
+        free_ab = make_system("a b c", (1, 2, 5))
+        for length in range(6):
+            for word in product(range(3), repeat=length):
+                canonical = reduce_word(huge, word)
+                assert canonical == reduce_word(free_ab, word)
+                assert m_class_size(huge, canonical) == m_class_size(free_ab, canonical)
 
 
 class TestWordText:
