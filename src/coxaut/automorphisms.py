@@ -53,9 +53,17 @@ def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
     return FactoredAutomorphism(w, identity_automorphism(ball.system)).to_ball(ball)
 
 
+def factored_ball_map(ball: CayleyBall, start: int, d: DiagramAutomorphism) -> BallAutomorphism:
+    """x -> w d(x) for w the element at vertex start, walked along ball edges
+    with no word arithmetic.  Interior shrinks by the length of w unless the
+    ball is complete."""
+    interior = ball.radius if ball.complete else ball.radius - ball.word_length(start)
+    return BallAutomorphism(field_map(ball, start, lambda x: d.images), interior)
+
+
 def diagram_aut(ball: CayleyBall, d: DiagramAutomorphism) -> BallAutomorphism:
     """x -> d(x) letterwise.  Total: diagram automorphisms preserve word length."""
-    return FactoredAutomorphism((), d).to_ball(ball)
+    return factored_ball_map(ball, 0, d)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class FactoredAutomorphism:
         if len(self.word) > ball.radius:
             raise ValueError(f"multiplier length {len(self.word)} exceeds the ball radius {ball.radius}")
         interior = ball.radius if ball.complete else ball.radius - len(self.word)
-        return BallAutomorphism(field_map(ball, self.word, lambda x: self.diagram.images), interior)
+        return BallAutomorphism(field_map(ball, ball.vertex_of(self.word), lambda x: self.diagram.images), interior)
 
 
 def identity_factored(system: CoxeterSystem) -> FactoredAutomorphism:
@@ -131,13 +139,13 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
 
 
 def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
-    return BallAutomorphism(field_map(ball, (), pivot_field(ball, witness)), ball.radius)
+    return BallAutomorphism(field_map(ball, 0, pivot_field(ball, witness)), ball.radius)
 
 
 def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorphism:
     if n < 1:
         raise ValueError("n must be at least 1")
-    return BallAutomorphism(field_map(ball, (), pivot_field(ball, witness, n)), ball.radius)
+    return BallAutomorphism(field_map(ball, 0, pivot_field(ball, witness, n)), ball.radius)
 
 
 def field_violations(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tuple[int, int, int]]:
@@ -324,12 +332,12 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
     images = tuple(pi[s] for s in ball.system.generators())
     if not is_label_preserving(ball.system, images):
         raise ValueError("the local permutation at the identity does not preserve pair orders")
-    candidate = FactoredAutomorphism(ball.words[fe], DiagramAutomorphism(images))
-    expected = candidate.to_ball(ball).vmap
+    d = DiagramAutomorphism(images)
+    expected = factored_ball_map(ball, fe, d).vmap
     for v in ball.interior(aut.interior_radius):
         if expected[v] is None or expected[v] != aut.vmap[v]:
             return None
-    return candidate
+    return FactoredAutomorphism(ball.words[fe], d)
 
 
 # -- identity-stabilizer census ----------------------------------------------

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .system import CoxeterSystem
-from .words import LimitExceeded, Word, format_word, reduce_word
+from .words import LimitExceeded, Word, reduce_word
 
 DEFAULT_MAX_VERTICES = 10**6
 
@@ -126,6 +126,18 @@ class CayleyBall:
         return self._sorted_neighbors[v]
 
     @cached_property
+    def texts(self) -> list[str]:
+        """texts[v] = format_word(system, words[v]), built on first use: the BFS
+        parent's text, the name of v's last letter appended."""
+        names, words, adj = self.system.names, self.words, self.adj
+        texts = ["e"]
+        for v in range(1, self.size):
+            s = words[v][-1]
+            p = adj[v][s]
+            texts.append(f"{texts[p]} {names[s]}" if p else names[s])
+        return texts
+
+    @cached_property
     def labels(self) -> list[dict[int, int]]:
         """labels[u][v] = the label of the edge between u and v; built on first use."""
         return [{v: s for s, v in nbrs.items()} for nbrs in self.adj]
@@ -137,15 +149,15 @@ class CayleyBall:
     def to_json_dict(self) -> dict:
         return {
             "radius": self.radius,
-            "vertices": [{"id": i, "word": format_word(self.system, w)} for i, w in enumerate(self.words)],
+            "vertices": [{"id": i, "word": text} for i, text in enumerate(self.texts)],
             "edges": [[u, v, self.system.name_of(s)] for u, v, s in self.edges],
         }
 
     def to_dot(self) -> str:
         """Graphviz rendering convenience; labels are generator names."""
         lines = ["graph cayley_ball {"]
-        for i, w in enumerate(self.words):
-            lines.append(f'  v{i} [label="{format_word(self.system, w)}"];')
+        for i, text in enumerate(self.texts):
+            lines.append(f'  v{i} [label="{text}"];')
         for u, v, s in self.edges:
             lines.append(f'  v{u} -- v{v} [label="{self.system.name_of(s)}"];')
         lines.append("}")
@@ -204,20 +216,20 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
     return ball
 
 
-def field_map(ball: CayleyBall, start: Word, field) -> tuple[int | None, ...]:
-    """The vertex map f with f(e) = start and f(x·s) = f(x)·field(x)[s], field(x)
-    a label permutation as an image tuple, walked along ball edges down the
+def field_map(ball: CayleyBall, start: int, field) -> tuple[int | None, ...]:
+    """The vertex map f with f(e) = start, a vertex, and f(x·s) = f(x)·field(x)[s],
+    field(x) a label permutation as an image tuple, walked along ball edges down the
     BFS tree: a vertex v is p·s for its parent p = v·s, s the last letter of
     its canonical word, so f(v) is the field(p)[s]-neighbour of f(p).  Only
     tree edges are read; automorphisms.field_violations checks the rest.
 
     f(v) is given exactly when the images of v and of every prefix of its
     canonical word lie in the ball, and is None otherwise.  That includes
-    interior(radius - |start|): the image of a prefix p is start followed by
-    |p| letters, of length at most |start| + |p| <= radius.
+    interior(radius - |w|), w the word of start: the image of a prefix p is w
+    followed by |p| letters, of length at most |w| + |p| <= radius.
     """
     adj, words = ball.adj, ball.words
-    images = [ball.vertex_of(start)]
+    images: list[int | None] = [start]
     for v in range(1, ball.size):
         s = words[v][-1]
         p = adj[v][s]

@@ -18,9 +18,9 @@ from .automorphisms import (
     coupling_violations,
     decompose,
     diagram_aut,
+    factored_ball_map,
     field_violations,
     identity_stabilizer_census,
-    left_mult,
     local_permutation,
     local_permutation_field,
     psi_family_distinctness,
@@ -42,6 +42,7 @@ from .system import (
     CoxeterSystem,
     DiagramAutomorphism,
     diagram_group,
+    identity_automorphism,
     is_flexible,
 )
 from .words import LimitExceeded, apply_m_operation
@@ -255,20 +256,19 @@ def run_system_checks(
     # -- standard automorphisms and their fields -------------------------
 
     def left_mult_fields() -> tuple[str, str]:
-        sample = [ball.words[v] for v in ball.interior(min(2, radius - 1))]
         if radius < 1:
             return "vacuous", "radius too small for left multiplications"
-        identity = tuple(system.generators())
+        identity = identity_automorphism(system)
         checked = 0
-        for w in sample:
-            aut = left_mult(ball, w)
+        for v in ball.interior(min(2, radius - 1)):
+            aut = factored_ball_map(ball, v, identity)
             report = verify_ball_automorphism(ball, aut)
             if not report.ok:
-                return "fail", f"left_mult({w}) not verified: {report.violations[0]}"
+                return "fail", f"left_mult({ball.words[v]}) not verified: {report.violations[0]}"
             # no violation: every defined edge keeps its label, so the local
             # permutation is the identity wherever it is defined
-            if field_violations(ball, aut, lambda x: identity):
-                return "fail", f"left_mult({w}) field is not the constant identity"
+            if field_violations(ball, aut, lambda x: identity.images):
+                return "fail", f"left_mult({ball.words[v]}) field is not the constant identity"
             checked += 1
         return "pass", f"{checked} left multiplications verified with constant identity fields"
 

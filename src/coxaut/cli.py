@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .automorphisms import (
     identity_stabilizer_census,
@@ -34,8 +36,33 @@ EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 
 
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, one join per level.
+
+    The stdlib takes its pure-Python encoder whenever indent is set.  Here str
+    and int are spelled as the stdlib spells them, and every other scalar (and
+    str or int subclass) by its C encoder.  A key that is not a str raises
+    TypeError.
+    """
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + newline + "]"
+    return json.dumps(obj)
+
+
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
 
 
 def _load_system(path: str) -> CoxeterSystem:
@@ -168,17 +195,14 @@ def cmd_exotic(args) -> int:
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
     field = local_permutation_field(ball, aut)
+    texts = ball.texts
     payload = {
         "pivot": system.name_of(witness.pivot),
         "phi": witness.phi.cycle_notation(system.names),
         "n": args.n,
         "verified": report.ok,
         "violations": list(report.violations),
-        "map": [
-            [format_word(system, ball.words[v]), format_word(system, ball.words[aut.vmap[v]])]
-            for v in range(ball.size)
-            if aut.vmap[v] is not None
-        ],
+        "map": [[texts[v], texts[image]] for v, image in enumerate(aut.vmap) if image is not None],
         "field": {
             "stars": len(field.perms),
             "constant": field.is_constant,
@@ -203,13 +227,11 @@ def cmd_stabilizer(args) -> int:
     probe = args.probe if args.probe is not None else default_probe_radius(system, args.radius)
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
+    texts = ball.texts
     entries = [
         {
             "images": list(entry.images),
-            "map": [
-                [format_word(system, ball.words[v]), format_word(system, ball.words[entry.images[v]])]
-                for v in range(census.probe_count)
-            ],
+            "map": [[texts[v], texts[image]] for v, image in enumerate(entry.images)],
             "verdict": entry.verdict,
             "diagram": entry.diagram.cycle_notation(system.names) if entry.diagram else None,
         }
@@ -278,52 +300,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-flexible", parents=[common], help="decide diagram flexibility")
-    p.set_defaults(handler=cmd_check_flexible)
+    sub.add_parser("check-flexible", parents=[common], help="decide diagram flexibility")
 
     p = sub.add_parser("reduce", parents=[common], help="canonical form of a word")
     p.add_argument("word", help="whitespace-separated generator names; 'e' for the empty word")
-    p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("ball", parents=[common], help="build a Cayley-graph ball")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--dot", metavar="PATH", help="also write a Graphviz rendering")
-    p.set_defaults(handler=cmd_ball)
 
     p = sub.add_parser("cycles", parents=[common], help="classify embedded cycles")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(handler=cmd_cycles)
 
     p = sub.add_parser("exotic", parents=[common], help="construct the exotic automorphism")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--n", type=int, default=None, help="family index; omit for the basic map")
-    p.set_defaults(handler=cmd_exotic)
 
     p = sub.add_parser("stabilizer", parents=[common], help="census of identity-fixing automorphisms")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--probe", type=int, default=None, help="dedupe radius; default radius - max finite order")
-    p.set_defaults(handler=cmd_stabilizer)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant suite for a system")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--probe", type=int, default=None)
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by later ones in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "radius", 0) < 0:
         print("error: radius must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "n", None) is not None and args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return EXIT_INPUT
+    # looked up per call, not bound into the shared parser: a handler replaced
+    # on this module is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

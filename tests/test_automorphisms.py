@@ -398,7 +398,7 @@ class TestFieldViolations:
         def field(x):  # pivot_field's rule for psi_phi
             return identity if bad.pivot in ball.words[x] else bad.phi.images
 
-        aut = BallAutomorphism(field_map(ball, (), field), ball.radius)
+        aut = BallAutomorphism(field_map(ball, 0, field), ball.radius)
         assert field_violations(ball, aut, field)
         with pytest.raises(ValueError):
             pivot_field(ball, bad)

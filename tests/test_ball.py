@@ -1,13 +1,16 @@
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from coxaut.ball import build_ball, count_paths, distance
 from coxaut.system import parse_system
-from coxaut.words import LimitExceeded, parse_word, reduce_word
+from coxaut.words import LimitExceeded, format_word, parse_word, reduce_word
 
-from conftest import DIAGRAMS, make_system, random_systems
+from conftest import DIAGRAMS, RANK3, make_system, random_systems
+
+FRONTIER = sorted((Path(__file__).resolve().parent.parent / "diagrams" / "frontier").glob("*.cox"))
 
 
 def vid(ball, text):
@@ -139,6 +142,18 @@ class TestExports:
         assert dot.startswith("graph")
         assert 'label="a"' in dot
         assert "v0 -- v1" in dot
+
+    @pytest.mark.parametrize("path", DIAGRAMS + FRONTIER, ids=lambda p: p.stem)
+    def test_texts_are_formatted_words(self, path):
+        system = parse_system(path.read_text())
+        for radius in range(4 if path.stem == "free10" else 7):
+            ball = build_ball(system, radius)
+            assert ball.texts == [format_word(system, w) for w in ball.words]
+
+    def test_texts_on_rank3_diagrams(self):
+        for system in RANK3:
+            ball = build_ball(system, 5)
+            assert ball.texts == [format_word(system, w) for w in ball.words]
 
 
 def assert_tables_match_definitions(ball):

@@ -140,6 +140,14 @@ class TestRunChecks:
         assert {c["name"] for c in payload["checks"]} == {c.name for c in report.checks}
         assert all(set(c) == {"name", "status", "detail"} for c in payload["checks"])
 
+    def test_no_word_is_reduced_without_a_cartan_matrix(self):
+        # flexible5 has an order 5, so reduce_word would rewrite; every map is walked from a vertex instead
+        system = parse_system((DIAGRAMS[0].parent / "frontier" / "flexible5.cox").read_text())
+        assert system.cartan is None
+        report = run_system_checks(system, radius=6)
+        assert not report.failures
+        assert not system._reduce_cache
+
     def test_free_product_verdict(self, free2):
         # no relations: every ball is a tree, the census sees only the swap
         report = run_system_checks(free2, radius=4)

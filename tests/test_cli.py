@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -19,6 +20,7 @@ BRANCHED = "gens s t u\npair t u 2\n"
 ODD_PIVOT = str(Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "odd-pivot.cox")
 # the free diagram of rank 10, whose 10! diagram automorphisms verify never lists
 FREE10 = str(Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "free10.cox")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -100,6 +102,30 @@ class TestBallCommand:
     def test_negative_radius(self, a2_file, capsys):
         assert main(["ball", a2_file, "--radius", "-1"]) == 2
         assert "radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "diagram, options, stdout_sha256, dot_sha256",
+        [
+            (
+                "flexible.cox",
+                ["--radius", "7"],
+                "b2205013f6dd3edde4778c5bb94907399178d85dcf2758a7cf49d7892352bc44",
+                "c2d97d25c90af4ddf54cf3f2af8baad9b37ab34fce0c026f7a25d1e75f78a436",
+            ),
+            (
+                "frontier/flexible5.cox",
+                ["--radius", "8", "--format", "json"],
+                "db2556d37e11d69d5ede47a84dc473ad7e03fd181c9691cf5e7e5069a3c47a0d",
+                "c04e016871eb258f22330ad6e28f7fa9f098419e7b5fc6403324d18c0f1769b0",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, diagram, options, stdout_sha256, dot_sha256, tmp_path, capsys):
+        # digests of the output before the word-text table and the JSON writer existed
+        dot = tmp_path / "ball.dot"
+        assert main(["ball", str(ROOT / "diagrams" / diagram), *options, "--dot", str(dot)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha256
 
 
 class TestCyclesCommand:
@@ -260,6 +286,15 @@ class TestErrorsAndGuards:
         monkeypatch.setattr(cli, "cmd_check_flexible", boom)
         assert main(["check-flexible", a2_file]) == EXIT_INTERNAL == 4
         assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+
+    def test_parser_is_built_once(self, a2_file, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        assert main(["check-flexible", a2_file]) == 0
+        assert main(["ball", a2_file]) == 0
+        assert built == [1]
 
     def test_diagram_search_guard_exit_code(self, tmp_path, capsys, monkeypatch):
         # no rank cap: flexibility needs only the first two automorphisms of the
