@@ -238,12 +238,15 @@ def field_map(ball: CayleyBall, start: int, field) -> tuple[int | None, ...]:
     return tuple(images)
 
 
-def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:
-    """Graph distance inside the ball from source to every vertex, by one BFS."""
+def distances_within(ball: CayleyBall, source: int, bound: int) -> dict[int, int]:
+    """Graph distance inside the ball from source to every vertex at most bound
+    away, by one BFS that expands no vertex at distance bound."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         x = queue.popleft()
+        if dist[x] >= bound:
+            continue
         for y in ball.adj[x].values():
             if y not in dist:
                 dist[y] = dist[x] + 1
@@ -251,42 +254,30 @@ def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:
     return dist
 
 
+def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:
+    """Graph distance inside the ball from source to every vertex, by one BFS."""
+    return distances_within(ball, source, ball.size)
+
+
 def distance(ball: CayleyBall, u: int, v: int) -> int | None:
     """Graph distance inside the ball; None when unreachable (never, for balls)."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in ball.adj[x].values():
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return None
+    return distances_from(ball, u).get(v)
 
 
 def count_paths(ball: CayleyBall, u: int, v: int, length: int) -> int:
-    """Number of simple paths from u to v of exactly the given length.
+    """Number of simple paths from u to v of exactly the given length."""
+    return count_paths_to(ball, u, distances_within(ball, v, length), length)
+
+
+def count_paths_to(ball: CayleyBall, u: int, dist_to_v: dict[int, int], length: int) -> int:
+    """Number of simple paths from u of exactly the given length to the vertex v
+    that dist_to_v measures from; dist_to_v holds every vertex within length of v.
 
     Depth-first on an explicit stack, with a distance-from-target prune: a
     partial path with k steps left is abandoned unless it is within k of v.
     """
     if length == 0:
-        return 1 if u == v else 0
-    dist_to_v = {v: 0}
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        if dist_to_v[x] >= length:
-            continue
-        for y in ball.adj[x].values():
-            if y not in dist_to_v:
-                dist_to_v[y] = dist_to_v[x] + 1
-                queue.append(y)
-
+        return 1 if dist_to_v.get(u) == 0 else 0
     count = 0
     path = [u]
     on_path = {u}

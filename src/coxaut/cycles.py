@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ball import CayleyBall, distance, count_paths
+from .ball import CayleyBall, count_paths_to, distances_within
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,13 @@ def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
         return EssentialityReport(False, certified, None)
     n = cycle.half_length
     for u, v in cycle.opposite_pairs():
-        d = distance(ball, u, v)
+        # an arc of the cycle joins u and v in n steps, so one BFS bounded by
+        # n gives their distance and the table that prunes the path count
+        dist_to_v = distances_within(ball, v, n)
+        d = dist_to_v.get(u, -1)
         if d != n:
-            return EssentialityReport(False, certified, (u, v, d if d is not None else -1, -1))
-        paths = count_paths(ball, u, v, n)
+            return EssentialityReport(False, certified, (u, v, d, -1))
+        paths = count_paths_to(ball, u, dist_to_v, n)
         if paths != 2:
             return EssentialityReport(False, certified, (u, v, d, paths))
     return EssentialityReport(True, certified, None)

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from coxaut.ball import build_ball, count_paths, distance
+from coxaut.ball import build_ball, count_paths, distance, distances_from
+from coxaut.cycles import enumerate_embedded_cycles
 from coxaut.system import parse_system
 from coxaut.words import LimitExceeded, format_word, parse_word, reduce_word
 
@@ -15,6 +16,17 @@ FRONTIER = sorted((Path(__file__).resolve().parent.parent / "diagrams" / "fronti
 
 def vid(ball, text):
     return ball.vertex_of(parse_word(ball.system, text))
+
+
+def invariant_balls():
+    """Every shipped and frontier diagram at each r <= 6 (free10 at r <= 3) and
+    the rank-3 diagrams at r = 5: verify leaves these ball invariants to the builder."""
+    for path in DIAGRAMS + FRONTIER:
+        system = parse_system(path.read_text())
+        for radius in range(4 if path.stem == "free10" else 7):
+            yield build_ball(system, radius)
+    for system in RANK3:
+        yield build_ball(system, 5)
 
 
 class TestBuild:
@@ -67,13 +79,17 @@ class TestBuild:
                         elements.add(canonical)
             assert build_ball(system, radius).size == len(elements)
 
-    def test_bipartite_and_interior_degree(self, atilde2):
-        ball = build_ball(atilde2, 4)
-        for u, v, _ in ball.edges:
-            assert abs(ball.word_length(u) - ball.word_length(v)) == 1
-        for v in range(ball.size):
-            if ball.word_length(v) <= 3:
-                assert ball.degree(v) == 3
+    def test_bipartite_and_interior_degree(self):
+        for ball in invariant_balls():
+            for u, nbrs in enumerate(ball.adj):
+                for s, v in nbrs.items():
+                    assert ball.adj[v][s] == u
+                    assert abs(ball.word_length(u) - ball.word_length(v)) == 1
+            for v in ball.interior(ball.radius - 1):
+                assert ball.degree(v) == ball.system.rank
+            m = ball.system.max_finite_order()
+            cycles = enumerate_embedded_cycles(ball, (2 * m if m is not None else 6) + 1)
+            assert all(len(c) % 2 == 0 for c in cycles), (ball.system, ball.radius)
 
     def test_vertex_guard(self, atilde2):
         with pytest.raises(LimitExceeded):
@@ -100,10 +116,9 @@ class TestQueries:
         ball = build_ball(branched, 2)
         assert distance(ball, 0, vid(ball, "t u")) == 2
 
-    def test_distance_equals_word_length(self, atilde2):
-        ball = build_ball(atilde2, 4)
-        for v in range(ball.size):
-            assert distance(ball, 0, v) == ball.word_length(v)
+    def test_distance_equals_word_length(self):
+        for ball in invariant_balls():
+            assert distances_from(ball, 0) == {v: ball.word_length(v) for v in range(ball.size)}
 
     def test_count_paths_degenerate(self, a2):
         ball = build_ball(a2, 2)

@@ -16,13 +16,16 @@ from coxaut.automorphisms import (
     StabilizerEntry,
     diagram_aut,
     identity_stabilizer_census,
+    psi_phi,
+    verify_ball_automorphism,
 )
 from coxaut.ball import build_ball
 from coxaut.checks import default_probe_radius
-from coxaut.system import enumerate_diagram_automorphisms, parse_system
+from coxaut.cycles import is_essential, map_cycle, verify_essential_characterization
+from coxaut.system import enumerate_diagram_automorphisms, is_flexible, parse_system
 from coxaut.words import LimitExceeded
 
-from conftest import DIAGRAMS, crystallographic_systems
+from conftest import DIAGRAMS, RANK3, crystallographic_systems
 
 
 def reference_automorphisms(ball, max_nodes):
@@ -127,3 +130,30 @@ def test_guard_counts_nodes_across_both_phases(branched):
     assert identity_stabilizer_census(ball, 2, max_nodes=153).count == 4
     with pytest.raises(LimitExceeded):
         identity_stabilizer_census(ball, 2, max_nodes=152)
+
+
+ESSENTIAL_IMAGE_CASES = [pytest.param(parse_system(p.read_text()), 6, id=p.stem) for p in DIAGRAMS] + [
+    pytest.param(system, 5, id=f"rank3-{i}") for i, system in enumerate(RANK3)
+]
+
+
+@pytest.mark.parametrize("system, radius", ESSENTIAL_IMAGE_CASES)
+def test_census_entries_and_psi_map_essential_cycles_onto_essential_cycles(system, radius):
+    # verify re-checks none of this per entry: each entry restricts a ball
+    # automorphism that keeps word length, and psi is one once psi-verified passes
+    ball = build_ball(system, radius)
+    essential = verify_essential_characterization(ball).essential
+    if not essential:
+        return
+    maps = [e.automorphism for e in identity_stabilizer_census(ball, default_probe_radius(system, radius)).entries]
+    witness = is_flexible(system)
+    if witness is not None:
+        maps.append(psi_phi(ball, witness))
+    for aut in maps:
+        assert verify_ball_automorphism(ball, aut).ok
+        for cycle in essential:
+            image = map_cycle(ball, aut.vmap, cycle)
+            if image is None:  # the cycle leaves the entry's probe sub-ball
+                continue
+            essentiality = is_essential(ball, image)
+            assert essentiality.certified and essentiality.essential, (cycle.vertices, image.vertices)

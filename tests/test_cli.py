@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxaut.checks
 import coxaut.system
 from coxaut import cli
 from coxaut.cli import EXIT_INDETERMINATE, EXIT_INTERNAL, main
@@ -247,6 +248,16 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "DISCRETE-EVIDENCE"
         assert any(c["name"] == "census-verified" for c in payload["checks"])
+
+    @pytest.mark.parametrize("probe", ["-1", "15"])
+    def test_probe_out_of_range_rejected_before_the_ball(self, probe, capsys, monkeypatch):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(coxaut.checks, "build_ball", no_ball)
+        flexible = str(ROOT / "diagrams" / "flexible.cox")
+        assert main(["verify", flexible, "--radius", "14", "--probe", probe]) == 2
+        assert capsys.readouterr().err == "error: probe radius must lie between 0 and the ball radius\n"
 
 
 class TestErrorsAndGuards:
