@@ -16,7 +16,9 @@ automorphism acting by x -> w * d(x).  These compose by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ball import CayleyBall, field_map
 from .system import (
@@ -25,6 +27,7 @@ from .system import (
     DiagramAutomorphism,
     FlexibilityWitness,
     LimitExceeded,
+    diagram_group,
     identity_automorphism,
     is_label_preserving,
     validate_witness,
@@ -283,9 +286,8 @@ def local_permutation_field(
 
 
 def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple[int, int, int, int]]:
-    """Adjacent-vertex coupling: across an s-edge, perm_at(vs)^-1 perm_at(v) fixes
-    s and every generator at finite order with s, that is, the two local
-    permutations agree there.
+    """Adjacent-vertex coupling: across an s-edge (v, vs), the local permutations
+    at v and vs agree on s and on every generator at finite order with s.
 
     Returns (v, u, s, x) tuples naming each violation; empty means the law
     holds throughout the field's vertices.
@@ -353,58 +355,83 @@ class StabilizerEntry:
     diagram: DiagramAutomorphism | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerCensus:
-    radius: int
+    """The census as a permutation group on the probe ids: transversals[i - 1]
+    holds one restriction fixing 0 .. i-1 and moving i per image of i found,
+    and each element is one product u_1 u_2 ... with u_i the identity or in
+    transversals[i - 1] (Sims; Seress, Permutation Group Algorithms, ch. 4)."""
+
+    ball: CayleyBall
     probe_radius: int
     probe_count: int
-    entries: tuple[StabilizerEntry, ...]
+    transversals: tuple[tuple[tuple[int, ...], ...], ...]
+    diagram_count: int
     search_nodes: int
+    max_nodes: int
 
     @property
     def count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def diagram_count(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == "diagram")
+        return math.prod(1 + len(level) for level in self.transversals)
 
     @property
     def exotic_count(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == "exotic")
+        return self.count - self.diagram_count
+
+    @property
+    def generators(self) -> tuple[StabilizerEntry, ...]:
+        """The strong generators: every transversal member, level by level."""
+        return self._entries([images for level in self.transversals for images in level])
+
+    @cached_property
+    def entries(self) -> tuple[StabilizerEntry, ...]:
+        """Every element, sorted; each counts as a node against max_nodes."""
+        if self.search_nodes + self.count > self.max_nodes:
+            raise LimitExceeded(f"stabilizer listing exceeded {self.max_nodes} nodes")
+        elements = [tuple(range(self.probe_count))]
+        for level in reversed(self.transversals):
+            elements += [tuple([u[x] for x in h]) for u in level for h in elements]
+        return self._entries(sorted(elements))
+
+    def _entries(self, restrictions) -> tuple[StabilizerEntry, ...]:
+        """A diagram entry restricts diagram_aut(d), d its label permutation at e (or id when e is alone)."""
+        ball, n = self.ball, self.probe_count
+        star = [ball.adj[0][s] for s in ball.system.generators()] if n > 1 else []
+        restriction_of = {}  # diagram_aut(d) on the probe ids, built once per label-preserving d
+        entries = []
+        for images in restrictions:
+            perm = tuple(ball.labels[0][images[u]] for u in star) or tuple(ball.system.generators())
+            if perm not in restriction_of and is_label_preserving(ball.system, perm):
+                restriction_of[perm] = diagram_aut(ball, DiagramAutomorphism(perm)).vmap[:n]
+            d = DiagramAutomorphism(perm) if restriction_of.get(perm) == images else None
+            aut = BallAutomorphism(images + (None,) * (ball.size - n), self.probe_radius)
+            entries.append(StabilizerEntry(images, aut, "exotic" if d is None else "diagram", d))
+        return tuple(entries)
 
 
-def identity_stabilizer_census(
-    ball: CayleyBall,
-    probe_radius: int,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> StabilizerCensus:
-    """All graph automorphisms of the ball fixing the identity, up to agreement
-    on the probe sub-ball.
+def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> StabilizerCensus:
+    """The graph automorphisms of the ball fixing the identity e, restricted to
+    the probe sub-ball: those that differ only outside it are boundary
+    artifacts of the truncation.  Distance from e is a graph invariant and
+    equals word length, so the probe ids, an id-prefix, are kept.
 
-    The search assigns images in vertex-id order.  Distance from the fixed
-    identity is a graph invariant, and in a ball it equals word length, so a
-    candidate image must match the vertex's word length (and degree).  Each
-    vertex beyond the identity has an already-assigned neighbor, so candidates
-    come from the neighbors of that neighbor's image.  Every edge is checked
-    when its later endpoint is placed; a completed assignment is a bijection
-    sending edges to edges, hence an automorphism.
+    The base is the probe ids in id order.  For each base point i and each
+    neighbour c > i of i's smallest neighbour, one depth-first search fixes
+    0 .. i-1, prescribes i -> c and stops at the first extension to the ball.
+    A vertex's candidates come from the neighbours of its smallest
+    neighbour's image and must match its word length and degree and be
+    adjacent to the images of its assigned neighbours, so a completed
+    assignment is an automorphism.  The extensions found for i are its orbit,
+    less i, under the elements fixing 0 .. i-1, so the order is the product
+    of 1 + found.  Each placed candidate is a node against max_nodes.  Each
+    node is one of the plain search over all identity-fixing assignments
+    (tests/test_census.py runs it), and the subtrees below distinct i -> c
+    are disjoint, so search_nodes never exceeds that search's count.
 
-    Automorphisms of the ball that disagree only outside the probe sub-ball
-    are boundary artifacts of the truncation; deduplicating by the restriction
-    keeps one entry per genuinely distinct probe-level action.  Probe ids are
-    an id-prefix because breadth-first ids are sorted by word length, so the
-    search is probe-first: it streams the assignments of the probe ids, and
-    for each one searches for a single extension to the whole ball, returning
-    to the last probe id as soon as one is found.  Both phases are one
-    depth-first search on an explicit stack of candidate iterators, one per
-    vertex, with no recursion, and every placed candidate counts as a node
-    against max_nodes.
-
-    An entry is a diagram entry when it is the restriction of diagram_aut(d)
-    for d its label permutation at the identity (the identity when the probe
-    sub-ball is the identity alone).  No other d can match: diagram_aut(d)
-    sends the s-neighbour of e to the d(s)-neighbour.
+    diagram_count is the diagram group's order once the probe sub-ball holds
+    e's star, else 1: a diagram automorphism d is a ball automorphism fixing
+    e, and it is fixed by its action on e's star (diagram_aut(d) sends the
+    s-neighbour of e to the d(s)-neighbour), so distinct d restrict apart.
     """
     if probe_radius < 0 or probe_radius > ball.radius:
         raise ValueError("probe radius must lie between 0 and the ball radius")
@@ -414,90 +441,56 @@ def identity_stabilizer_census(
     shape = [ball.word_length(v) * (ball.system.rank + 1) + ball.degree(v) for v in range(size)]
     labels = ball.labels
     sorted_neighbors = list(map(ball.neighbors, range(size)))
-    # the smallest neighbor of a vertex other than the identity is assigned
-    # before it (its BFS parent has a smaller id) and supplies the candidates;
-    # the other smaller neighbors are checked against each candidate
+    # a vertex's smallest neighbour (at most its BFS parent) is assigned before it
     first_anchor = [0] + [ids[0] for ids in sorted_neighbors[1:]]
     other_anchors = [[u for u in sorted_neighbors[v][1:] if u < v] for v in range(size)]
 
-    assignment = [-1] * size
-    assignment[0] = 0
-    used = [False] * size
-    used[0] = True
-    # distinct and sorted as emitted: each probe assignment is reached at
-    # most once, and candidates are tried in increasing order
-    restrictions: list[tuple[int, ...]] = []
-    nodes = 0
-
+    assignment, used = [-1] * size, [False] * size
+    transversals, nodes = [], 0
     # pending[v] yields the untried candidates for vertex v; the vertices
     # below v are assigned, and v holds its last tried candidate, or -1
     pending: list = [None] * size
-    if size == 1:
-        restrictions.append((0,))
-        v = 0
-    else:
-        pending[1] = iter(sorted_neighbors[0])
-        v = 1
-    while v:
-        if assignment[v] >= 0:
-            used[assignment[v]] = False
-        shape_v = shape[v]
-        anchors = other_anchors[v]
-        for c in pending[v]:
-            if used[c] or shape[c] != shape_v:
-                continue
-            if anchors:
-                ids = labels[c]
-                if any(assignment[u] not in ids for u in anchors):
+    for i in range(1, probe_count):
+        assignment[i - 1] = i - 1
+        used[i - 1] = True
+        found = []
+        pending[i] = (c for c in sorted_neighbors[first_anchor[i]] if c > i)
+        v = i
+        while v >= i:
+            if assignment[v] >= 0:
+                used[assignment[v]] = False
+            shape_v = shape[v]
+            anchors = other_anchors[v]
+            for c in pending[v]:
+                if used[c] or shape[c] != shape_v:
                     continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise LimitExceeded(f"stabilizer search exceeded {max_nodes} nodes")
-            assignment[v] = c
-            used[c] = True
-            break
-        else:
-            assignment[v] = -1
-            v -= 1
-            continue
-        v += 1
-        if v < size:
-            pending[v] = iter(sorted_neighbors[assignment[first_anchor[v]]])
-            continue
-        restrictions.append(tuple(assignment[:probe_count]))
-        # one extension per probe assignment: undo it and go on with the
-        # next candidate of the last probe vertex
-        for u in range(probe_count, size):
-            used[assignment[u]] = False
-            assignment[u] = -1
-        v = probe_count - 1
-
-    # an entry's label permutation at e reads the labels of its images of e's star
-    star = [ball.adj[0][s] for s in ball.system.generators()] if probe_count > 1 else []
-    identity = tuple(ball.system.generators())
-    restriction_of = {}  # diagram_aut(d) on the probe ids, built once per label-preserving d
-    entries = []
-    for images in restrictions:
-        perm = tuple(labels[0][images[u]] for u in star) or identity
-        if perm not in restriction_of and is_label_preserving(ball.system, perm):
-            restriction_of[perm] = diagram_aut(ball, DiagramAutomorphism(perm)).vmap[:probe_count]
-        d = DiagramAutomorphism(perm) if restriction_of.get(perm) == images else None
-        padded = images + (None,) * (size - probe_count)
-        entries.append(
-            StabilizerEntry(
-                images=images,
-                automorphism=BallAutomorphism(tuple(padded), probe_radius),
-                verdict="diagram" if d is not None else "exotic",
-                diagram=d,
-            )
-        )
-    return StabilizerCensus(
-        radius=ball.radius,
-        probe_radius=probe_radius,
-        probe_count=probe_count,
-        entries=tuple(entries),
-        search_nodes=nodes,
-    )
+                if anchors:
+                    ids = labels[c]
+                    if any(assignment[u] not in ids for u in anchors):
+                        continue
+                nodes += 1
+                if nodes > max_nodes:
+                    raise LimitExceeded(f"stabilizer search exceeded {max_nodes} nodes")
+                assignment[v] = c
+                used[c] = True
+                break
+            else:
+                assignment[v] = -1
+                v -= 1
+                continue
+            v += 1
+            if v < size:
+                pending[v] = iter(sorted_neighbors[assignment[first_anchor[v]]])
+                continue
+            found.append(tuple(assignment[:probe_count]))
+            # one extension per image of i: undo it and try i's next candidate
+            for u in range(i + 1, size):
+                used[assignment[u]] = False
+                assignment[u] = -1
+            v = i
+        transversals.append(tuple(found))
+    order = diagram_group(ball.system)[0] if probe_count > 1 else 1
+    return StabilizerCensus(ball, probe_radius, probe_count, tuple(transversals), order, nodes, max_nodes)
 
 
 # -- the exotic family is infinite -------------------------------------------

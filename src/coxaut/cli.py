@@ -240,7 +240,7 @@ def cmd_stabilizer(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "radius": census.radius,
+                "radius": ball.radius,
                 "probe_radius": census.probe_radius,
                 "count": census.count,
                 "diagram_count": census.diagram_count,
@@ -251,7 +251,7 @@ def cmd_stabilizer(args) -> int:
         )
     else:
         print(
-            f"{census.count} identity-fixing classes at radius {census.radius}, probe {census.probe_radius} "
+            f"{census.count} identity-fixing classes at radius {ball.radius}, probe {census.probe_radius} "
             f"({census.diagram_count} diagram, {census.exotic_count} exotic)"
         )
         for entry in entries:
@@ -341,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     if getattr(args, "n", None) is not None and args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "max_length", None) is not None and args.max_length < 0:
+        print("error: --max-length must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     # looked up per call, not bound into the shared parser: a handler replaced
     # on this module is the one that runs

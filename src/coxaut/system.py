@@ -59,6 +59,7 @@ class CoxeterSystem:
         # Memo of canonical forms for the rewriting engine, keyed by word
         # tuple; systems with a Cartan matrix never fill it.
         self._reduce_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._diagram_group: tuple[int, tuple[DiagramAutomorphism, ...]] | None = None
 
     @property
     def rank(self) -> int:
@@ -289,7 +290,7 @@ def enumerate_diagram_automorphisms(system: CoxeterSystem) -> list[DiagramAutomo
     return [DiagramAutomorphism(images) for images in _label_preserving_images(system, {})]
 
 
-def diagram_group(system: CoxeterSystem) -> tuple[int, list[DiagramAutomorphism]]:
+def diagram_group(system: CoxeterSystem) -> tuple[int, tuple[DiagramAutomorphism, ...]]:
     """The diagram automorphism group as (order, strong generators), unlisted.
 
     Base: the generators in order.  The automorphisms fixing 0 .. i-1 move i to
@@ -298,16 +299,18 @@ def diagram_group(system: CoxeterSystem) -> tuple[int, list[DiagramAutomorphism]
     kept as a strong generator.  By orbit-stabilizer at each level the order is
     the product of the orbit sizes, and the representatives of levels i and up
     generate level i (Sims; Seress, Permutation Group Algorithms, 2003, ch. 4).
-    Each extension search is guarded by DEFAULT_MAX_NODES.
+    Each extension search is guarded by DEFAULT_MAX_NODES; memoized per system.
     """
-    order, strong_generators = 1, []
-    for i in system.generators():
-        fixed = {s: s for s in range(i)}
-        found = [next(_label_preserving_images(system, {**fixed, i: c}), None) for c in range(i + 1, system.rank)]
-        representatives = [DiagramAutomorphism(images) for images in found if images is not None]
-        strong_generators += representatives
-        order *= 1 + len(representatives)
-    return order, strong_generators
+    if system._diagram_group is None:
+        order, strong_generators = 1, []
+        for i in system.generators():
+            fixed = {s: s for s in range(i)}
+            found = [next(_label_preserving_images(system, {**fixed, i: c}), None) for c in range(i + 1, system.rank)]
+            representatives = [DiagramAutomorphism(images) for images in found if images is not None]
+            strong_generators += representatives
+            order *= 1 + len(representatives)
+        system._diagram_group = order, tuple(strong_generators)
+    return system._diagram_group
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""The probe-first stabilizer census against a full enumeration.
+"""The stabilizer census group against a full enumeration.
 
 The reference lists every identity-fixing automorphism of the whole ball
 by plain recursion, then keeps one entry per restriction to the probe
-sub-ball.  The census under test must give the same entries (images,
-verdict, diagram, padding, order) while visiting no more search nodes.
+sub-ball.  The census under test holds a permutation group on the probe
+ids; the entries it lists from its transversals must be the reference's
+(images, verdict, diagram, padding, order), its order and diagram count
+must match, and its search must visit no more nodes.
 """
 
 import sys
@@ -14,15 +16,17 @@ from hypothesis import assume, given, settings, strategies as st
 from coxaut.automorphisms import (
     BallAutomorphism,
     StabilizerEntry,
+    coupling_violations,
     diagram_aut,
     identity_stabilizer_census,
+    local_permutation_field,
     psi_phi,
     verify_ball_automorphism,
 )
 from coxaut.ball import build_ball
 from coxaut.checks import default_probe_radius
 from coxaut.cycles import is_essential, map_cycle, verify_essential_characterization
-from coxaut.system import enumerate_diagram_automorphisms, is_flexible, parse_system
+from coxaut.system import enumerate_diagram_automorphisms, is_flexible, is_label_preserving, parse_system
 from coxaut.words import LimitExceeded
 
 from conftest import DIAGRAMS, RANK3, crystallographic_systems
@@ -94,6 +98,8 @@ def assert_matches_reference(ball, max_nodes=10**6):
         census = identity_stabilizer_census(ball, probe)
         assert census.entries == reference_entries(ball, probe, automorphisms), probe
         assert census.search_nodes <= reference_nodes
+        assert census.count == len(census.entries)
+        assert census.diagram_count == sum(e.verdict == "diagram" for e in reference_entries(ball, probe, automorphisms))
 
 
 @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
@@ -115,7 +121,7 @@ def test_random_diagrams_match_reference(system, radius):
         assume(False)
 
 
-@pytest.mark.parametrize("radius, count", [(4, 4), (5, 16), (6, 128)])
+@pytest.mark.parametrize("radius, count", [(4, 4), (5, 16), (6, 128), (7, 4_096), (8, 1_048_576)])
 def test_flexible_class_counts(radius, count):
     system = parse_system((DIAGRAMS[0].parent / "flexible.cox").read_text())
     census = identity_stabilizer_census(build_ball(system, radius), default_probe_radius(system, radius))
@@ -124,12 +130,57 @@ def test_flexible_class_counts(radius, count):
     assert census.exotic_count == count - 2
 
 
+def test_free10_census_is_the_diagram_group():
+    # at probe radius 1 the census sees only the identity's star, whose 10!
+    # permutations are all diagram automorphisms of the free diagram
+    system = parse_system((DIAGRAMS[0].parent / "frontier" / "free10.cox").read_text())
+    census = identity_stabilizer_census(build_ball(system, 2), default_probe_radius(system, 2))
+    assert census.count == census.diagram_count == 3_628_800
+    assert census.exotic_count == 0
+
+
 def test_guard_counts_nodes_across_both_phases(branched):
     ball = build_ball(branched, 4)
-    assert identity_stabilizer_census(ball, 2).search_nodes == 153
-    assert identity_stabilizer_census(ball, 2, max_nodes=153).count == 4
+    assert identity_stabilizer_census(ball, 2).search_nodes == 95
+    assert identity_stabilizer_census(ball, 2, max_nodes=95).count == 4
     with pytest.raises(LimitExceeded):
-        identity_stabilizer_census(ball, 2, max_nodes=152)
+        identity_stabilizer_census(ball, 2, max_nodes=94)
+
+
+def coupling_holds(ball, automorphisms):
+    """No coupling violation, and local permutations that keep pair orders."""
+    for aut in automorphisms:
+        field = local_permutation_field(ball, aut)
+        if coupling_violations(ball, field):
+            return False
+        if not all(is_label_preserving(ball.system, perm) for perm in field.perms):
+            return False
+    return True
+
+
+DIFFERENTIAL_CASES = [pytest.param(parse_system(p.read_text()), id=p.stem) for p in DIAGRAMS] + [
+    pytest.param(system, id=f"rank3-{i}") for i, system in enumerate(RANK3)
+]
+
+
+@pytest.mark.parametrize("system", DIFFERENTIAL_CASES)
+def test_coupling_on_generators_equals_coupling_on_every_entry(system):
+    # verify's census-coupling reads the strong generators only.  At the
+    # default probe radius coupling holds throughout; at probe radius = radius
+    # boundary artifacts break it, so both outcomes are compared
+    for radius in range(7):
+        ball = build_ball(system, radius)
+        # 500 000 nodes: above every default-probe census that decides here
+        for probe, max_nodes in ((default_probe_radius(system, radius), 500_000), (radius, 5_000)):
+            try:
+                census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
+                entries = census.entries
+            except LimitExceeded:  # too many to list, such as the tree of (inf, inf, inf)
+                continue
+            generators = [g.automorphism for g in census.generators]
+            every = [e.automorphism for e in entries]
+            assert coupling_holds(ball, generators) == coupling_holds(ball, every), (radius, probe)
+            assert set(census.generators) <= set(entries)
 
 
 ESSENTIAL_IMAGE_CASES = [pytest.param(parse_system(p.read_text()), 6, id=p.stem) for p in DIAGRAMS] + [

@@ -120,6 +120,14 @@ class TestRunChecks:
         assert by_name["census-coupling"].status == "indeterminate"
         assert not report.ok
 
+    def test_boundary_artifact_generator_fails_coupling(self):
+        # the radius-2 ball of this system is a tree, and at probe radius 2 the
+        # census holds maps that swap labels of different orders at a star
+        report = run_system_checks(make_system("a b c", (0, 1, 3)), radius=2, probe_radius=2)
+        coupling = {c.name: c for c in report.checks}["census-coupling"]
+        assert coupling.status == "fail"
+        assert coupling.detail.startswith("generator (0, 3, 1, 2, 8, 9, 4, 5, 6, 7): coupling fails")
+
     def test_ball_guard_short_circuits(self, atilde2):
         report = run_system_checks(atilde2, radius=6, max_vertices=5)
         assert report.verdict == "INDETERMINATE"

@@ -152,6 +152,12 @@ class TestCyclesCommand:
         assert main(["cycles", str(path), "--radius", "1100", "--max-length", "2300"]) == 0
         assert capsys.readouterr().out == "0 embedded cycles of length <= 2300 at radius 1100\n"
 
+    def test_negative_max_length(self, a2_file, capsys):
+        assert main(["cycles", a2_file, "--radius", "3", "--max-length", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-length must be nonnegative\n"
+
 
 class TestExoticCommand:
     def test_rigid_input_is_an_error(self, a2_file, capsys):
@@ -285,6 +291,13 @@ class TestErrorsAndGuards:
     def test_census_guard_exit_code(self, branched_file, capsys):
         assert main(["stabilizer", branched_file, "--radius", "4", "--probe", "3", "--max-nodes", "1"]) == 3
 
+    def test_listing_counts_against_the_census_guard(self, branched_file, capsys):
+        # 95 search nodes and 4 entries: listing them needs 99 nodes
+        argv = ["stabilizer", branched_file, "--radius", "4", "--probe", "2", "--max-nodes"]
+        assert main([*argv, "98"]) == 3
+        assert capsys.readouterr().err == "INDETERMINATE: stabilizer listing exceeded 98 nodes\n"
+        assert main([*argv, "99"]) == 0
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -327,11 +340,12 @@ class TestErrorsAndGuards:
         assert "order-3628800" in checks["diagram-aut-field"]["detail"]
 
     def test_deep_census_is_not_a_violation(self, tmp_path, capsys):
-        # the census on this 1 534-vertex ball once died of a RecursionError;
-        # it now searches without recursion until its node guard trips
+        # the census on the 1 534-vertex ball at r=9 once died of a
+        # RecursionError; on this 3 070-vertex ball it searches without
+        # recursion until its node guard trips
         path = tmp_path / "free3.cox"
         path.write_text("gens a b c\n")
-        assert main(["verify", str(path), "--radius", "9"]) == EXIT_INDETERMINATE
+        assert main(["verify", str(path), "--radius", "10"]) == EXIT_INDETERMINATE
         out = capsys.readouterr().out
         assert "[INDETERMINATE] census-verified: stabilizer search exceeded 1000000 nodes" in out
         assert "verdict: INDETERMINATE" in out
