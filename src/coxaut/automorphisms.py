@@ -254,18 +254,14 @@ class PermutationField:
         return self.is_constant and self.constant == tuple(range(len(self.constant or ())))
 
 
-def local_permutation_field(
-    ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
-) -> PermutationField:
+def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> PermutationField:
     """Total local permutations at every star-interior vertex.
 
     A left multiplication produces the identity at every vertex; a diagram
     automorphism produces its own permutation at every vertex; a non-constant
     field is the signature of an exotic map.
     """
-    if interior_radius is None:
-        interior_radius = aut.interior_radius
-    vertices = ball.star_interior(interior_radius)
+    vertices = ball.star_interior(aut.interior_radius)
     vmap, adj, labels = aut.vmap, ball.adj, ball.labels
     generators = ball.system.generators()
     perms: list[tuple[int, ...]] = []
@@ -394,17 +390,25 @@ class StabilizerCensus:
         return self._entries(sorted(elements))
 
     def _entries(self, restrictions) -> tuple[StabilizerEntry, ...]:
-        """A diagram entry restricts diagram_aut(d), d its label permutation at e (or id when e is alone)."""
+        """A diagram entry restricts diagram_aut(d), d its label permutation at e
+        (or id when e is alone).  diagram_aut(d) is walked down the BFS tree, so
+        it agrees with images on the probe ids exactly when each probe vertex
+        v = p s, p its parent, has images[v] the d(s)-neighbour of images[p]."""
         ball, n = self.ball, self.probe_count
-        star = [ball.adj[0][s] for s in ball.system.generators()] if n > 1 else []
-        restriction_of = {}  # diagram_aut(d) on the probe ids, built once per label-preserving d
+        system, adj, words = ball.system, ball.adj, ball.words
+        star = [adj[0][s] for s in system.generators()] if n > 1 else []
+        tree = [(v, adj[v][words[v][-1]], words[v][-1]) for v in range(1, n)]
+        diagram_of = {}  # d, or None when d breaks a pair order
+        padding = (None,) * (ball.size - n)
         entries = []
         for images in restrictions:
-            perm = tuple(ball.labels[0][images[u]] for u in star) or tuple(ball.system.generators())
-            if perm not in restriction_of and is_label_preserving(ball.system, perm):
-                restriction_of[perm] = diagram_aut(ball, DiagramAutomorphism(perm)).vmap[:n]
-            d = DiagramAutomorphism(perm) if restriction_of.get(perm) == images else None
-            aut = BallAutomorphism(images + (None,) * (ball.size - n), self.probe_radius)
+            perm = tuple(ball.labels[0][images[u]] for u in star) or tuple(system.generators())
+            if perm not in diagram_of:
+                diagram_of[perm] = DiagramAutomorphism(perm) if is_label_preserving(system, perm) else None
+            d = diagram_of[perm]
+            if d is not None and any(images[v] != adj[images[p]].get(perm[s]) for v, p, s in tree):
+                d = None
+            aut = BallAutomorphism(images + padding, self.probe_radius)
             entries.append(StabilizerEntry(images, aut, "exotic" if d is None else "diagram", d))
         return tuple(entries)
 

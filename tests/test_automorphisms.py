@@ -32,12 +32,21 @@ from coxaut.system import (
 from coxaut.words import LimitExceeded, parse_word, reduce_by_rewriting, reduce_word
 
 import map_checks
-from conftest import DIAGRAMS, make_system
+from conftest import DIAGRAMS, RANK3, make_system
 from psi_words import psi_n_word, psi_phi_word
 
 
 def vid(ball, text):
     return ball.vertex_of(parse_word(ball.system, text))
+
+
+FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
+FLEXIBLE = [
+    (name, system)
+    for name, system in [(p.stem, parse_system(p.read_text())) for p in DIAGRAMS + FRONTIER]
+    + [(f"rank3-{i}", system) for i, system in enumerate(RANK3)]
+    if is_flexible(system) is not None
+]
 
 
 @pytest.fixture(scope="module")
@@ -453,12 +462,33 @@ class TestLocalPermutations:
         assert field.constant == (0, 2, 1)
         assert not field.is_identity_field
 
-    def test_exotic_field_is_not_constant(self, branched, branched_witness):
-        ball = build_ball(branched, 5)
-        field = local_permutation_field(ball, psi_phi(ball, branched_witness))
+    @pytest.mark.parametrize(
+        "system, radius",
+        [
+            pytest.param(system, radius, id=f"{name}-r{radius}")
+            for name, system in FLEXIBLE
+            # free10's sphere of radius r has 10 * 9^(r-1) vertices
+            for radius in range(2, 3 if name == "free10" else 7)
+        ],
+    )
+    def test_exotic_field_is_not_constant(self, system, radius):
+        # what verify no longer tests, since psi-m-class-well-defined and
+        # psi-verified decide it: the field, the factoring, the word lengths
+        witness = is_flexible(system)
+        ball = build_ball(system, radius)
+        psi = psi_phi(ball, witness)
+        field = local_permutation_field(ball, psi)
         assert not field.is_constant
-        assert field.perm_at(vid(ball, "e")) == (0, 2, 1)  # phi visible at the identity
-        assert field.perm_at(vid(ball, "s")) == (0, 1, 2)  # past the pivot nothing moves
+        assert field.perm_at(0) == witness.phi.images  # phi visible at the identity
+        assert field.perm_at(ball.adj[0][witness.pivot]) == tuple(system.generators())  # past the pivot nothing moves
+        assert decompose(ball, psi) is None
+        maps = [psi]
+        try:
+            maps += [psi_n(ball, witness, n) for n in range(1, min(radius, 5) + 1)]
+        except ValueError:  # an odd-order neighbour of the pivot
+            pass
+        for aut in maps:
+            assert [ball.word_length(x) for x in aut.vmap] == [ball.word_length(v) for v in range(ball.size)]
 
     def test_star_interior_boundary_rule(self, branched):
         ball = build_ball(branched, 3)
@@ -501,7 +531,7 @@ class TestCoupling:
         vmap[ab], vmap[ac] = ac, ab
         aut = BallAutomorphism(tuple(vmap), 2)
         assert verify_ball_automorphism(ball, aut).ok
-        violations = coupling_violations(ball, local_permutation_field(ball, aut, 2))
+        violations = coupling_violations(ball, local_permutation_field(ball, aut))
         assert violations
         assert violations == map_checks.coupling_violations(ball, aut, 2)
         assert any(s == 0 and x == 1 for _, _, s, x in violations)

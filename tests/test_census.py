@@ -183,6 +183,46 @@ def test_coupling_on_generators_equals_coupling_on_every_entry(system):
             assert set(census.generators) <= set(entries)
 
 
+def diagram_restriction_rule(ball, census):
+    """census-diagram-consistency's rule before it read exotic_count: every
+    strong generator restricts one of the listed diagram automorphisms and
+    has a constant field."""
+    n = census.probe_count
+    restrictions = {diagram_aut(ball, d).vmap[:n] for d in enumerate_diagram_automorphisms(ball.system)}
+    for g in census.generators:
+        field = local_permutation_field(ball, g.automorphism)
+        if g.images not in restrictions or (field.perms and not field.is_constant):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("system", DIFFERENTIAL_CASES)
+def test_generator_rule_holds_exactly_without_exotic_entries(system):
+    # verify's census-diagram-consistency reads exotic_count only.  Boundary
+    # artifacts at probe radius = radius give exotic entries on rigid diagrams
+    # too, so both outcomes are compared
+    for probe_of in (default_probe_radius, lambda _, radius: radius):
+        for radius in range(7):
+            ball = build_ball(system, radius)
+            try:
+                # every census with an exotic entry here decides within 200 000
+                # nodes but one, tested below
+                census = identity_stabilizer_census(ball, probe_of(system, radius), max_nodes=200_000)
+            except LimitExceeded:
+                break  # a larger ball takes more nodes still
+            assert diagram_restriction_rule(ball, census) == (census.exotic_count == 0), (radius, census.probe_radius)
+
+
+def test_generator_rule_on_the_largest_census_with_exotic_entries():
+    # the (4, 4, 5) triangle group at r=5, probe 5: 950 754 nodes, inside verify's default guard
+    system = RANK3[37]
+    assert [m for _, _, m in system.finite_pairs()] == [4, 4, 5]
+    ball = build_ball(system, 5)
+    census = identity_stabilizer_census(ball, 5)
+    assert census.exotic_count
+    assert not diagram_restriction_rule(ball, census)
+
+
 ESSENTIAL_IMAGE_CASES = [pytest.param(parse_system(p.read_text()), 6, id=p.stem) for p in DIAGRAMS] + [
     pytest.param(system, 5, id=f"rank3-{i}") for i, system in enumerate(RANK3)
 ]

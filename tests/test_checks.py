@@ -85,7 +85,6 @@ class TestRunChecks:
         by_name = {c.name: c for c in report.checks}
         assert by_name["census-diagram-consistency"].status == "vacuous"
         assert by_name["psi-verified"].status == "pass"
-        assert by_name["psi-field-witness"].status == "pass"
 
     def test_radius_zero_is_all_vacuous_or_pass(self, a2):
         report = run_system_checks(a2, radius=0)
@@ -98,7 +97,6 @@ class TestRunChecks:
         report = run_system_checks(a2, radius=3)
         assert [c.name for c in report.checks] == [
             "bipartite-edges",
-            "distance-equals-length",
             "essential-census",
             "left-mult-identity-field",
             "diagram-aut-field",
@@ -107,7 +105,6 @@ class TestRunChecks:
             "census-diagram-consistency",
             "psi-verified",
             "psi-m-class-well-defined",
-            "psi-field-witness",
             "psi-n-verified",
             "psi-family-distinct",
         ]
