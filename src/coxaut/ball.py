@@ -154,14 +154,20 @@ class CayleyBall:
         }
 
     def to_dot(self) -> str:
-        """Graphviz rendering convenience; labels are generator names."""
+        """Graphviz rendering convenience; labels are words and generator names,
+        quoted with \\ and " escaped."""
         lines = ["graph cayley_ball {"]
         for i, text in enumerate(self.texts):
-            lines.append(f'  v{i} [label="{text}"];')
+            lines.append(f"  v{i} [label={_dot_quoted(text)}];")
+        names = [_dot_quoted(name) for name in self.system.names]
         for u, v, s in self.edges:
-            lines.append(f'  v{u} -- v{v} [label="{self.system.name_of(s)}"];')
+            lines.append(f"  v{u} -- v{v} [label={names[s]}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> CayleyBall:

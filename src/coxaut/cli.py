@@ -15,6 +15,7 @@ import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .automorphisms import (
     identity_stabilizer_census,
@@ -41,8 +42,9 @@ def _json_text(obj, newline: str = "\n") -> str:
 
     The stdlib takes its pure-Python encoder whenever indent is set.  Here str
     and int are spelled as the stdlib spells them, and every other scalar (and
-    str or int subclass) by its C encoder.  A key that is not a str raises
-    TypeError.
+    str or int subclass) by its C encoder.  A flat list or a flat-row table
+    (see _flat_texts) is spelled without a call per item.  A key that is not a
+    str raises TypeError.
     """
     if type(obj) is str:
         return encode_basestring_ascii(obj)
@@ -57,8 +59,61 @@ def _json_text(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + newline + "]"
+        texts = _flat_texts(obj, inner)
+        if texts is None:
+            texts = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
     return json.dumps(obj)
+
+
+def _flat_texts(items, newline: str):
+    """The texts of a non-empty list's items at indent newline, or None.
+
+    Two shapes are spelled at C speed:
+    - a flat list: every item an exact int, or every item an exact str;
+    - a flat-row table: every item a dict with the same str keys, or every
+      item a list or tuple of one length, and each column all exact int or
+      all exact str.  One % template, built once per table, spells a row; the
+      keys are encoded into it with % doubled, and str columns are encoded
+      before they are filled in.
+    Anything else (bool, None, float, a str or int subclass, a mixed column,
+    an odd row, a nested value) gives None, and the caller recurses.
+    """
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return map(int.__repr__, items)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, items)
+    first = items[0]
+    if kinds == {dict} and all(type(key) is str for key in first):
+        keys = sorted(first)
+        try:
+            columns = [list(map(itemgetter(key), items)) for key in keys]
+        except KeyError:
+            return None
+        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+        opening, closing = "{", "}"
+    elif kinds <= {list, tuple}:
+        columns = list(zip(*items))
+        fields = [""] * len(columns)
+        opening, closing = "[", "]"
+    else:
+        return None
+    if not columns or len(set(map(len, items))) != 1:
+        return None
+    specs = []
+    for i, column in enumerate(columns):
+        column_kinds = set(map(type, column))
+        if column_kinds == {int}:
+            specs.append("%d")
+        elif column_kinds == {str}:
+            columns[i] = map(encode_basestring_ascii, column)
+            specs.append("%s")
+        else:
+            return None
+    inner = newline + "  "
+    template = opening + inner + ("," + inner).join(map(str.__add__, fields, specs)) + newline + closing
+    return map(template.__mod__, zip(*columns))
 
 
 def _emit_json(obj: dict) -> None:

@@ -42,6 +42,8 @@ class CoxeterSystem:
             raise ParseError("at least one generator is required")
         if len(set(names)) != len(names):
             raise ParseError("duplicate generator names")
+        if "e" in names:
+            raise ParseError("a generator may not be named 'e': every printed word spells the identity as 'e'")
         orders: dict[tuple[int, int], int] = {}
         for (s, t), m in dict(finite_orders).items():
             if s == t:
@@ -231,12 +233,21 @@ def identity_automorphism(system: CoxeterSystem) -> DiagramAutomorphism:
 
 
 def is_label_preserving(system: CoxeterSystem, images: tuple[int, ...]) -> bool:
-    n = system.rank
-    return all(
-        system.order(images[s], images[t]) == system.order(s, t)
-        for s in range(n)
-        for t in range(s + 1, n)
-    )
+    """Whether images, one generator id per generator, keeps every pair order.
+
+    An injective map sends pairs to pairs injectively, so once each stored
+    finite pair goes to a stored pair of the same order, the finite pairs map
+    onto the finite pairs and the infinite ones onto the infinite ones.  A map
+    that is not injective sends some pair to m = 1 and keeps no order.
+    """
+    if len(set(images)) != len(images):
+        return False
+    orders = system._orders
+    for (s, t), m in orders.items():
+        a, b = images[s], images[t]
+        if orders.get((a, b) if a < b else (b, a)) != m:
+            return False
+    return True
 
 
 def _label_preserving_images(system: CoxeterSystem, prescribed: dict[int, int]):

@@ -221,15 +221,9 @@ def inverse_word(word: Word) -> Word:
 
 
 def parse_word(system: CoxeterSystem, text: str) -> Word:
-    """Whitespace-separated generator names; the single token 'e' is the empty word.
-
-    If a generator is literally named 'e' the generator wins and there is no
-    spelling for the empty word; pass an empty string instead.
-    """
+    """Whitespace-separated generator names; the single token 'e' is the empty word."""
     tokens = text.split()
-    if not tokens:
-        return ()
-    if tokens == ["e"] and "e" not in system.names:
+    if not tokens or tokens == ["e"]:
         return ()
     return tuple(system.index_of(tok) for tok in tokens)
 

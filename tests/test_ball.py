@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from pathlib import Path
 
@@ -157,6 +158,24 @@ class TestExports:
         assert dot.startswith("graph")
         assert 'label="a"' in dot
         assert "v0 -- v1" in dot
+
+    def test_dot_labels_round_trip(self):
+        # a name is any non-blank token, so a label may hold a quote or a backslash
+        system = make_system('a"b c\\ \\"d', (0, 1, 3))
+        ball = build_ball(system, 2)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        dot = ball.to_dot()
+        vertices = re.findall(rf"^  v(\d+) \[label={quoted}\];$", dot, re.M)
+        edges = re.findall(rf"^  v(\d+) -- v(\d+) \[label={quoted}\];$", dot, re.M)
+        assert len(dot.splitlines()) == 2 + len(vertices) + len(edges)
+
+        def unquote(text):
+            return re.sub(r"\\(.)", r"\1", text)
+
+        assert [unquote(text) for _, text in vertices] == ball.texts
+        assert [(int(u), int(v), unquote(name)) for u, v, name in edges] == [
+            (u, v, system.name_of(s)) for u, v, s in ball.edges
+        ]
 
     @pytest.mark.parametrize("path", DIAGRAMS + FRONTIER, ids=lambda p: p.stem)
     def test_texts_are_formatted_words(self, path):

@@ -276,6 +276,13 @@ class TestErrorsAndGuards:
         path.write_text("gens a b\npair a a 3\n")
         assert main(["ball", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [["ball", "--format", "json"], ["reduce", "e"]])
+    def test_generator_named_e_is_an_input_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "e.cox"
+        path.write_text("gens e f\npair e f 3\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: a generator may not be named 'e'")
+
     def test_env_guard_trips(self, branched_file, capsys, monkeypatch):
         monkeypatch.setenv("COXAUT_MAX_VERTICES", "3")
         assert main(["ball", branched_file, "--radius", "4"]) == 3

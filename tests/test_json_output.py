@@ -80,3 +80,88 @@ def test_every_golden_payload_matches_stdlib(monkeypatch, tmp_path):
     assert len(payloads) == len(COMMANDS)
     for payload in payloads:
         assert cli._json_text(payload) == stdlib(payload)
+
+
+# -- flat lists and flat-row tables --------------------------------------------
+# Random trees almost never hold a list whose items share one flat shape, so
+# these strategies build such lists on purpose, clean or with one flaw that
+# must send the writer back to its recursion.
+
+PERCENT_KEYS = st.sampled_from(["%", "%d", "%s", "%%", "%(id)s", "a%", "100%"])
+table_keys = keys | PERCENT_KEYS
+column_values = {
+    int: st.integers() | st.sampled_from([2**63, -(10**100)]),
+    str: st.text() | st.sampled_from(TRICKY_TEXT) | PERCENT_KEYS,
+}
+# each one, in a column or a flat list of exact ints or strs, is a flaw
+odd_values = st.sampled_from([True, False, None, 1.5, float("nan"), Order.TWO, Label("x"), 0, "0", [1], {"a": 1}])
+
+
+@st.composite
+def flat_lists(draw):
+    """(a non-empty flat list of exact ints or exact strs, whether it is still
+    flat after an optional odd item)."""
+    kind = draw(st.sampled_from([int, str]))
+    items = draw(st.lists(column_values[kind], min_size=1, max_size=6))
+    value = draw(st.none() | odd_values)
+    if value is None or type(value) is kind:
+        return items, True
+    items.insert(draw(st.integers(0, len(items))), value)
+    return items, False
+
+
+@st.composite
+def tables(draw):
+    """(a list of flat rows of one shape, each column of one exact type,
+    whether it is still a flat-row table after an optional flaw).
+
+    The rows are dicts with the same keys, lists, tuples, or a mix of lists
+    and tuples.  A flaw is a cell of another type, or one odd row: longer,
+    shorter, or with one key replaced by another."""
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([int, str]), min_size=width, max_size=width))
+    names = draw(st.lists(table_keys, min_size=width, max_size=width, unique=True))
+    cells = [[draw(column_values[kind]) for kind in kinds] for _ in range(draw(st.integers(1, 5)))]
+    shape = draw(st.sampled_from(["dict", "list", "tuple", "mixed"]))
+    clean = True
+    flaw = draw(st.sampled_from(["none", "cell", "longer", "shorter"] + ["rekeyed"] * (shape == "dict")))
+    row = draw(st.integers(0, len(cells) - 1))
+    if flaw == "cell":
+        value = draw(odd_values)
+        column = draw(st.integers(0, width - 1))
+        clean = type(value) is kinds[column]
+        cells[row][column] = value
+    elif flaw != "none" and len(cells) > 1:
+        clean = False
+    if shape == "dict":
+        rows = [dict(zip(names, values)) for values in cells]
+        if not clean and flaw == "longer":
+            rows[row][draw(table_keys.filter(lambda k: k not in names))] = 0
+        elif not clean and flaw == "shorter":
+            del rows[row][names[-1]]
+        elif not clean and flaw == "rekeyed":
+            rows[row][draw(table_keys.filter(lambda k: k not in names))] = rows[row].pop(names[0])
+    else:
+        if not clean and flaw == "longer":
+            cells[row].append(0)
+        elif not clean and flaw == "shorter":
+            cells[row].pop()
+        row_types = {"list": [list], "tuple": [tuple], "mixed": [list, tuple]}[shape]
+        rows = [draw(st.sampled_from(row_types))(values) for values in cells]
+    return rows, clean
+
+
+@given(flat_lists() | tables(), st.sampled_from(["bare", "in a dict", "in a list", "deep"]))
+@settings(max_examples=600, deadline=None, derandomize=True)
+@example(([[], []], False), "bare")
+@example(([{}, {}], False), "bare")
+@example(([{"%": 1, "%d": "%s"}, {"%": 2, "%d": "%%"}], True), "bare")
+@example(([[1, "a"], (2, "b"), [3, "c"]], True), "in a dict")
+@example(([{"a": 1}, [1]], False), "bare")
+@example(([Order.TWO, 2], False), "bare")
+@example(([Label("x"), "y"], False), "bare")
+def test_tables_match_stdlib(case, context):
+    items, clean = case
+    obj = {"bare": items, "in a dict": {"t": items, "u": 1}, "in a list": [items, items], "deep": [{"a": [items]}]}[context]
+    assert cli._json_text(obj) == stdlib(obj)
+    assert (cli._flat_texts(items, "\n  ") is not None) == clean

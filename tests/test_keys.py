@@ -102,7 +102,7 @@ class TestMClassSize:
         # blocks: (4!)^4 reduced words, counted over 1 + 4 * 15 elements
         # (peel a nonempty subset of the leading block, four times)
         system = make_system(
-            "a b c d e f g h",
+            "a b c d f g h i",
             *[(s, t, 2) for block in ((0, 1, 2, 3), (4, 5, 6, 7)) for s in block for t in block if s < t],
         )
         word = tuple(range(8)) * 2

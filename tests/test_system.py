@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +50,7 @@ class TestParsing:
         [
             "pair a b 3\n",  # no gens line
             "gens a a\n",  # duplicate names
+            "gens e f\npair e f 3\n",  # a generator named e, which spells the identity
             "gens a b\ngens c d\n",  # two gens lines
             "gens a b\npair a a 2\n",  # self pair
             "gens a b\npair a b 1\n",  # order < 2
@@ -158,6 +159,27 @@ class TestFlexibility:
     def test_label_preservation_predicate(self, a3):
         assert is_label_preserving(a3, (2, 1, 0))
         assert not is_label_preserving(a3, (1, 0, 2))
+
+    def test_label_preservation_matches_all_pairs_on_rank3(self):
+        # every map of three generators to three: the 6 permutations and the
+        # 21 maps that are not injective
+        for system in RANK3:
+            for images in product(range(3), repeat=3):
+                assert is_label_preserving(system, images) == all_pairs_label_preserving(system, images), (system, images)
+
+    @given(random_systems(max_rank=5, finite_orders=(2, 3, 4, 5, 6)), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_label_preservation_matches_all_pairs(self, system, data):
+        n = system.rank
+        maps = [*permutations(range(n)), *data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=20))]
+        for images in maps:
+            assert is_label_preserving(system, images) == all_pairs_label_preserving(system, images), images
+
+
+def all_pairs_label_preserving(system, images):
+    """The definition: m(images[s], images[t]) == m(s, t) for every pair s < t."""
+    n = system.rank
+    return all(system.order(images[s], images[t]) == system.order(s, t) for s in range(n) for t in range(s + 1, n))
 
 
 def brute_force_automorphisms(system):

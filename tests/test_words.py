@@ -130,11 +130,6 @@ class TestWordText:
         assert parse_word(branched, "  ") == ()
         assert format_word(branched, ()) == "e"
 
-    def test_generator_named_e_wins(self):
-        system = make_system("e f", (0, 1, 2))
-        assert parse_word(system, "e") == (0,)
-        assert parse_word(system, "") == ()
-
     def test_unknown_name(self, a2):
         with pytest.raises(Exception):
             parse_word(a2, "a q")
