@@ -60,7 +60,7 @@ def factored_ball_map(ball: CayleyBall, start: int, d: DiagramAutomorphism) -> B
     """x -> w d(x) for w the element at vertex start, walked along ball edges
     with no word arithmetic.  Interior shrinks by the length of w unless the
     ball is complete."""
-    interior = ball.radius if ball.complete else ball.radius - ball.word_length(start)
+    interior = ball.radius if ball.complete else ball.radius - ball.length[start]
     return BallAutomorphism(field_map(ball, start, lambda x: d.images), interior)
 
 
@@ -130,15 +130,21 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
     phi = witness.phi.images
     identity = tuple(system.generators())
     pivot = witness.pivot
+    if n is not None:
+        for t in system.neighbors(pivot):
+            if system.order(pivot, t) % 2:
+                raise ValueError(
+                    f"psi_n is undefined: the pivot {system.name_of(pivot)} has odd order "
+                    f"{system.order(pivot, t)} with {system.name_of(t)}, so words of one element differ in pivot count"
+                )
+    # pivots[v] = the pivots in v's canonical word, counted down the BFS tree
+    adj, last, rank = ball.adj, ball.last, ball.rank
+    pivots = [0] * ball.size
+    for v in range(1, ball.size):
+        pivots[v] = pivots[adj[v * rank + last[v]]] + (last[v] == pivot)
     if n is None:
-        return lambda x: identity if pivot in ball.words[x] else phi
-    for t in system.neighbors(pivot):
-        if system.order(pivot, t) % 2:
-            raise ValueError(
-                f"psi_n is undefined: the pivot {system.name_of(pivot)} has odd order "
-                f"{system.order(pivot, t)} with {system.name_of(t)}, so words of one element differ in pivot count"
-            )
-    return lambda x: phi if ball.words[x].count(pivot) >= n else identity
+        return lambda x: identity if pivots[x] else phi
+    return lambda x: phi if pivots[x] >= n else identity
 
 
 def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
@@ -161,9 +167,10 @@ def field_violations(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tup
     which letters a word has, and m-operations keep them).
     """
     bad = []
+    adj, rank = ball.adj, ball.rank
     for u, v, s in ball.edges:
         fu, fv = aut.vmap[u], aut.vmap[v]
-        if fu is not None and fv is not None and ball.adj[fu].get(field(u)[s]) != fv:
+        if fu is not None and fv is not None and adj[fu * rank + field(u)[s]] != fv:
             bad.append((u, v, s))
     return bad
 
@@ -190,7 +197,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
     """
     vmap = aut.vmap
     violations: list[str] = [
-        f"undefined at interior vertex {v} (length {ball.word_length(v)})"
+        f"undefined at interior vertex {v} (length {ball.length[v]})"
         for v in ball.interior(aut.interior_radius)
         if vmap[v] is None
     ]
@@ -202,10 +209,10 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
             violations.append(f"not injective: vertices {images[x]} and {v} both map to {x}")
         else:
             images[x] = v
-    labels = ball.labels
+    rows = ball.rows
     for u, v, s in ball.edges:
         fu, fv = vmap[u], vmap[v]
-        if fu is not None and fv is not None and fv not in labels[fu]:
+        if fu is not None and fv is not None and fv not in rows[fu]:
             violations.append(
                 f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})"
             )
@@ -224,16 +231,15 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
     fv = aut.vmap[v]
     if fv is None:
         raise ValueError(f"vertex {v} has no image")
-    image_labels = ball.labels[fv]
+    image_star = ball.rows[fv]
     result: dict[int, int] = {}
-    for s, u in ball.adj[v].items():
-        fu = aut.vmap[u]
+    for s, u in enumerate(ball.rows[v]):
+        fu = aut.vmap[u] if u >= 0 else None
         if fu is None:
             continue
-        label = image_labels.get(fu)
-        if label is None:
+        if fu not in image_star:
             raise ValueError(f"edge ({v}, {u}) maps to non-adjacent pair ({fv}, {fu})")
-        result[s] = label
+        result[s] = image_star.index(fu)
     return result
 
 
@@ -262,17 +268,17 @@ def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> Permutat
     field is the signature of an exotic map.
     """
     vertices = ball.star_interior(aut.interior_radius)
-    vmap, adj, labels = aut.vmap, ball.adj, ball.labels
-    generators = ball.system.generators()
+    vmap, rows = aut.vmap, ball.rows
     perms: list[tuple[int, ...]] = []
     for v in vertices:
         fv = vmap[v]
         if fv is not None:
-            image_labels, star = labels[fv], adj[v]  # a full star: every label is present
-            perm = tuple([image_labels.get(vmap[star[s]]) for s in generators])
-            if None not in perm:
-                perms.append(perm)
+            image = rows[fv]  # v's star is full; a neighbour's image has its label in fv's row
+            try:
+                perms.append(tuple([image.index(vmap[u]) for u in rows[v]]))
                 continue
+            except ValueError:
+                pass
         # an image is missing or leaves the graph; local_permutation names it
         local_permutation(ball, aut, v)
         raise ValueError(f"local permutation at star-interior vertex {v} is not total")
@@ -291,8 +297,9 @@ def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple
     perm_of = dict(zip(field.vertices, field.perms))
     fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
     violations: list[tuple[int, int, int, int]] = []
+    rows = ball.rows
     for v, pv in perm_of.items():
-        for s, u in ball.adj[v].items():
+        for s, u in enumerate(rows[v]):
             pu = perm_of.get(u)
             if pu is None or pu == pv:
                 continue
@@ -308,7 +315,7 @@ def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple
 def compose_ball(ball: CayleyBall, outer: BallAutomorphism, inner: BallAutomorphism) -> BallAutomorphism:
     """outer after inner; the interior radius is recomputed from actual definedness."""
     vmap = tuple(None if mid is None else outer.vmap[mid] for mid in inner.vmap)
-    undefined = [ball.word_length(v) - 1 for v, x in enumerate(vmap) if x is None]
+    undefined = [ball.length[v] - 1 for v, x in enumerate(vmap) if x is None]
     return BallAutomorphism(vmap, min([ball.radius, *undefined]))
 
 
@@ -335,7 +342,7 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
     for v in ball.interior(aut.interior_radius):
         if expected[v] is None or expected[v] != aut.vmap[v]:
             return None
-    return FactoredAutomorphism(ball.words[fe], d)
+    return FactoredAutomorphism(ball.word(fe), d)
 
 
 # -- identity-stabilizer census ----------------------------------------------
@@ -395,18 +402,18 @@ class StabilizerCensus:
         it agrees with images on the probe ids exactly when each probe vertex
         v = p s, p its parent, has images[v] the d(s)-neighbour of images[p]."""
         ball, n = self.ball, self.probe_count
-        system, adj, words = ball.system, ball.adj, ball.words
-        star = [adj[0][s] for s in system.generators()] if n > 1 else []
-        tree = [(v, adj[v][words[v][-1]], words[v][-1]) for v in range(1, n)]
+        system, adj, last, rank = ball.system, ball.adj, ball.last, ball.rank
+        star = adj[:rank]
+        tree = [(v, adj[v * rank + last[v]], last[v]) for v in range(1, n)]
         diagram_of = {}  # d, or None when d breaks a pair order
         padding = (None,) * (ball.size - n)
         entries = []
         for images in restrictions:
-            perm = tuple(ball.labels[0][images[u]] for u in star) or tuple(system.generators())
+            perm = tuple([star.index(images[u]) for u in star]) if n > 1 else tuple(system.generators())
             if perm not in diagram_of:
                 diagram_of[perm] = DiagramAutomorphism(perm) if is_label_preserving(system, perm) else None
             d = diagram_of[perm]
-            if d is not None and any(images[v] != adj[images[p]].get(perm[s]) for v, p, s in tree):
+            if d is not None and any(images[v] != adj[images[p] * rank + perm[s]] for v, p, s in tree):
                 d = None
             aut = BallAutomorphism(images + padding, self.probe_radius)
             entries.append(StabilizerEntry(images, aut, "exotic" if d is None else "diagram", d))
@@ -441,13 +448,12 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
         raise ValueError("probe radius must lie between 0 and the ball radius")
     size = ball.size
     probe_count = len(ball.interior(probe_radius))
+    neighbors = ball.neighbors
     # word length and degree as one number: images must match both
-    shape = [ball.word_length(v) * (ball.system.rank + 1) + ball.degree(v) for v in range(size)]
-    labels = ball.labels
-    sorted_neighbors = list(map(ball.neighbors, range(size)))
+    shape = [length * (ball.rank + 1) + len(ids) for length, ids in zip(ball.length, neighbors)]
     # a vertex's smallest neighbour (at most its BFS parent) is assigned before it
-    first_anchor = [0] + [ids[0] for ids in sorted_neighbors[1:]]
-    other_anchors = [[u for u in sorted_neighbors[v][1:] if u < v] for v in range(size)]
+    first_anchor = [0] + [ids[0] for ids in neighbors[1:]]
+    other_anchors = [[u for u in neighbors[v][1:] if u < v] for v in range(size)]
 
     assignment, used = [-1] * size, [False] * size
     transversals, nodes = [], 0
@@ -458,7 +464,7 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
         assignment[i - 1] = i - 1
         used[i - 1] = True
         found = []
-        pending[i] = (c for c in sorted_neighbors[first_anchor[i]] if c > i)
+        pending[i] = (c for c in neighbors[first_anchor[i]] if c > i)
         v = i
         while v >= i:
             if assignment[v] >= 0:
@@ -469,7 +475,7 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
                 if used[c] or shape[c] != shape_v:
                     continue
                 if anchors:
-                    ids = labels[c]
+                    ids = neighbors[c]
                     if any(assignment[u] not in ids for u in anchors):
                         continue
                 nodes += 1
@@ -484,7 +490,7 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
                 continue
             v += 1
             if v < size:
-                pending[v] = iter(sorted_neighbors[assignment[first_anchor[v]]])
+                pending[v] = iter(neighbors[assignment[first_anchor[v]]])
                 continue
             found.append(tuple(assignment[:probe_count]))
             # one extension per image of i: undo it and try i's next candidate
@@ -530,7 +536,7 @@ def psi_family_distinctness(
     # phi fixes the pivot's neighbours, so m(pivot, t) is infinite and (pivot t)^k reduced
     tests, v = [], 0
     for _ in range(n_max):
-        v = ball.adj[ball.adj[v][witness.pivot]][t]
+        v = ball.adj[ball.adj[v * ball.rank + witness.pivot] * ball.rank + t]
         tests.append(v)
     rows: list[tuple[bool, ...]] = []
     for n in range(1, n_max + 1):

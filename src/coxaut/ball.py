@@ -1,7 +1,7 @@
 """Balls in the Cayley graph with respect to right multiplication.
 
-An element of the ball is its vertex id; its canonical word is kept beside
-it, and vertex_of takes any spelling.  x and y are joined by an edge
+An element of the ball is its vertex id; its canonical word is spelled down
+the BFS tree, and vertex_of takes any spelling.  x and y are joined by an edge
 labeled s exactly when y = x s (equivalently x = y s).  The ball of radius
 r contains every element of word length at most r.  Vertex ids are assigned
 by breadth-first search from the identity, expanding the frontier in id
@@ -13,9 +13,10 @@ the word engine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import accumulate
+from itertools import repeat
 
 from .system import CoxeterSystem
 from .words import LimitExceeded, Word, reduce_word
@@ -24,22 +25,29 @@ DEFAULT_MAX_VERTICES = 10**6
 
 
 class CayleyBall:
-    """A radius-r ball; vertex 0 is the identity."""
+    """A radius-r ball; vertex 0 is the identity.  Flat int arrays, rank the
+    number of generators: adj[v*rank + s] is the vertex v·s, or -1 when v·s
+    lies outside the ball; last[v] is the last letter of v's canonical word
+    (-1 at the identity) and length[v] its word length.  v's BFS parent is
+    adj[v*rank + last[v]], so word(v) is spelled by walking parents."""
 
-    def __init__(self, system: CoxeterSystem, radius: int):
-        self.system = system
-        self.radius = radius
-        self.words: list[Word] = []
-        # adj[v][s] = the vertex v·s when it lies in the ball
-        self.adj: list[dict[int, int]] = []
+    def __init__(self, system: CoxeterSystem, radius: int, adj: list[int], last: list[int], length: list[int]):
+        self.system, self.rank, self.radius = system, system.rank, radius
+        self.adj, self.last, self.length = adj, last, length
         # star_interior results by radius
         self._stars: dict[int, tuple[int, ...]] = {}
 
-    def _add_vertex(self, word: Word) -> int:
-        v = len(self.words)
-        self.words.append(word)
-        self.adj.append({})
-        return v
+    @property
+    def size(self) -> int:
+        return len(self.length)
+
+    def word(self, v: int) -> Word:
+        """v's canonical word, spelled by walking BFS parents."""
+        letters = []
+        while v:
+            letters.append(self.last[v])
+            v = self.adj[v * self.rank + letters[-1]]
+        return tuple(reversed(letters))
 
     def vertex_of(self, word: Word) -> int | None:
         """The vertex of the element that word spells, in any spelling (its canonical
@@ -49,108 +57,80 @@ class CayleyBall:
             return None
         v = 0
         for s in canonical:
-            v = self.adj[v][s]
+            v = self.adj[v * self.rank + s]
         return v
-
-    def _add_edge(self, u: int, v: int, label: int) -> None:
-        self.adj[u][label] = v
-        self.adj[v][label] = u
 
     @cached_property
     def edges(self) -> list[tuple[int, int, int]]:
-        """Every edge once, as sorted (u, v, label) triples with u < v."""
-        return sorted((u, v, s) for u, nbrs in enumerate(self.adj) for s, v in nbrs.items() if u < v)
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def word_length(self, v: int) -> int:
-        return len(self.words[v])
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        """Every edge once, as sorted (u, v, label) triples with u < v: one
+        strided slice of adj per label, then one sort."""
+        rank, ids = self.rank, range(self.size)
+        return sorted([e for s in range(rank) for e in zip(ids, self.adj[s::rank], repeat(s)) if e[0] < e[1]])
 
     @cached_property
     def complete(self) -> bool:
-        """True when the ball is the whole Cayley graph (the group is finite).
-
-        Every vertex of the full Cayley graph has degree |S|; a boundary
-        vertex of a proper ball is missing at least the edge toward the
-        sphere of the next radius, so full degree everywhere means no
-        boundary exists.
-        """
-        return all(len(nbrs) == self.system.rank for nbrs in self.adj)
-
-    @cached_property
-    def _layer_ends(self) -> list[int]:
-        """_layer_ends[k] = the number of vertices at word length <= k, k <= radius."""
-        counts = [0] * (self.radius + 1)
-        for w in self.words:
-            counts[len(w)] += 1
-        return list(accumulate(counts))
+        """True when the ball is the whole Cayley graph (the group is finite): a
+        boundary vertex of a proper ball misses at least its edge toward the
+        next sphere, so no missing adj entry means no boundary."""
+        return -1 not in self.adj
 
     def interior(self, interior_radius: int) -> range:
         """Vertex ids at word length <= interior_radius: an id prefix, since
         breadth-first ids are sorted by word length."""
-        if interior_radius < 0:
-            return range(0)
-        return range(self._layer_ends[min(interior_radius, self.radius)])
+        return range(bisect_right(self.length, interior_radius))
 
     def star_interior(self, interior_radius: int) -> tuple[int, ...]:
-        """Vertices with a full star whose members all lie in the certified region.
-
-        In a proper ball this is word length <= interior_radius - 1; in a complete
-        ball vertices at the interior radius itself qualify whenever all their
-        neighbors stay within it (e.g. the longest element of a finite group).
-        Memoized per radius.
-        """
+        """Vertices with a full star inside length interior_radius: an id prefix,
+        memoized per radius.  Lengths < min(interior_radius, radius) qualify; a
+        vertex of length l <= radius with its star inside length l has every
+        generator as a descent, so it is the longest element of a finite group,
+        the last id of a complete ball, and then every vertex qualifies."""
         stars = self._stars.get(interior_radius)
         if stars is None:
-            end = len(self.interior(interior_radius))
-            rank = self.system.rank
-            stars = tuple(
-                v
-                for v, nbrs in enumerate(self.adj[:end])
-                if len(nbrs) == rank and all(u < end for u in nbrs.values())
-            )
+            if self.complete and interior_radius >= self.length[-1]:
+                stars = tuple(range(self.size))
+            else:
+                stars = tuple(self.interior(min(interior_radius, self.radius) - 1))
             self._stars[interior_radius] = stars
         return stars
 
     @cached_property
-    def _sorted_neighbors(self) -> list[list[int]]:
-        return [sorted(nbrs.values()) for nbrs in self.adj]
+    def rows(self) -> list[tuple[int, ...]]:
+        """rows[v] = v's row of adj as a tuple, (v·0, v·1, ...); built on first use."""
+        return list(zip(*[iter(self.adj)] * self.rank))
 
-    def neighbors(self, v: int) -> list[int]:
-        """The neighbors of v in increasing id order (a shared list: do not modify)."""
-        return self._sorted_neighbors[v]
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """neighbors[v] = the neighbors of v in increasing id order; built on first use."""
+        return [sorted(row)[row.count(-1) :] for row in self.rows]
 
     @cached_property
     def texts(self) -> list[str]:
-        """texts[v] = format_word(system, words[v]), built on first use: the BFS
+        """texts[v] = format_word(system, word(v)), built on first use: the BFS
         parent's text, the name of v's last letter appended."""
-        names, words, adj = self.system.names, self.words, self.adj
+        names, adj, last, rank = self.system.names, self.adj, self.last, self.rank
         texts = ["e"]
         for v in range(1, self.size):
-            s = words[v][-1]
-            p = adj[v][s]
+            s = last[v]
+            p = adj[v * rank + s]
             texts.append(f"{texts[p]} {names[s]}" if p else names[s])
         return texts
 
     @cached_property
     def labels(self) -> list[dict[int, int]]:
         """labels[u][v] = the label of the edge between u and v; built on first use."""
-        return [{v: s for s, v in nbrs.items()} for nbrs in self.adj]
+        return [{v: s for s, v in enumerate(row) if v >= 0} for row in self.rows]
 
     def label(self, u: int, v: int) -> int | None:
         """The label of the edge between u and v; None when they are not adjacent."""
         return self.labels[u].get(v)
 
     def to_json_dict(self) -> dict:
+        names = self.system.names
         return {
             "radius": self.radius,
             "vertices": [{"id": i, "word": text} for i, text in enumerate(self.texts)],
-            "edges": [[u, v, self.system.name_of(s)] for u, v, s in self.edges],
+            "edges": [[u, v, names[s]] for u, v, s in self.edges],
         }
 
     def to_dot(self) -> str:
@@ -182,44 +162,54 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2), and the letters
     t, s, t, ... lead from v down m - 1 layers to x and back up to u, whose
     t-edge, once u is expanded, ends at w.  When no walk finds w, w is new.
+    The walk goes down at most l(v) layers, so a pair with m(s, t) > l(v) + 1
+    is never walked.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    ball = CayleyBall(system, radius)
-    words, adj = ball.words, ball.adj
+    rank = system.rank
+    adj, last, length = [-1] * rank, [-1], [0]
+    empty_star = [-1] * rank
     # braids[s] = (t, m(s, t)) for the diagram neighbours t of s
     braids = [[(t, system.order(s, t)) for t in system.neighbors(s)] for s in system.generators()]
-    frontier = [ball._add_vertex(())]
-    for _ in range(radius):
-        next_frontier: list[int] = []
-        for v in frontier:
-            for s in system.generators():
-                if s in adj[v]:
+    start = 0
+    for layer in range(1, radius + 1):
+        end = len(length)
+        walks = [[((t, s), m) for t, m in pairs if m <= layer] for s, pairs in enumerate(braids)]
+        for v in range(start, end):
+            base = v * rank
+            for s in range(rank):
+                if adj[base + s] >= 0:
                     continue
-                w = None
-                for t, m in braids[s]:
+                w = -1
+                for letters, m in walks[s]:
                     x = v
-                    for i in range(2 * m - 2):  # a range: m may be 10**12, the walk stops by layer 0
-                        y = adj[x].get((t, s)[i % 2])
-                        if i < m - 1 and (y is None or len(words[y]) >= len(words[x])):
-                            break  # not m - 1 layers down: no parent of w ends in t
-                        if y is None:
-                            raise AssertionError("relator walk left the ball below its frontier")
+                    for i in range(m - 1):  # down: no parent of w ends in t unless each step is
+                        y = adj[x * rank + letters[i & 1]]
+                        if y < 0 or length[y] >= length[x]:
+                            break
                         x = y
                     else:
-                        w = adj[x].get(t)
-                        if w is not None:
+                        for i in range(m - 1, 2 * m - 2):
+                            x = adj[x * rank + letters[i & 1]]
+                            if x < 0:
+                                raise AssertionError("relator walk left the ball below its frontier")
+                        w = adj[x * rank + letters[0]]
+                        if w >= 0:
                             break
-                if w is None:
-                    if ball.size >= max_vertices:
+                if w < 0:
+                    w = len(length)
+                    if w >= max_vertices:
                         raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
-                    w = ball._add_vertex(words[v] + (s,))
-                    next_frontier.append(w)
-                ball._add_edge(v, w, s)
-        frontier = next_frontier
-        if not frontier:
+                    last.append(s)
+                    length.append(layer)
+                    adj += empty_star
+                adj[base + s] = w
+                adj[w * rank + s] = v
+        start = end
+        if start == len(length):
             break
-    return ball
+    return CayleyBall(system, radius, adj, last, length)
 
 
 def field_map(ball: CayleyBall, start: int, field) -> tuple[int | None, ...]:
@@ -234,40 +224,37 @@ def field_map(ball: CayleyBall, start: int, field) -> tuple[int | None, ...]:
     interior(radius - |w|), w the word of start: the image of a prefix p is w
     followed by |p| letters, of length at most |w| + |p| <= radius.
     """
-    adj, words = ball.adj, ball.words
+    adj, last, rank = ball.adj, ball.last, ball.rank
     images: list[int | None] = [start]
     for v in range(1, ball.size):
-        s = words[v][-1]
-        p = adj[v][s]
+        s = last[v]
+        p = adj[v * rank + s]
         fp = images[p]
-        images.append(None if fp is None else adj[fp].get(field(p)[s]))
+        x = -1 if fp is None else adj[fp * rank + field(p)[s]]
+        images.append(None if x < 0 else x)
     return tuple(images)
 
 
 def distances_within(ball: CayleyBall, source: int, bound: int) -> dict[int, int]:
     """Graph distance inside the ball from source to every vertex at most bound
     away, by one BFS that expands no vertex at distance bound."""
+    neighbors = ball.neighbors
     dist = {source: 0}
     queue = deque([source])
     while queue:
         x = queue.popleft()
         if dist[x] >= bound:
             continue
-        for y in ball.adj[x].values():
+        for y in neighbors[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
 
 
-def distances_from(ball: CayleyBall, source: int) -> dict[int, int]:
-    """Graph distance inside the ball from source to every vertex, by one BFS."""
-    return distances_within(ball, source, ball.size)
-
-
 def distance(ball: CayleyBall, u: int, v: int) -> int | None:
     """Graph distance inside the ball; None when unreachable (never, for balls)."""
-    return distances_from(ball, u).get(v)
+    return distances_within(ball, u, ball.size).get(v)
 
 
 def count_paths(ball: CayleyBall, u: int, v: int, length: int) -> int:
@@ -284,10 +271,11 @@ def count_paths_to(ball: CayleyBall, u: int, dist_to_v: dict[int, int], length: 
     """
     if length == 0:
         return 1 if dist_to_v.get(u) == 0 else 0
+    neighbors = ball.neighbors
     count = 0
     path = [u]
     on_path = {u}
-    stack = [iter(ball.adj[u].values())]
+    stack = [iter(neighbors[u])]
     while stack:
         remaining = length - len(path)  # steps left once y is on the path
         for y in stack[-1]:
@@ -299,7 +287,7 @@ def count_paths_to(ball: CayleyBall, u: int, dist_to_v: dict[int, int], length: 
                 continue
             path.append(y)
             on_path.add(y)
-            stack.append(iter(ball.adj[y].values()))
+            stack.append(iter(neighbors[y]))
             break
         else:
             stack.pop()

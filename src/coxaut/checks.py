@@ -218,12 +218,13 @@ def run_system_checks(
     def bipartite() -> tuple[str, str]:
         # every adjacency entry, from both ends: each step then changes the
         # parity of the word length, so the ball has no odd cycle
-        for u, nbrs in enumerate(ball.adj):
-            for s, v in nbrs.items():
-                if ball.adj[v].get(s) != u:
+        for s in range(system.rank):
+            column = ball.adj[s :: system.rank]  # column[u] = u·s
+            for u, v in enumerate(column):
+                if v >= 0 and column[v] != u:
                     return "fail", f"edge ({u}, {v}) labeled {system.name_of(s)} is missing at {v}"
-                if abs(ball.word_length(u) - ball.word_length(v)) != 1:
-                    return "fail", f"edge ({u}, {v}) joins word lengths {ball.word_length(u)} and {ball.word_length(v)}"
+                if v >= 0 and abs(ball.length[u] - ball.length[v]) != 1:
+                    return "fail", f"edge ({u}, {v}) joins word lengths {ball.length[u]} and {ball.length[v]}"
         if not ball.edges:
             return "vacuous", "no edges at this radius"
         return "pass", f"{len(ball.edges)} edges, all joining consecutive lengths"
@@ -261,11 +262,11 @@ def run_system_checks(
             aut = factored_ball_map(ball, v, identity)
             report = verify_ball_automorphism(ball, aut)
             if not report.ok:
-                return "fail", f"left_mult({ball.words[v]}) not verified: {report.violations[0]}"
+                return "fail", f"left_mult({ball.word(v)}) not verified: {report.violations[0]}"
             # no violation: every defined edge keeps its label, so the local
             # permutation is the identity wherever it is defined
             if field_violations(ball, aut, lambda x: identity.images):
-                return "fail", f"left_mult({ball.words[v]}) field is not the constant identity"
+                return "fail", f"left_mult({ball.word(v)}) field is not the constant identity"
             checked += 1
         return "pass", f"{checked} left multiplications verified with constant identity fields"
 

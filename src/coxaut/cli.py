@@ -51,39 +51,42 @@ def _json_text(obj, newline: str = "\n") -> str:
     if type(obj) is int:
         return int.__repr__(obj)
     inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        texts = _flat_texts(obj, inner)
-        if texts is None:
-            texts = [_json_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
-    return json.dumps(obj)
+    if isinstance(obj, dict) and obj:
+        items = ["".join([encode_basestring_ascii(key), ": ", _json_text(obj[key], inner)]) for key in sorted(obj)]
+        return "".join(["{", inner, ("," + inner).join(items), newline, "}"])
+    if isinstance(obj, (list, tuple)) and obj:
+        parts = _flat_texts(obj, inner)
+        if parts is None:
+            parts = [("," + inner).join([_json_text(x, inner) for x in obj])]
+        return "".join(["[", inner, *parts, newline, "]"])
+    return json.dumps(obj)  # any other scalar, {} or []
 
 
-def _flat_texts(items, newline: str):
-    """The texts of a non-empty list's items at indent newline, or None.
+_ENCODERS = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _encoder(kinds: set):
+    """The encoder of values whose types are kinds: exact int or exact str only."""
+    return _ENCODERS.get(next(iter(kinds))) if len(kinds) == 1 else None
+
+
+def _flat_texts(items, newline: str) -> list[str] | None:
+    """Pieces that spell a non-empty list's items at indent newline, joined by
+    "," + newline, or None.
 
     Two shapes are spelled at C speed:
     - a flat list: every item an exact int, or every item an exact str;
     - a flat-row table: every item a dict with the same str keys, or every
       item a list or tuple of one length, and each column all exact int or
-      all exact str.  One % template, built once per table, spells a row; the
-      keys are encoded into it with % doubled, and str columns are encoded
-      before they are filled in.
+      all exact str.  Each column is encoded once, and the encoded columns
+      are interleaved with the constant separators by slice assignment.
     Anything else (bool, None, float, a str or int subclass, a mixed column,
     an odd row, a nested value) gives None, and the caller recurses.
     """
     kinds = set(map(type, items))
-    if kinds == {int}:
-        return map(int.__repr__, items)
-    if kinds == {str}:
-        return map(encode_basestring_ascii, items)
+    encode = _encoder(kinds)
+    if encode is not None:
+        return [("," + newline).join(map(encode, items))]
     first = items[0]
     if kinds == {dict} and all(type(key) is str for key in first):
         keys = sorted(first)
@@ -91,7 +94,7 @@ def _flat_texts(items, newline: str):
             columns = [list(map(itemgetter(key), items)) for key in keys]
         except KeyError:
             return None
-        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+        fields = [encode_basestring_ascii(key) + ": " for key in keys]
         opening, closing = "{", "}"
     elif kinds <= {list, tuple}:
         columns = list(zip(*items))
@@ -99,21 +102,19 @@ def _flat_texts(items, newline: str):
         opening, closing = "[", "]"
     else:
         return None
-    if not columns or len(set(map(len, items))) != 1:
+    encoders = [_encoder(set(map(type, column))) for column in columns]
+    if not columns or None in encoders or len(set(map(len, items))) != 1:
         return None
-    specs = []
-    for i, column in enumerate(columns):
-        column_kinds = set(map(type, column))
-        if column_kinds == {int}:
-            specs.append("%d")
-        elif column_kinds == {str}:
-            columns[i] = map(encode_basestring_ascii, column)
-            specs.append("%s")
-        else:
-            return None
-    inner = newline + "  "
-    template = opening + inner + ("," + inner).join(map(str.__add__, fields, specs)) + newline + closing
-    return map(template.__mod__, zip(*columns))
+    # row i is parts[i*step : (i+1)*step], each cell after its separator; the
+    # first separator closes the previous row and opens this one
+    inner, rows, step = newline + "  ", len(items), 2 * len(columns)
+    parts = [""] * (rows * step)
+    for j, (field, column, encode) in enumerate(zip(fields, columns, encoders)):
+        separator = "," if j else newline + closing + "," + newline + opening
+        parts[2 * j :: step] = [separator + inner + field] * rows
+        parts[2 * j + 1 :: step] = map(encode, column)
+    parts[0] = opening + inner + fields[0]
+    return parts + [newline + closing]
 
 
 def _emit_json(obj: dict) -> None:
@@ -197,7 +198,7 @@ def cmd_ball(args) -> int:
     else:
         print(f"radius: {ball.radius}")
         print(f"vertices: {ball.size}")
-        print(f"edges: {len(ball.edges)}")
+        print(f"edges: {(len(ball.adj) - ball.adj.count(-1)) // 2}")  # half the degree sum
         print(f"complete: {'yes' if ball.complete else 'no'}")
     return EXIT_OK
 

@@ -57,23 +57,26 @@ def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[Embedde
     Each cycle is found only from its minimal vertex (the DFS, on an explicit
     stack, only visits larger ids from the root) and only in one direction
     (recorded when the second vertex is smaller than the last), so no
-    deduplication pass is needed.
+    deduplication pass is needed.  A step to x is skipped when |length[x] -
+    length[root]| exceeds the edges left once x is appended: each edge changes
+    word length by exactly 1, so no arc that short leads back to the root.
     """
     cycles: list[EmbeddedCycle] = []
-    neighbors = ball.neighbors
+    neighbors, length = ball.neighbors, ball.length
     for root in range(ball.size):
         path = [root]
         on_path = {root}
-        stack = [iter(neighbors(root))]
+        stack = [iter(neighbors[root])]
         while stack:
+            spare = max_length - len(path)  # edges left for the closing arc once nxt is appended
             for nxt in stack[-1]:
                 if nxt == root:
                     if len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(_canonical_cycle(ball, list(path)))
-                elif nxt > root and nxt not in on_path and len(path) < max_length:
+                elif nxt > root and nxt not in on_path and spare > 0 and abs(length[nxt] - length[root]) <= spare:
                     path.append(nxt)
                     on_path.add(nxt)
-                    stack.append(iter(neighbors(nxt)))
+                    stack.append(iter(neighbors[nxt]))
                     break
             else:
                 stack.pop()

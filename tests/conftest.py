@@ -9,6 +9,17 @@ from coxaut.system import CoxeterSystem
 DIAGRAMS = sorted((Path(__file__).resolve().parent.parent / "diagrams").glob("*.cox"))
 
 
+def star(ball, v: int) -> dict[int, int]:
+    """{s: v·s} for every generator s whose edge at v lies in the ball, read off the flat adj."""
+    rank = ball.rank
+    return {s: u for s, u in enumerate(ball.adj[v * rank : (v + 1) * rank]) if u >= 0}
+
+
+def ball_words(ball) -> list[tuple[int, ...]]:
+    """Every vertex's canonical word, in id order."""
+    return [ball.word(v) for v in range(ball.size)]
+
+
 def make_system(names: str, *pairs) -> CoxeterSystem:
     """Build a system from 'a b c' plus (i, j, m) triples."""
     name_list = names.split()

@@ -3,7 +3,7 @@ oracle for coxaut's table-driven checks.
 
 coxaut.automorphisms checks a map with the per-ball tables of CayleyBall
 (the label table, the interior prefix, the memoized star interior); these
-functions scan ball.adj and ball.words instead, as the checks were first
+functions scan ball.adj and ball.length instead, as the checks were first
 written, so that a test can compare reports, fields and violation lists
 with code that shares none of those tables.
 """
@@ -11,16 +11,18 @@ with code that shares none of those tables.
 from coxaut.automorphisms import BallAutomorphism, PermutationField, VerificationReport
 from coxaut.ball import CayleyBall
 
+from conftest import star
+
 
 def label(ball: CayleyBall, u: int, v: int) -> int | None:
-    for s, w in ball.adj[u].items():
+    for s, w in star(ball, u).items():
         if w == v:
             return s
     return None
 
 
 def interior(ball: CayleyBall, interior_radius: int) -> list[int]:
-    return [v for v in range(ball.size) if len(ball.words[v]) <= interior_radius]
+    return [v for v in range(ball.size) if ball.length[v] <= interior_radius]
 
 
 def star_interior(ball: CayleyBall, interior_radius: int) -> list[int]:
@@ -28,9 +30,9 @@ def star_interior(ball: CayleyBall, interior_radius: int) -> list[int]:
     return [
         v
         for v in range(ball.size)
-        if ball.word_length(v) <= interior_radius
-        and ball.degree(v) == rank
-        and all(ball.word_length(u) <= interior_radius for u in ball.adj[v].values())
+        if ball.length[v] <= interior_radius
+        and len(star(ball, v)) == rank
+        and all(ball.length[u] <= interior_radius for u in star(ball, v).values())
     ]
 
 
@@ -38,7 +40,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
     violations: list[str] = []
     for v in interior(ball, aut.interior_radius):
         if aut.vmap[v] is None:
-            violations.append(f"undefined at interior vertex {v} (length {ball.word_length(v)})")
+            violations.append(f"undefined at interior vertex {v} (length {ball.length[v]})")
     images: dict[int, int] = {}
     for v, x in enumerate(aut.vmap):
         if x is None:
@@ -64,7 +66,7 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
     if fv is None:
         raise ValueError(f"vertex {v} has no image")
     result: dict[int, int] = {}
-    for s, u in ball.adj[v].items():
+    for s, u in star(ball, v).items():
         fu = aut.vmap[u]
         if fu is None:
             continue
@@ -101,7 +103,7 @@ def coupling_violations(
     fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
     violations: list[tuple[int, int, int, int]] = []
     for v, pv in zip(field.vertices, field.perms):
-        for s, u in ball.adj[v].items():
+        for s, u in star(ball, v).items():
             if u not in position:
                 continue
             pu = field.perms[position[u]]

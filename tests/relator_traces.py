@@ -12,6 +12,8 @@ reports with code that shares neither the shape test nor the prefix.
 from coxaut.ball import CayleyBall
 from coxaut.cycles import CharacterizationReport, EmbeddedCycle, is_essential
 
+from conftest import star
+
 
 def canonical(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
     """The smallest vertex first, then its smaller cycle neighbour."""
@@ -35,20 +37,20 @@ def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:
         for s, t, m in ball.system.finite_pairs():
             vertices = [base]
             for i in range(2 * m - 1):
-                nxt = ball.adj[vertices[-1]].get((s, t)[i % 2])
+                nxt = star(ball, vertices[-1]).get((s, t)[i % 2])
                 if nxt is None:
                     break
                 vertices.append(nxt)
             else:
                 # the 2m edge labels alternate s, t, ...; the closing one is t
-                if ball.adj[vertices[-1]].get(t) == base and len(set(vertices)) == 2 * m:
+                if star(ball, vertices[-1]).get(t) == base and len(set(vertices)) == 2 * m:
                     cycle = canonical(ball, vertices)
                     seen.setdefault(cycle.vertices, cycle)
     return sorted(seen.values(), key=lambda c: (len(c), c.vertices))
 
 
 def certifies(ball: CayleyBall, cycle: EmbeddedCycle) -> bool:
-    return ball.complete or all(ball.word_length(v) <= ball.radius - cycle.half_length for v in cycle.vertices)
+    return ball.complete or all(ball.length[v] <= ball.radius - cycle.half_length for v in cycle.vertices)
 
 
 def verify_essential_characterization(ball: CayleyBall, cycles: list[EmbeddedCycle]) -> CharacterizationReport:

@@ -30,7 +30,7 @@ from coxaut.cycles import is_essential, verify_essential_characterization
 from coxaut.system import enumerate_diagram_automorphisms, is_flexible
 from coxaut.words import m_class, multiply, parse_word, reduce_word
 
-from conftest import make_system
+from conftest import ball_words, make_system
 from psi_words import psi_phi_word
 
 
@@ -81,7 +81,7 @@ def test_criterion_02_balls_are_bipartite_by_word_length(a2, a3, cube, atilde2, 
         ball = build_ball(system, 6)
         assert ball.edges
         for u, v, _ in ball.edges:
-            assert abs(ball.word_length(u) - ball.word_length(v)) == 1
+            assert abs(ball.length[u] - ball.length[v]) == 1
 
 
 def test_criterion_03_essential_cycles_are_exactly_relator_cycles(a2, a3, cube, atilde2, branched):
@@ -158,13 +158,13 @@ def test_criterion_05_exotic_map_on_flexible_example(branched):
     assert report.ok and report.total  # total + injective on a finite set: bijective
     assert aut.vmap[0] == 0
     for v in range(ball.size):
-        assert ball.word_length(aut.vmap[v]) == ball.word_length(v)
+        assert ball.length[aut.vmap[v]] == ball.length[v]
 
     # image independent of the chosen reduced word, across the full m-class
     for v in range(ball.size):
         images = {
             reduce_word(branched, psi_phi_word(branched, witness, w))
-            for w in m_class(branched, ball.words[v])
+            for w in m_class(branched, ball.word(v))
         }
         assert len(images) == 1
 
@@ -216,7 +216,7 @@ def test_criterion_08_semidirect_law(a3):
     ball = build_ball(a3, 6)
     assert ball.complete
     diagrams = enumerate_diagram_automorphisms(a3)
-    table = [FactoredAutomorphism(w, d) for w in ball.words for d in diagrams]
+    table = [FactoredAutomorphism(w, d) for w in ball_words(ball) for d in diagrams]
     assert len(table) == 48
 
     # the composition law reproduces composition of the induced ball maps
@@ -257,7 +257,7 @@ def test_criterion_09_rewriting_commutes_with_phi(branched):
 def test_criterion_10_local_permutation_laws(a3, branched):
     for system, radius in [(a3, 4), (branched, 4)]:
         ball = build_ball(system, radius)
-        for w in [w for w in ball.words if len(w) <= 2]:
+        for w in [w for w in ball_words(ball) if len(w) <= 2]:
             field = local_permutation_field(ball, left_mult(ball, w))
             assert field.is_constant and field.is_identity_field
         for d in enumerate_diagram_automorphisms(system):

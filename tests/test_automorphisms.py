@@ -32,7 +32,7 @@ from coxaut.system import (
 from coxaut.words import LimitExceeded, parse_word, reduce_by_rewriting, reduce_word
 
 import map_checks
-from conftest import DIAGRAMS, RANK3, make_system
+from conftest import DIAGRAMS, RANK3, ball_words, make_system, star
 from psi_words import psi_n_word, psi_phi_word
 
 
@@ -196,10 +196,10 @@ class TestFactored:
         ball = build_ball(system, rigid_radius if system is rigid else flexible_radius)
         assert ball.complete == (system is rigid and radius != 4)
         aut = construct(ball)
-        ids = {w: i for i, w in enumerate(ball.words)}
+        ids = {w: i for i, w in enumerate(ball_words(ball))}
         # exact even on the proper ball: with a left factor of length 1 only a
         # vertex's own image can leave the ball, never a parent's on its walk
-        assert aut.vmap == tuple(ids.get(reduce_by_rewriting(system, f(x))) for x in ball.words)
+        assert aut.vmap == tuple(ids.get(reduce_by_rewriting(system, f(x))) for x in ball_words(ball))
         # a left factor of length 1 costs one unit of interior in a proper ball
         shrink = constructor in ("left_mult", "to_ball") and not ball.complete
         assert aut.interior_radius == ball.radius - shrink
@@ -229,7 +229,7 @@ class TestPsiPhi:
         ball = build_ball(branched, 5)
         aut = psi_phi(ball, branched_witness)
         for v in range(ball.size):
-            assert ball.word_length(aut.vmap[v]) == ball.word_length(v)
+            assert ball.length[aut.vmap[v]] == ball.length[v]
 
     def test_rejects_invalid_witness(self, branched):
         ball = build_ball(branched, 3)
@@ -335,8 +335,8 @@ def assert_matches_rewriting(ball, aut, f, interior, total=True):
     beyond its interior where its walk left the ball: it must then agree with
     the oracle wherever it is defined, and be defined on the whole interior.
     """
-    ids = {w: i for i, w in enumerate(ball.words)}
-    expected = tuple(ids.get(reduce_by_rewriting(ball.system, f(x))) for x in ball.words)
+    ids = {w: i for i, w in enumerate(ball_words(ball))}
+    expected = tuple(ids.get(reduce_by_rewriting(ball.system, f(x))) for x in ball_words(ball))
     if total:
         assert aut.vmap == expected
     else:
@@ -405,7 +405,7 @@ class TestFieldViolations:
         identity = tuple(system.generators())
 
         def field(x):  # pivot_field's rule for psi_phi
-            return identity if bad.pivot in ball.words[x] else bad.phi.images
+            return identity if bad.pivot in ball.word(x) else bad.phi.images
 
         aut = BallAutomorphism(field_map(ball, 0, field), ball.radius)
         assert field_violations(ball, aut, field)
@@ -480,7 +480,7 @@ class TestLocalPermutations:
         field = local_permutation_field(ball, psi)
         assert not field.is_constant
         assert field.perm_at(0) == witness.phi.images  # phi visible at the identity
-        assert field.perm_at(ball.adj[0][witness.pivot]) == tuple(system.generators())  # past the pivot nothing moves
+        assert field.perm_at(star(ball, 0)[witness.pivot]) == tuple(system.generators())  # past the pivot nothing moves
         assert decompose(ball, psi) is None
         maps = [psi]
         try:
@@ -488,7 +488,7 @@ class TestLocalPermutations:
         except ValueError:  # an odd-order neighbour of the pivot
             pass
         for aut in maps:
-            assert [ball.word_length(x) for x in aut.vmap] == [ball.word_length(v) for v in range(ball.size)]
+            assert [ball.length[x] for x in aut.vmap] == ball.length
 
     def test_star_interior_boundary_rule(self, branched):
         ball = build_ball(branched, 3)
@@ -558,7 +558,7 @@ def shipped_maps(ball):
     """Every map verify builds on this ball: left multiplications by words of
     length <= 2, diagram maps, psi_phi and psi_1..psi_3, census entries."""
     system = ball.system
-    maps = [left_mult(ball, w) for w in ball.words if len(w) <= min(2, ball.radius)]
+    maps = [left_mult(ball, w) for w in ball_words(ball) if len(w) <= min(2, ball.radius)]
     maps += [diagram_aut(ball, d) for d in enumerate_diagram_automorphisms(system)]
     witness = is_flexible(system)
     if witness is not None:
@@ -587,7 +587,7 @@ class TestChecksMatchOracle:
         for aut in shipped_maps(ball):
             vmap = list(aut.vmap)
             # swap two images, including an adjacent pair and a far pair
-            for u, v in [(1, min(2, ball.size - 1)), (0, ball.size - 1), (1, ball.neighbors(1)[-1])]:
+            for u, v in [(1, min(2, ball.size - 1)), (0, ball.size - 1), (1, ball.neighbors[1][-1])]:
                 swapped = vmap.copy()
                 swapped[u], swapped[v] = swapped[v], swapped[u]
                 assert_checks_match_oracle(ball, BallAutomorphism(tuple(swapped), aut.interior_radius))
@@ -600,8 +600,8 @@ class TestChecksMatchOracle:
             for v in (1, len(ball.interior(1)) - 1):
                 if vmap[v] is None:
                     continue
-                near = {vmap[u] for u in ball.adj[v].values()} | {vmap[v]}
-                far = [x for x in range(ball.size) if all(x not in ball.adj[y].values() for y in near - {None})]
+                near = {vmap[u] for u in star(ball, v).values()} | {vmap[v]}
+                far = [x for x in range(ball.size) if all(x not in star(ball, y).values() for y in near - {None})]
                 if far:
                     moved = vmap.copy()
                     moved[v] = far[-1]
@@ -656,7 +656,7 @@ class TestComposeAndDecompose:
         system = make_system("a b c", (0, 1, 3))
         ball = build_ball(system, 2)
         sigma = {0: 2, 1: 1, 2: 0}
-        vmap = tuple(ball.vertex_of(tuple(sigma[x] for x in w)) for w in ball.words)
+        vmap = tuple(ball.vertex_of(tuple(sigma[x] for x in w)) for w in ball_words(ball))
         aut = BallAutomorphism(vmap, 2)
         assert verify_ball_automorphism(ball, aut).ok
         with pytest.raises(ValueError):

@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from coxaut.ball import build_ball, count_paths, distance, distances_from
+from coxaut.ball import build_ball, count_paths, distance, distances_within
 from coxaut.cycles import enumerate_embedded_cycles
 from coxaut.system import parse_system
 from coxaut.words import LimitExceeded, format_word, parse_word, reduce_word
 
-from conftest import DIAGRAMS, RANK3, make_system, random_systems
+from conftest import DIAGRAMS, RANK3, ball_words, make_system, random_systems, star
 
 FRONTIER = sorted((Path(__file__).resolve().parent.parent / "diagrams" / "frontier").glob("*.cox"))
 
@@ -41,25 +41,25 @@ class TestBuild:
         ball = build_ball(a3, 0)
         assert ball.size == 1
         assert not ball.edges
-        assert ball.words[0] == ()
+        assert ball.word(0) == ()
 
     def test_branched_radius_two(self, branched):
         ball = build_ball(branched, 2)
-        words = {ball.system.names[x] for w in ball.words for x in w}
+        words = {ball.system.names[x] for w in ball_words(ball) for x in w}
         assert ball.size == 9  # e, s, t, u, st, su, ts, us, tu (=ut)
         assert words == {"s", "t", "u"}
         # any spelling finds the vertex of the canonical word
-        assert ball.vertex_of((2, 1)) == ball.vertex_of((1, 2)) == ball.words.index((1, 2))
+        assert ball.vertex_of((2, 1)) == ball.vertex_of((1, 2)) == ball_words(ball).index((1, 2))
 
     def test_deterministic_prefix(self, a3):
         small, large = build_ball(a3, 2), build_ball(a3, 4)
-        assert large.words[: small.size] == small.words
+        assert ball_words(large)[: small.size] == ball_words(small)
 
     def test_bfs_order_is_by_length_then_lex(self, branched):
         ball = build_ball(branched, 2)
-        lengths = [len(w) for w in ball.words]
+        lengths = [len(w) for w in ball_words(ball)]
         assert lengths == sorted(lengths)
-        assert ball.words[1:4] == [(0,), (1,), (2,)]
+        assert ball_words(ball)[1:4] == [(0,), (1,), (2,)]
 
     @pytest.mark.parametrize("r,expected", [(0, 1), (1, 4), (2, 9), (3, 15), (4, 20), (6, 24)])
     def test_a3_layer_counts(self, a3, r, expected):
@@ -82,12 +82,12 @@ class TestBuild:
 
     def test_bipartite_and_interior_degree(self):
         for ball in invariant_balls():
-            for u, nbrs in enumerate(ball.adj):
-                for s, v in nbrs.items():
-                    assert ball.adj[v][s] == u
-                    assert abs(ball.word_length(u) - ball.word_length(v)) == 1
+            for u in range(ball.size):
+                for s, v in star(ball, u).items():
+                    assert star(ball, v)[s] == u
+                    assert abs(ball.length[u] - ball.length[v]) == 1
             for v in ball.interior(ball.radius - 1):
-                assert ball.degree(v) == ball.system.rank
+                assert len(star(ball, v)) == ball.system.rank
             m = ball.system.max_finite_order()
             cycles = enumerate_embedded_cycles(ball, (2 * m if m is not None else 6) + 1)
             assert all(len(c) % 2 == 0 for c in cycles), (ball.system, ball.radius)
@@ -103,8 +103,8 @@ class TestBuild:
     def test_edge_labels_consistent(self, a3):
         ball = build_ball(a3, 3)
         for u, v, s in ball.edges:
-            assert ball.adj[u][s] == v
-            assert ball.adj[v][s] == u
+            assert star(ball, u)[s] == v
+            assert star(ball, v)[s] == u
             assert ball.label(u, v) == s
         assert ball.label(0, ball.size - 1) is None
 
@@ -119,7 +119,7 @@ class TestQueries:
 
     def test_distance_equals_word_length(self):
         for ball in invariant_balls():
-            assert distances_from(ball, 0) == {v: ball.word_length(v) for v in range(ball.size)}
+            assert distances_within(ball, 0, ball.size) == {v: ball.length[v] for v in range(ball.size)}
 
     def test_count_paths_degenerate(self, a2):
         ball = build_ball(a2, 2)
@@ -182,31 +182,31 @@ class TestExports:
         system = parse_system(path.read_text())
         for radius in range(4 if path.stem == "free10" else 7):
             ball = build_ball(system, radius)
-            assert ball.texts == [format_word(system, w) for w in ball.words]
+            assert ball.texts == [format_word(system, w) for w in ball_words(ball)]
 
     def test_texts_on_rank3_diagrams(self):
         for system in RANK3:
             ball = build_ball(system, 5)
-            assert ball.texts == [format_word(system, w) for w in ball.words]
+            assert ball.texts == [format_word(system, w) for w in ball_words(ball)]
 
 
 def assert_tables_match_definitions(ball):
     """label, interior, star_interior and neighbors against their definitions, read off adj and words."""
     n, rank = ball.size, ball.system.rank
-    length = [len(w) for w in ball.words]
+    length = [len(w) for w in ball_words(ball)]
     for u in range(n):
         for v in range(n):
-            edge = [s for s, w in ball.adj[u].items() if w == v]
+            edge = [s for s, w in star(ball, u).items() if w == v]
             assert ball.label(u, v) == (edge[0] if edge else None)
-        assert ball.neighbors(u) == sorted(ball.adj[u].values())
+        assert ball.neighbors[u] == sorted(star(ball, u).values())
     for r in range(-1, ball.radius + 2):
         assert list(ball.interior(r)) == [v for v in range(n) if length[v] <= r]
-        star = [
+        full_stars = [
             v
             for v in range(n)
-            if length[v] <= r and len(ball.adj[v]) == rank and all(length[u] <= r for u in ball.adj[v].values())
+            if length[v] <= r and len(star(ball, v)) == rank and all(length[u] <= r for u in star(ball, v).values())
         ]
-        assert ball.star_interior(r) == tuple(star)
+        assert ball.star_interior(r) == tuple(full_stars)
         assert ball.star_interior(r) is ball.star_interior(r)  # memoized
 
 

@@ -29,7 +29,7 @@ from coxaut.cycles import is_essential, map_cycle, verify_essential_characteriza
 from coxaut.system import enumerate_diagram_automorphisms, is_flexible, is_label_preserving, parse_system
 from coxaut.words import LimitExceeded
 
-from conftest import DIAGRAMS, RANK3, crystallographic_systems
+from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, star
 
 
 def reference_automorphisms(ball, max_nodes):
@@ -37,9 +37,9 @@ def reference_automorphisms(ball, max_nodes):
     plus the number of search nodes it took; recursion depth is the ball size."""
     size = ball.size
     assert size < sys.getrecursionlimit() // 2
-    wl = [ball.word_length(v) for v in range(size)]
-    degree = [ball.degree(v) for v in range(size)]
-    neighbor_ids = [set(ball.adj[v].values()) for v in range(size)]
+    wl = ball.length
+    degree = [len(star(ball, v)) for v in range(size)]
+    neighbor_ids = [set(star(ball, v).values()) for v in range(size)]
     assigned_neighbors = [[u for u in sorted(neighbor_ids[v]) if u < v] for v in range(size)]
     assignment = [-1] * size
     assignment[0] = 0
@@ -74,7 +74,7 @@ def reference_automorphisms(ball, max_nodes):
 
 def reference_entries(ball, probe_radius, automorphisms):
     size = ball.size
-    probe_count = sum(1 for w in ball.words if len(w) <= probe_radius)
+    probe_count = sum(1 for w in ball_words(ball) if len(w) <= probe_radius)
     diagram_restrictions = {}
     for d in enumerate_diagram_automorphisms(ball.system):
         diagram_restrictions.setdefault(tuple(diagram_aut(ball, d).vmap[:probe_count]), d)

@@ -135,7 +135,7 @@ class TestRunChecks:
         def one_sided_ball(system, radius, max_vertices):
             ball = build_ball(system, radius, max_vertices=max_vertices)
             # a b a = b a b: the b-edge from b a stays, its entry at a b a goes
-            del ball.adj[ball.vertex_of(parse_word(system, "a b a"))][parse_word(system, "b")[0]]
+            ball.adj[ball.vertex_of(parse_word(system, "a b a")) * ball.rank + parse_word(system, "b")[0]] = -1
             return ball
 
         monkeypatch.setattr(coxaut.checks, "build_ball", one_sided_ball)

@@ -16,13 +16,41 @@ from coxaut.system import parse_system
 from coxaut.words import parse_word
 
 import relator_traces
-from conftest import DIAGRAMS, make_system, random_systems
+from conftest import DIAGRAMS, RANK3, make_system, random_systems
 
 
 def cycle_words(ball, cycle):
     from coxaut.words import format_word
 
-    return [format_word(ball.system, ball.words[v]) for v in cycle.vertices]
+    return [format_word(ball.system, ball.word(v)) for v in cycle.vertices]
+
+
+def unpruned_cycles(ball, max_length):
+    """The embedded-cycle search without its word-length prune: every path of
+    larger ids from each root, extended while it is shorter than max_length."""
+    cycles = []
+    for root in range(ball.size):
+        path, on_path = [root], {root}
+        stack = [iter(ball.neighbors[root])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        cycles.append(relator_traces.canonical(ball, list(path)))
+                elif nxt > root and nxt not in on_path and len(path) < max_length:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(ball.neighbors[nxt]))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    return sorted(cycles, key=lambda c: (len(c), c.vertices))
+
+
+def default_max_length(system):
+    m = system.max_finite_order()
+    return 2 * m if m is not None else 6
 
 
 def find_cycle(ball, texts):
@@ -71,6 +99,29 @@ class TestEnumeration:
             by_len.setdefault(len(cycle), 0)
             by_len[len(cycle)] += 1
         assert by_len == {4: 6, 6: 16}
+
+
+class TestLengthPrune:
+    """The word-length prune loses no cycle and keeps the order."""
+
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_shipped_diagrams(self, path):
+        system = parse_system(path.read_text())
+        for radius in range(7):
+            ball = build_ball(system, radius)
+            for max_length in (default_max_length(system), default_max_length(system) + 3):
+                assert enumerate_embedded_cycles(ball, max_length) == unpruned_cycles(ball, max_length)
+
+    def test_rank3_diagrams(self):
+        for system in RANK3:
+            for radius in range(7):
+                ball = build_ball(system, radius)
+                max_length = default_max_length(system)
+                assert enumerate_embedded_cycles(ball, max_length) == unpruned_cycles(ball, max_length)
+
+    def test_atilde2_radius_18(self, atilde2):
+        ball = build_ball(atilde2, 18)
+        assert enumerate_embedded_cycles(ball, 6) == unpruned_cycles(ball, 6)
 
 
 class TestRelatorCycles:

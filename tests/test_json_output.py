@@ -157,6 +157,8 @@ def tables(draw):
 @example(([{}, {}], False), "bare")
 @example(([{"%": 1, "%d": "%s"}, {"%": 2, "%d": "%%"}], True), "bare")
 @example(([[1, "a"], (2, "b"), [3, "c"]], True), "in a dict")
+@example(([{"100%": "%d%%", "%(id)s": 1}, {"100%": "50%", "%(id)s": 2}], True), "in a list")
+@example(([(0, 1, "a"), (1, 2, "b%s"), (2, 3, "c")], True), "deep")
 @example(([{"a": 1}, [1]], False), "bare")
 @example(([Order.TWO, 2], False), "bare")
 @example(([Label("x"), "y"], False), "bare")

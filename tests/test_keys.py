@@ -24,7 +24,7 @@ from coxaut.words import (
     reduce_word,
 )
 
-from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system, random_systems
+from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, random_systems, star
 
 FLEXIBLE5 = Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "flexible5.cox"
 
@@ -63,14 +63,14 @@ def rewriting_ball(system, radius):
 def assert_same_ball(system, radius):
     ball = build_ball(system, radius)
     words, adj = rewriting_ball(system, radius)
-    assert ball.words == words
-    assert ball.adj == adj
+    assert ball_words(ball) == words
+    assert [star(ball, v) for v in range(ball.size)] == adj
     assert [ball.vertex_of(w) for w in words] == list(range(len(words)))
 
 
 def assert_vertex_of_matches_rewriting(ball, word):
     canonical = reduce_by_rewriting(ball.system, word)
-    expected = ball.words.index(canonical) if len(canonical) <= ball.radius else None
+    expected = ball_words(ball).index(canonical) if len(canonical) <= ball.radius else None
     assert ball.vertex_of(word) == expected
 
 
@@ -139,12 +139,40 @@ class TestBall:
         for system in RANK3:
             assert_same_ball(system, 6)
 
+    @given(random_systems(4, finite_orders=(2, 3, 4, 5, 6, 7, 8)), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_flat_arrays_match_rewriting(self, system, radius):
+        """The flat adj, last and length arrays read entry by entry against the rewriting oracle."""
+        ball = build_ball(system, radius)
+        rank, adj = ball.rank, ball.adj
+        words = ball_words(ball)
+        assert len(adj) == rank * ball.size
+        for v, word in enumerate(words):
+            # the canonical form, and the lex-least of the element's reduced words
+            assert reduce_by_rewriting(system, word) == word
+            assert word == min(m_class(system, word))
+            assert ball.length[v] == len(word)
+            assert ball.last[v] == (word[-1] if word else -1)
+        # ids in (length, lex) order
+        keys = [(len(w), w) for w in words]
+        assert keys == sorted(set(keys))
+        index = {w: v for v, w in enumerate(words)}
+        for v, word in enumerate(words):
+            for s in range(rank):
+                target = reduce_by_rewriting(system, word + (s,))
+                u = adj[v * rank + s]
+                if len(target) > radius:
+                    assert u == -1
+                else:
+                    assert u == index[target]
+                    assert adj[u * rank + s] == v
+
     def test_never_uses_the_word_engine(self):
         # a wrong Cartan matrix changes nothing: the ball reads only the diagram
         system = make_system("a")
         system.cartan = ((3,),)
         ball = build_ball(system, 2)
-        assert ball.words == [(), (0,)]
+        assert ball_words(ball) == [(), (0,)]
         assert ball.complete
         # an order 5 leaves no Cartan matrix, and still no word is reduced
         system = parse_system(FLEXIBLE5.read_text())
@@ -166,7 +194,7 @@ class TestVertexOf:
         # every reduced spelling of a vertex, and each with a cancelling pair inserted
         v = data.draw(st.integers(0, ball.size - 1))
         s = data.draw(letters)
-        for word in sorted(m_class(system, ball.words[v])):
+        for word in sorted(m_class(system, ball.word(v))):
             assert ball.vertex_of(word) == v
             assert ball.vertex_of(word[:1] + (s, s) + word[1:]) == v
 
