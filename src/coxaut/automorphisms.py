@@ -17,7 +17,6 @@ automorphism acting by x -> w * d(x).  These compose by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .ball import CayleyBall, field_map
@@ -35,12 +34,19 @@ from .system import (
 from .words import Word, inverse_word, multiply, reduce_word
 
 
-@dataclass(frozen=True)
 class BallAutomorphism:
     """A partial vertex map, defined at least on word lengths <= interior_radius."""
 
-    vmap: tuple[int | None, ...]
-    interior_radius: int
+    __slots__ = ("vmap", "interior_radius")
+
+    def __init__(self, vmap: tuple[int | None, ...], interior_radius: int):
+        self.vmap = vmap
+        self.interior_radius = interior_radius
+
+    def __eq__(self, other):
+        if type(other) is not BallAutomorphism:
+            return NotImplemented
+        return self.vmap == other.vmap and self.interior_radius == other.interior_radius
 
     def image(self, v: int) -> int | None:
         return self.vmap[v]
@@ -69,12 +75,19 @@ def diagram_aut(ball: CayleyBall, d: DiagramAutomorphism) -> BallAutomorphism:
     return factored_ball_map(ball, 0, d)
 
 
-@dataclass(frozen=True)
 class FactoredAutomorphism:
     """The pair (word, diagram) acting as x -> word * diagram(x)."""
 
-    word: Word
-    diagram: DiagramAutomorphism
+    __slots__ = ("word", "diagram")
+
+    def __init__(self, word: Word, diagram: DiagramAutomorphism):
+        self.word = word
+        self.diagram = diagram
+
+    def __eq__(self, other):
+        if type(other) is not FactoredAutomorphism:
+            return NotImplemented
+        return self.word == other.word and self.diagram == other.diagram
 
     def act(self, system: CoxeterSystem, x: Word) -> Word:
         return multiply(system, self.word, self.diagram.apply_word(x))
@@ -178,11 +191,18 @@ def field_violations(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tup
 # -- verification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
-    total: bool
-    violations: tuple[str, ...]
+    __slots__ = ("ok", "total", "violations")
+
+    def __init__(self, ok: bool, total: bool, violations: tuple[str, ...]):
+        self.ok = ok
+        self.total = total
+        self.violations = violations
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return (self.ok, self.total, self.violations) == (other.ok, other.total, other.violations)
 
 
 def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> VerificationReport:
@@ -243,14 +263,32 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
     return result
 
 
-@dataclass(frozen=True)
 class PermutationField:
     """Local permutations over the star interior, with a constancy summary."""
 
-    vertices: tuple[int, ...]
-    perms: tuple[tuple[int, ...], ...]
-    is_constant: bool
-    constant: tuple[int, ...] | None
+    __slots__ = ("vertices", "perms", "is_constant", "constant")
+
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        perms: tuple[tuple[int, ...], ...],
+        is_constant: bool,
+        constant: tuple[int, ...] | None,
+    ):
+        self.vertices = vertices
+        self.perms = perms
+        self.is_constant = is_constant
+        self.constant = constant
+
+    def __eq__(self, other):
+        if type(other) is not PermutationField:
+            return NotImplemented
+        return (self.vertices, self.perms, self.is_constant, self.constant) == (
+            other.vertices,
+            other.perms,
+            other.is_constant,
+            other.constant,
+        )
 
     def perm_at(self, v: int) -> tuple[int, ...]:
         return self.perms[self.vertices.index(v)]
@@ -348,30 +386,56 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
 # -- identity-stabilizer census ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class StabilizerEntry:
     """One automorphism class, keyed by its restriction to the probe sub-ball."""
 
-    images: tuple[int, ...]
-    automorphism: BallAutomorphism
-    verdict: str
-    diagram: DiagramAutomorphism | None
+    __slots__ = ("images", "automorphism", "verdict", "diagram")
+
+    def __init__(
+        self, images: tuple[int, ...], automorphism: BallAutomorphism, verdict: str, diagram: DiagramAutomorphism | None
+    ):
+        self.images = images
+        self.automorphism = automorphism
+        self.verdict = verdict
+        self.diagram = diagram
+
+    def __eq__(self, other):
+        if type(other) is not StabilizerEntry:
+            return NotImplemented
+        return (self.images, self.automorphism, self.verdict, self.diagram) == (
+            other.images,
+            other.automorphism,
+            other.verdict,
+            other.diagram,
+        )
+
+    def __hash__(self):
+        return hash(self.images)
 
 
-@dataclass(frozen=True, eq=False)
 class StabilizerCensus:
     """The census as a permutation group on the probe ids: transversals[i - 1]
     holds one restriction fixing 0 .. i-1 and moving i per image of i found,
     and each element is one product u_1 u_2 ... with u_i the identity or in
     transversals[i - 1] (Sims; Seress, Permutation Group Algorithms, ch. 4)."""
 
-    ball: CayleyBall
-    probe_radius: int
-    probe_count: int
-    transversals: tuple[tuple[tuple[int, ...], ...], ...]
-    diagram_count: int
-    search_nodes: int
-    max_nodes: int
+    def __init__(
+        self,
+        ball: CayleyBall,
+        probe_radius: int,
+        probe_count: int,
+        transversals: tuple[tuple[tuple[int, ...], ...], ...],
+        diagram_count: int,
+        search_nodes: int,
+        max_nodes: int,
+    ):
+        self.ball = ball
+        self.probe_radius = probe_radius
+        self.probe_count = probe_count
+        self.transversals = transversals
+        self.diagram_count = diagram_count
+        self.search_nodes = search_nodes
+        self.max_nodes = max_nodes
 
     @property
     def count(self) -> int:
@@ -506,15 +570,17 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
 # -- the exotic family is infinite -------------------------------------------
 
 
-@dataclass(frozen=True)
 class PsiFamilyReport:
     """Fixed/moved behavior of psi_n on the test words (s t)^k."""
 
-    moved_generator: int
-    n_max: int
-    fixed: tuple[tuple[bool, ...], ...]
-    ok: bool
-    detail: str
+    __slots__ = ("moved_generator", "n_max", "fixed", "ok", "detail")
+
+    def __init__(self, moved_generator: int, n_max: int, fixed: tuple[tuple[bool, ...], ...], ok: bool, detail: str):
+        self.moved_generator = moved_generator
+        self.n_max = n_max
+        self.fixed = fixed
+        self.ok = ok
+        self.detail = detail
 
 
 def psi_family_distinctness(

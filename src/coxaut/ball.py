@@ -116,14 +116,11 @@ class CayleyBall:
             texts.append(f"{texts[p]} {names[s]}" if p else names[s])
         return texts
 
-    @cached_property
-    def labels(self) -> list[dict[int, int]]:
-        """labels[u][v] = the label of the edge between u and v; built on first use."""
-        return [{v: s for s, v in enumerate(row) if v >= 0} for row in self.rows]
-
     def label(self, u: int, v: int) -> int | None:
-        """The label of the edge between u and v; None when they are not adjacent."""
-        return self.labels[u].get(v)
+        """The label of the edge between u and v, v's position in u's row; None
+        when they are not adjacent."""
+        row = self.rows[u]
+        return row.index(v) if v in row else None
 
     def to_json_dict(self) -> dict:
         names = self.system.names

@@ -63,7 +63,6 @@ applies; so f g couples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .automorphisms import (
@@ -94,23 +93,27 @@ from .system import (
 from .words import LimitExceeded, apply_m_operation
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    status: str  # pass | fail | vacuous | indeterminate
-    detail: str
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        self.name = name
+        self.status = status  # pass | fail | vacuous | indeterminate
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
 class SystemReport:
-    radius: int
-    probe_radius: int
-    flexible: bool
-    verdict: str
-    checks: tuple[CheckResult, ...]
+    __slots__ = ("radius", "probe_radius", "flexible", "verdict", "checks")
+
+    def __init__(self, radius: int, probe_radius: int, flexible: bool, verdict: str, checks: tuple[CheckResult, ...]):
+        self.radius = radius
+        self.probe_radius = probe_radius
+        self.flexible = flexible
+        self.verdict = verdict
+        self.checks = checks
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:

@@ -12,12 +12,9 @@ far enough from the boundary, so every classification carries a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ball import CayleyBall, count_paths_to, distances_within
 
 
-@dataclass(frozen=True)
 class EmbeddedCycle:
     """A cycle as a canonical vertex tuple plus the edge labels along it.
 
@@ -26,8 +23,16 @@ class EmbeddedCycle:
     first and its smaller cycle-neighbor comes second.
     """
 
-    vertices: tuple[int, ...]
-    labels: tuple[int, ...]
+    __slots__ = ("vertices", "labels")
+
+    def __init__(self, vertices: tuple[int, ...], labels: tuple[int, ...]):
+        self.vertices = vertices
+        self.labels = labels
+
+    def __eq__(self, other):
+        if type(other) is not EmbeddedCycle:
+            return NotImplemented
+        return self.vertices == other.vertices and self.labels == other.labels
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -102,12 +107,14 @@ def map_cycle(ball: CayleyBall, vmap, cycle: EmbeddedCycle) -> EmbeddedCycle | N
     return image
 
 
-@dataclass(frozen=True)
 class EssentialityReport:
-    essential: bool
-    certified: bool
-    failure: tuple[int, int, int, int] | None = None
-    """(u, v, distance, path_count) for the first opposite pair violating the test."""
+    __slots__ = ("essential", "certified", "failure")
+
+    def __init__(self, essential: bool, certified: bool, failure: tuple[int, int, int, int] | None = None):
+        self.essential = essential
+        self.certified = certified
+        # (u, v, distance, path_count) for the first opposite pair violating the test
+        self.failure = failure
 
 
 def certifies(ball: CayleyBall, cycle: EmbeddedCycle) -> bool:
@@ -159,16 +166,41 @@ def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:
     return [c for c in enumerate_embedded_cycles(ball, 2 * m) if is_alternating(c)]
 
 
-@dataclass(frozen=True)
 class CharacterizationReport:
     """Certified-essential vs certified-relator comparison on one ball."""
 
-    cycles_examined: int
-    essential: tuple[EmbeddedCycle, ...]
-    """The certified essential cycles, in the order they were examined."""
-    certified_relator: int
-    essential_not_relator: tuple[EmbeddedCycle, ...]
-    relator_not_essential: tuple[EmbeddedCycle, ...]
+    __slots__ = ("cycles_examined", "essential", "certified_relator", "essential_not_relator", "relator_not_essential")
+
+    def __init__(
+        self,
+        cycles_examined: int,
+        essential: tuple[EmbeddedCycle, ...],
+        certified_relator: int,
+        essential_not_relator: tuple[EmbeddedCycle, ...],
+        relator_not_essential: tuple[EmbeddedCycle, ...],
+    ):
+        self.cycles_examined = cycles_examined
+        self.essential = essential  # the certified essential cycles, in the order they were examined
+        self.certified_relator = certified_relator
+        self.essential_not_relator = essential_not_relator
+        self.relator_not_essential = relator_not_essential
+
+    def __eq__(self, other):
+        if type(other) is not CharacterizationReport:
+            return NotImplemented
+        return (
+            self.cycles_examined,
+            self.essential,
+            self.certified_relator,
+            self.essential_not_relator,
+            self.relator_not_essential,
+        ) == (
+            other.cycles_examined,
+            other.essential,
+            other.certified_relator,
+            other.essential_not_relator,
+            other.relator_not_essential,
+        )
 
     @property
     def certified_essential(self) -> int:

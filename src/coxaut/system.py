@@ -9,7 +9,6 @@ finite orders are stored, every unlisted pair is infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 INFINITY = math.inf
 
@@ -184,11 +183,18 @@ def parse_system(text: str) -> CoxeterSystem:
     return CoxeterSystem(names, orders)
 
 
-@dataclass(frozen=True)
 class DiagramAutomorphism:
     """A permutation of the generators preserving every pair order."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        self.images = images
+
+    def __eq__(self, other):
+        if type(other) is not DiagramAutomorphism:
+            return NotImplemented
+        return self.images == other.images
 
     def __call__(self, s: int) -> int:
         return self.images[s]
@@ -324,12 +330,14 @@ def diagram_group(system: CoxeterSystem) -> tuple[int, tuple[DiagramAutomorphism
     return system._diagram_group
 
 
-@dataclass(frozen=True)
 class FlexibilityWitness:
     """A pivot generator and a nontrivial automorphism fixing it and all its neighbors."""
 
-    pivot: int
-    phi: DiagramAutomorphism
+    __slots__ = ("pivot", "phi")
+
+    def __init__(self, pivot: int, phi: DiagramAutomorphism):
+        self.pivot = pivot
+        self.phi = phi
 
 
 def validate_witness(system: CoxeterSystem, witness: FlexibilityWitness) -> None:

@@ -223,10 +223,10 @@ class TestTables:
         assert_tables_match_definitions(build_ball(system, 3))
 
     def test_json_export_builds_no_label_table(self, atilde2):
-        # ball --format json must not pay for the label table
+        # ball --format json must not pay for a per-vertex table; label reads rows
         ball = build_ball(atilde2, 4)
         ball.to_json_dict()
         ball.to_dot()
+        assert "rows" not in vars(ball) and "neighbors" not in vars(ball)
+        assert ball.label(0, 1) == 0
         assert "labels" not in vars(ball)
-        ball.label(0, 1)
-        assert "labels" in vars(ball)

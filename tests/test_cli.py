@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -376,6 +379,14 @@ def test_benchmark_tracer_runs_verify(capsys, monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["ball.edges"] > 0
     assert metrics["automorphisms.map_build.self_s"] > 0
+
+
+def test_import_generates_no_dataclass_code():
+    # every command is one cold process, and a @dataclass execs generated
+    # methods at import; a fresh interpreter must never load dataclasses
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, coxaut.cli; sys.exit('dataclasses' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- fuzz ----------------------------------------------------------------------
