@@ -105,6 +105,19 @@ class CayleyBall:
         return [sorted(row)[row.count(-1) :] for row in self.rows]
 
     @cached_property
+    def reduced_word_counts(self) -> list[int]:
+        """reduced_word_counts[v] = the number of reduced words of v, i.e. of geodesics
+        from the identity to v; built on first use, in id order: 1 at the identity,
+        and otherwise the sum of the counts at v·s over v's right descents s (a
+        reduced word of v is one of v·s followed by s)."""
+        adj, length, rank = self.adj, self.length, self.rank
+        counts = [1]
+        for v in range(1, self.size):
+            below = length[v] - 1
+            counts.append(sum(counts[u] for u in adj[v * rank : v * rank + rank] if u >= 0 and length[u] == below))
+        return counts
+
+    @cached_property
     def texts(self) -> list[str]:
         """texts[v] = format_word(system, word(v)), built on first use: the BFS
         parent's text, the name of v's last letter appended."""

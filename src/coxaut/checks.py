@@ -236,9 +236,8 @@ def run_system_checks(
 
     # -- cycles ----------------------------------------------------------
 
-    characterization = verify_essential_characterization(ball)
-
     def essential_census() -> tuple[str, str]:
+        characterization = verify_essential_characterization(ball, max_vertices=max_vertices)
         if not characterization.ok:
             extra = characterization.essential_not_relator or characterization.relator_not_essential
             return "fail", (

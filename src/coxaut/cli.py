@@ -217,7 +217,7 @@ def cmd_cycles(args) -> int:
     max_m = system.max_finite_order()
     max_length = args.max_length if args.max_length is not None else (2 * max_m if max_m else 6)
     rows = []
-    for cycle in enumerate_embedded_cycles(ball, max_length):
+    for cycle in enumerate_embedded_cycles(ball, max_length, max_vertices):
         report = is_essential(ball, cycle)
         relator = None
         if is_alternating(cycle):

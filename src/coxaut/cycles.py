@@ -8,11 +8,23 @@ On the full Cayley graph the essential cycles are exactly the relator
 cycles; on a finite ball that equivalence is only trustworthy for cycles
 far enough from the boundary, so every classification carries a
 ``certified`` flag.
+
+Both searches read the group's structure instead of searching the ball.
+Left multiplication keeps edge labels, and a ball is an induced subgraph,
+so an embedded cycle with smallest vertex g is g·C0 for the cycle C0 =
+g^-1·C through the identity, with the same label word: the enumeration
+finds the label words of the cycles through the identity once and walks
+each word from every vertex.  A path of n edges between vertices n apart
+is a geodesic, and a geodesic is simple, so when opposite vertices u, v are
+n apart the simple n-paths that essentiality counts are their shortest
+paths: when the ball holds all of them (on every pair of a certified cycle)
+they are u times the reduced words of u^-1·v, counted by a per-ball table,
+and otherwise one bounded BFS counts them.
 """
 
 from __future__ import annotations
 
-from .ball import CayleyBall, count_paths_to, distances_within
+from .ball import DEFAULT_MAX_VERTICES, CayleyBall, build_ball
 
 
 class EmbeddedCycle:
@@ -56,36 +68,92 @@ def _canonical_cycle(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
     return EmbeddedCycle(tuple(rotated), labels)
 
 
-def enumerate_embedded_cycles(ball: CayleyBall, max_length: int) -> list[EmbeddedCycle]:
-    """All embedded cycles of length <= max_length, each exactly once.
+def cycle_words(ball: CayleyBall, max_length: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[tuple[int, ...]]:
+    """The label words, read from the identity in both directions, of embedded
+    cycles through the identity of length at most max_length: at least every one
+    whose vertices have word length at most R = min(max_length // 2, 2 * radius),
+    which holds every cycle with a translate in the ball.  A vertex of such a
+    cycle is at most half its length from the identity along it, and g^-1·c has
+    length at most 2 * radius for g, c in the ball.
 
-    Each cycle is found only from its minimal vertex (the DFS, on an explicit
-    stack, only visits larger ids from the root) and only in one direction
-    (recorded when the second vertex is smaller than the last), so no
-    deduplication pass is needed.  A step to x is skipped when |length[x] -
-    length[root]| exceeds the edges left once x is appended: each edge changes
-    word length by exactly 1, so no arc that short leads back to the root.
+    The words come from the ball itself when it is complete or its radius is at
+    least R, and otherwise from build_ball(system, R, max_vertices), which raises
+    LimitExceeded past the guard.  One depth-first search from the identity, on
+    an explicit stack, skips a step to x unless length[x] is at most the edges
+    left once x is appended: each edge changes word length by exactly 1, so no
+    shorter arc leads back to the identity.  A diagram without a finite order
+    has no words: its Cayley graph is a tree.
     """
+    if ball.system.max_finite_order() is None:
+        return []  # no relator: the Cayley graph is a tree
+    radius = min(max_length // 2, 2 * ball.radius)
+    source = ball if ball.complete or ball.radius >= radius else build_ball(ball.system, radius, max_vertices)
+    adj, length, rank = source.adj, source.length, source.rank
+    words: list[tuple[int, ...]] = []
+    path, labels, on_path = [0], [], {0}
+    stack = [iter(range(rank))]
+    while stack:
+        base = path[-1] * rank
+        spare = max_length - len(path)  # edges left for the closing arc once y is appended
+        for s in stack[-1]:
+            y = adj[base + s]
+            if y == 0:
+                if len(path) >= 3:
+                    words.append((*labels, s))
+            elif y > 0 and length[y] <= spare and y not in on_path:
+                path.append(y)
+                labels.append(s)
+                on_path.add(y)
+                stack.append(iter(range(rank)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+            if labels:
+                labels.pop()
+    return words
+
+
+def enumerate_embedded_cycles(
+    ball: CayleyBall, max_length: int, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> list[EmbeddedCycle]:
+    """All embedded cycles of length <= max_length, each exactly once, sorted by
+    length, then vertices.
+
+    Each cycle word (cycle_words) is walked from every vertex g along adj; a walk
+    stops at an id <= g (-1 included: the walk left the ball), so it keeps only
+    cycles whose smallest vertex is g, and a cycle is kept only when its second
+    vertex is below its last.  A cycle with smallest vertex g, read in that
+    direction, is g·C0 for one cycle C0 through the identity, read from there in
+    one direction, so it is found exactly once, in canonical form, and its labels
+    are the word itself.  Words are grouped by first letter, so a first step to
+    an id <= g ends every walk of its group at once.  max_vertices guards the
+    ball the words may need.
+    """
+    adj, rank = ball.adj, ball.rank
+    groups: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for word in cycle_words(ball, max_length, max_vertices):
+        groups.setdefault(word[0], []).append((word[1:-1], word))
+    first_steps = sorted(groups.items())
     cycles: list[EmbeddedCycle] = []
-    neighbors, length = ball.neighbors, ball.length
-    for root in range(ball.size):
-        path = [root]
-        on_path = {root}
-        stack = [iter(neighbors[root])]
-        while stack:
-            spare = max_length - len(path)  # edges left for the closing arc once nxt is appended
-            for nxt in stack[-1]:
-                if nxt == root:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(_canonical_cycle(ball, list(path)))
-                elif nxt > root and nxt not in on_path and spare > 0 and abs(length[nxt] - length[root]) <= spare:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    stack.append(iter(neighbors[nxt]))
-                    break
-            else:
-                stack.pop()
-                on_path.discard(path.pop())
+    if not first_steps:
+        return cycles
+    for g in range(ball.size):
+        base = g * rank
+        for first, walks in first_steps:
+            y = adj[base + first]
+            if y <= g:
+                continue
+            for body, word in walks:
+                v, vertices = y, [g, y]
+                for s in body:
+                    v = adj[v * rank + s]
+                    if v <= g:
+                        break
+                    vertices.append(v)
+                else:
+                    if y < v:
+                        cycles.append(EmbeddedCycle(tuple(vertices), word))
     cycles.sort(key=lambda c: (len(c), c.vertices))
     return cycles
 
@@ -129,22 +197,64 @@ def certifies(ball: CayleyBall, cycle: EmbeddedCycle) -> bool:
 
 
 def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
-    """Test every opposite pair: distance n and exactly two simple n-paths."""
+    """Test every opposite pair u, v = vertices[i], vertices[i + n]: distance n and
+    exactly two simple n-paths.  An arc of the cycle joins them in n steps, so
+    when they are n apart every simple n-path is a geodesic, and the count is the
+    number of shortest paths.
+
+    A vertex j steps along a geodesic from u has word length at most
+    min(|u| + j, |v| + n - j) <= (|u| + |v| + n) / 2, so when the ball is complete
+    or |u| + |v| + n <= 2 * radius every geodesic between u and v lies inside it,
+    and the ball's distance and shortest-path count are the group's.  Walking
+    labels[i:i + n] from the identity then reaches x = u^-1·v: the distance is
+    length[x] and the count is ball.reduced_word_counts[x], the geodesics being
+    u times the reduced words of x.  The walk stays inside the ball: its j-th
+    vertex u^-1·w, w the vertex j steps along the arc from u, has length
+    d(u, w) <= min(j, |x| + n - j) <= (|u| + |v| + n) / 2.  Every pair of a
+    certified cycle qualifies (|u|, |v| <= radius - n).  Any other pair is
+    measured by one BFS from v, bounded by n, that counts shortest paths inside
+    the ball.
+    """
     certified = certifies(ball, cycle)
     if len(cycle) % 2 != 0:
         return EssentialityReport(False, certified, None)
     n = cycle.half_length
-    for u, v in cycle.opposite_pairs():
-        # an arc of the cycle joins u and v in n steps, so one BFS bounded by
-        # n gives their distance and the table that prunes the path count
-        dist_to_v = distances_within(ball, v, n)
-        d = dist_to_v.get(u, -1)
+    vertices, labels = cycle.vertices, cycle.labels
+    adj, length, rank = ball.adj, ball.length, ball.rank
+    reach = 2 * length[-1] if ball.complete else 2 * ball.radius - n  # bound on length[u] + length[v]
+    for i in range(n):
+        u, v = vertices[i], vertices[i + n]
+        if length[u] + length[v] <= reach:
+            x = 0
+            for s in labels[i : i + n]:
+                x = adj[x * rank + s]
+            d, paths = length[x], ball.reduced_word_counts[x]
+        else:
+            d, paths = _shortest_paths(ball, v, u, n)
         if d != n:
             return EssentialityReport(False, certified, (u, v, d, -1))
-        paths = count_paths_to(ball, u, dist_to_v, n)
         if paths != 2:
             return EssentialityReport(False, certified, (u, v, d, paths))
     return EssentialityReport(True, certified, None)
+
+
+def _shortest_paths(ball: CayleyBall, source: int, target: int, bound: int) -> tuple[int, int]:
+    """(distance, number of shortest paths) from source to target inside the ball,
+    by one layered BFS that stops at the target's layer; (-1, 0) beyond bound."""
+    adj, rank = ball.adj, ball.rank
+    paths = {source: 1}  # shortest-path counts of every vertex in a finished layer
+    layer = paths
+    for d in range(1, bound + 1):
+        reached: dict[int, int] = {}
+        for x, c in layer.items():
+            for y in adj[x * rank : x * rank + rank]:
+                if y >= 0 and y not in paths:
+                    reached[y] = reached.get(y, 0) + c
+        if target in reached:
+            return d, reached[target]
+        paths.update(reached)
+        layer = reached
+    return -1, 0
 
 
 def is_alternating(cycle: EmbeddedCycle) -> bool:
@@ -212,12 +322,12 @@ class CharacterizationReport:
 
 
 def verify_essential_characterization(
-    ball: CayleyBall, cycles: list[EmbeddedCycle] | None = None
+    ball: CayleyBall, cycles: list[EmbeddedCycle] | None = None, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> CharacterizationReport:
     """Check that certified essential cycles and certified relator cycles agree.
 
     cycles must hold every embedded cycle up to twice the largest finite order
-    (enumerated here when omitted), hence every relator cycle, which is found
+    (enumerated here when omitted, under max_vertices), hence every relator cycle, which is found
     by alternation; each even certified cycle is tested once.
     Only certified cycles participate on either side: an uncertified relator
     cycle near the boundary may fail the distance test purely because the
@@ -225,7 +335,7 @@ def verify_essential_characterization(
     """
     if cycles is None:
         m = ball.system.max_finite_order()
-        cycles = enumerate_embedded_cycles(ball, 2 * m if m is not None else 4)
+        cycles = enumerate_embedded_cycles(ball, 2 * m if m is not None else 4, max_vertices)
     even = [c for c in cycles if len(c) % 2 == 0]
     essentials: dict[tuple[int, ...], EmbeddedCycle] = {}
     relators: dict[tuple[int, ...], EmbeddedCycle] = {}

@@ -131,6 +131,14 @@ class TestRunChecks:
         assert len(report.checks) == 1
         assert report.checks[0].name == "build-ball"
 
+    def test_word_ball_guard_gives_indeterminate_census(self):
+        # at r = 5 the cycle words up to 2 * 8 come from a ball of radius 8 (716 vertices)
+        system = parse_system((DIAGRAMS[0].parent / "frontier" / "triangle578.cox").read_text())
+        report = run_system_checks(system, radius=5, max_vertices=715)
+        census = {c.name: c for c in report.checks}["essential-census"]
+        assert (census.status, census.detail) == ("indeterminate", "ball exceeded 715 vertices")
+        assert census in report.indeterminate and not report.ok  # verify exits 3
+
     def test_bipartite_edges_reads_both_ends_of_every_edge(self, a2, monkeypatch):
         def one_sided_ball(system, radius, max_vertices):
             ball = build_ball(system, radius, max_vertices=max_vertices)

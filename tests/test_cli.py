@@ -150,10 +150,29 @@ class TestCyclesCommand:
         assert all(row["essential"] for row in relators)
 
     def test_paths_deeper_than_the_recursion_limit(self, capsys):
-        # the search keeps its path on an explicit stack
+        # a diagram with no finite order has a tree as its Cayley graph: no cycle words
         path = Path(__file__).resolve().parent.parent / "diagrams" / "free2.cox"
         assert main(["cycles", str(path), "--radius", "1100", "--max-length", "2300"]) == 0
         assert capsys.readouterr().out == "0 embedded cycles of length <= 2300 at radius 1100\n"
+
+    def test_cycle_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # the Cayley graph of I2(600) is one 1200-cycle: the search for cycle
+        # words keeps its 1200-vertex path on an explicit stack
+        path = tmp_path / "i2.cox"
+        path.write_text("gens a b\npair a b 600\n")
+        assert main(["cycles", str(path), "--radius", "600", "--max-length", "1200", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["cycles"]
+        assert len(row["vertices"]) == 1200
+        assert (row["essential"], row["certified"], row["relator"]) == (True, True, ["a", "b"])
+
+    @pytest.mark.parametrize("max_vertices,code", [(None, 0), (716, 0), (715, 3), (93, 3)])
+    def test_word_ball_guard(self, max_vertices, code, capsys):
+        # |B_5| = 93 and |B_8| = 716: a 16-cycle's words at r = 5 need the ball of radius 8
+        argv = ["cycles", str(ROOT / "diagrams" / "frontier" / "triangle578.cox"), "--radius", "5", "--max-length", "16"]
+        guard = [] if max_vertices is None else ["--max-vertices", str(max_vertices)]
+        assert main(argv + guard) == code
+        if code == 3:
+            assert capsys.readouterr().err == f"INDETERMINATE: ball exceeded {max_vertices} vertices\n"
 
     def test_negative_max_length(self, a2_file, capsys):
         assert main(["cycles", a2_file, "--radius", "3", "--max-length", "-3"]) == 2

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxaut.ball import build_ball
+from coxaut.ball import build_ball, count_paths_to, distances_within
 from coxaut.cycles import (
     EmbeddedCycle,
+    EssentialityReport,
     certifies,
     enumerate_embedded_cycles,
     is_alternating,
@@ -13,10 +14,12 @@ from coxaut.cycles import (
     verify_essential_characterization,
 )
 from coxaut.system import parse_system
-from coxaut.words import parse_word
+from coxaut.words import m_class_size, parse_word
 
 import relator_traces
 from conftest import DIAGRAMS, RANK3, make_system, random_systems
+
+FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
 
 
 def cycle_words(ball, cycle):
@@ -48,9 +51,55 @@ def unpruned_cycles(ball, max_length):
     return sorted(cycles, key=lambda c: (len(c), c.vertices))
 
 
+def reference_is_essential(ball, cycle):
+    """is_essential by search: for each opposite pair, one BFS bounded by n gives
+    the distance, and a depth-first count of the simple n-paths gives the rest."""
+    certified = certifies(ball, cycle)
+    if len(cycle) % 2 != 0:
+        return EssentialityReport(False, certified, None)
+    n = cycle.half_length
+    for u, v in cycle.opposite_pairs():
+        dist_to_v = distances_within(ball, v, n)
+        d = dist_to_v.get(u, -1)
+        if d != n:
+            return EssentialityReport(False, certified, (u, v, d, -1))
+        paths = count_paths_to(ball, u, dist_to_v, n)
+        if paths != 2:
+            return EssentialityReport(False, certified, (u, v, d, paths))
+    return EssentialityReport(True, certified, None)
+
+
+def assert_same_essentiality(ball, cycles):
+    for cycle in cycles:
+        report, reference = is_essential(ball, cycle), reference_is_essential(ball, cycle)
+        assert (report.essential, report.certified, report.failure) == (
+            reference.essential,
+            reference.certified,
+            reference.failure,
+        ), cycle.vertices
+
+
 def default_max_length(system):
     m = system.max_finite_order()
     return 2 * m if m is not None else 6
+
+
+def word_source(ball, max_length):
+    """Where enumerate_embedded_cycles reads its cycle words: the ball itself when
+    it is complete or deep enough, else a ball it builds."""
+    if ball.complete:
+        return "complete"
+    return "ball" if ball.radius >= min(max_length // 2, 2 * ball.radius) else "built"
+
+
+def differential_cases(path):
+    """(ball, max_length) for r <= 6 (free10: r <= 3) and max_length up to 2r + 4."""
+    system = parse_system(path.read_text())
+    for radius in range(4 if path.stem == "free10" else 7):
+        ball = build_ball(system, radius)
+        default = default_max_length(system)
+        for max_length in sorted({default, default + 3, 2 * radius + 4}):
+            yield ball, max_length
 
 
 def find_cycle(ball, texts):
@@ -102,26 +151,63 @@ class TestEnumeration:
 
 
 class TestLengthPrune:
-    """The word-length prune loses no cycle and keeps the order."""
+    """Cycle words walked from every vertex (their search from the identity keeps
+    the word-length prune) against the unpruned per-root search: the same cycles
+    in the same order, and is_essential against the search-based reference on
+    every one of them, certified or not."""
+
+    @staticmethod
+    def assert_matches_references(path):
+        for ball, max_length in differential_cases(path):
+            cycles = enumerate_embedded_cycles(ball, max_length)
+            assert cycles == unpruned_cycles(ball, max_length)
+            assert_same_essentiality(ball, cycles)
 
     @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
     def test_shipped_diagrams(self, path):
-        system = parse_system(path.read_text())
-        for radius in range(7):
-            ball = build_ball(system, radius)
-            for max_length in (default_max_length(system), default_max_length(system) + 3):
-                assert enumerate_embedded_cycles(ball, max_length) == unpruned_cycles(ball, max_length)
+        self.assert_matches_references(path)
+
+    @pytest.mark.parametrize("path", FRONTIER, ids=lambda p: p.stem)
+    def test_frontier_diagrams(self, path):
+        self.assert_matches_references(path)
+
+    def test_every_word_source_is_compared(self):
+        sources = {word_source(ball, L) for path in DIAGRAMS + FRONTIER for ball, L in differential_cases(path)}
+        assert sources == {"ball", "built", "complete"}
+
+    def test_built_word_ball(self):
+        # r = 5 < 16 // 2 on an infinite group: the words come from a ball of radius 8
+        ball = build_ball(parse_system((DIAGRAMS[0].parent / "frontier" / "triangle578.cox").read_text()), 5)
+        assert word_source(ball, 16) == "built"
+        cycles = enumerate_embedded_cycles(ball, 16)
+        assert cycles == unpruned_cycles(ball, 16)
+        assert_same_essentiality(ball, cycles)
 
     def test_rank3_diagrams(self):
         for system in RANK3:
             for radius in range(7):
                 ball = build_ball(system, radius)
                 max_length = default_max_length(system)
-                assert enumerate_embedded_cycles(ball, max_length) == unpruned_cycles(ball, max_length)
+                cycles = enumerate_embedded_cycles(ball, max_length)
+                assert cycles == unpruned_cycles(ball, max_length)
+                assert_same_essentiality(ball, cycles)
 
     def test_atilde2_radius_18(self, atilde2):
         ball = build_ball(atilde2, 18)
-        assert enumerate_embedded_cycles(ball, 6) == unpruned_cycles(ball, 6)
+        cycles = enumerate_embedded_cycles(ball, 6)
+        assert cycles == unpruned_cycles(ball, 6)
+        assert_same_essentiality(ball, cycles)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_systems(self, data):
+        system = data.draw(random_systems(max_rank=4, finite_orders=(2, 3, 4, 5, 6)))
+        radius = data.draw(st.integers(0, 4))
+        ball = build_ball(system, radius)
+        max_length = data.draw(st.integers(0, 2 * radius + 4))
+        cycles = enumerate_embedded_cycles(ball, max_length)
+        assert cycles == unpruned_cycles(ball, max_length)
+        assert_same_essentiality(ball, cycles)
 
 
 class TestRelatorCycles:
@@ -190,6 +276,13 @@ class TestEssentiality:
         assert not certifies(shallow, square)  # tu sits at the boundary
         deep = build_ball(branched, 4)
         assert certifies(deep, find_cycle(deep, ["e", "t", "t u", "u"]))
+
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_reduced_word_counts_match_rewriting(self, path):
+        system = parse_system(path.read_text())
+        for radius in range(6):
+            ball = build_ball(system, radius)
+            assert ball.reduced_word_counts == [m_class_size(system, ball.word(v)) for v in range(ball.size)]
 
     def test_complete_ball_certifies_everything(self, cube):
         ball = build_ball(cube, 3)
