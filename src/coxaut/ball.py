@@ -62,10 +62,15 @@ class CayleyBall:
 
     @cached_property
     def edges(self) -> list[tuple[int, int, int]]:
-        """Every edge once, as sorted (u, v, label) triples with u < v: one
+        """Every edge once, as sorted (u, v, label) triples with u < v."""
+        return self.edges_from(0, self.size)
+
+    def edges_from(self, start: int, stop: int) -> list[tuple[int, int, int]]:
+        """The edges (u, v, label) with start <= u < stop and u < v, sorted: one
         strided slice of adj per label, then one sort."""
-        rank, ids = self.rank, range(self.size)
-        return sorted([e for s in range(rank) for e in zip(ids, self.adj[s::rank], repeat(s)) if e[0] < e[1]])
+        rank, adj, ids = self.rank, self.adj, range(start, stop)
+        columns = [zip(ids, adj[start * rank + s : stop * rank : rank], repeat(s)) for s in range(rank)]
+        return sorted([e for column in columns for e in column if e[0] < e[1]])
 
     @cached_property
     def complete(self) -> bool:
@@ -134,14 +139,6 @@ class CayleyBall:
         when they are not adjacent."""
         row = self.rows[u]
         return row.index(v) if v in row else None
-
-    def to_json_dict(self) -> dict:
-        names = self.system.names
-        return {
-            "radius": self.radius,
-            "vertices": [{"id": i, "word": text} for i, text in enumerate(self.texts)],
-            "edges": [[u, v, names[s]] for u, v, s in self.edges],
-        }
 
     def to_dot(self) -> str:
         """Graphviz rendering convenience; labels are words and generator names,

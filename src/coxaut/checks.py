@@ -398,8 +398,12 @@ def run_system_checks(
 
     # -- verdict -----------------------------------------------------------
 
-    if census is None:
+    # a tripped guard (census None among them) leaves no verdict, and a failed check no evidence
+    statuses = {check.status for check in checks}
+    if "indeterminate" in statuses:
         verdict = "INDETERMINATE"
+    elif "fail" in statuses:
+        verdict = "INCONCLUSIVE"
     elif witness is not None and census.count > group_order:
         verdict = "NONDISCRETE-EVIDENCE"
     elif witness is None and census.count == group_order and census.exotic_count == 0:

@@ -15,8 +15,9 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import is_not
 
 from .automorphisms import (
     identity_stabilizer_census,
@@ -43,9 +44,8 @@ def _json_text(obj, newline: str = "\n") -> str:
 
     The stdlib takes its pure-Python encoder whenever indent is set.  Here str,
     int, True, False and None are spelled as the stdlib spells them, and every
-    other scalar (and str or int subclass) by its C encoder.  A flat list or a
-    flat-row table (see _flat_texts) is spelled without a call per item.  A key
-    that is not a str raises TypeError.
+    other scalar (and str or int subclass) by its C encoder.  A key that is not
+    a str raises TypeError.
     """
     if type(obj) is str:
         return encode_basestring_ascii(obj)
@@ -62,70 +62,63 @@ def _json_text(obj, newline: str = "\n") -> str:
         items = ["".join([encode_basestring_ascii(key), ": ", _json_text(obj[key], inner)]) for key in sorted(obj)]
         return "".join(["{", inner, ("," + inner).join(items), newline, "}"])
     if isinstance(obj, (list, tuple)) and obj:
-        parts = _flat_texts(obj, inner)
-        if parts is None:
-            parts = [("," + inner).join([_json_text(x, inner) for x in obj])]
-        return "".join(["[", inner, *parts, newline, "]"])
+        return _array([_json_text(x, inner) for x in obj], newline)
     return json.dumps(obj)  # any other scalar, {} or []
 
 
-_ENCODERS = {int: int.__repr__, str: encode_basestring_ascii}
+def _array(cells: list[str], newline: str) -> str:
+    """The JSON array of encoded cells at indent newline."""
+    inner = newline + "  "
+    return "".join(["[", inner, ("," + inner).join(cells), newline, "]"]) if cells else "[]"
 
 
-def _encoder(kinds: set):
-    """The encoder of values whose types are kinds: exact int or exact str only."""
-    return _ENCODERS.get(next(iter(kinds))) if len(kinds) == 1 else None
+_BLOCK = 4096  # ids per block of a table
+_CELL = "\n      "  # the indent of a cell in a row of a table that _emit_json writes
 
 
-def _flat_texts(items, newline: str) -> list[str] | None:
-    """Pieces that spell a non-empty list's items at indent newline, joined by
-    "," + newline, or None.
-
-    Two shapes are spelled at C speed:
-    - a flat list: every item an exact int, or every item an exact str;
-    - a flat-row table: every item a dict with the same str keys, or every
-      item a list or tuple of one length, and each column all exact int or
-      all exact str.  Each column is encoded once, and the encoded columns
-      are interleaved with the constant separators by slice assignment.
-    Anything else (bool, None, float, a str or int subclass, a mixed column,
-    an odd row, a nested value) gives None, and the caller recurses.
-    """
-    kinds = set(map(type, items))
-    encode = _encoder(kinds)
-    if encode is not None:
-        return [("," + newline).join(map(encode, items))]
-    first = items[0]
-    if kinds == {dict} and all(type(key) is str for key in first):
-        keys = sorted(first)
-        try:
-            columns = [list(map(itemgetter(key), items)) for key in keys]
-        except KeyError:
-            return None
-        fields = [encode_basestring_ascii(key) + ": " for key in keys]
-        opening, closing = "{", "}"
-    elif kinds <= {list, tuple}:
-        columns = list(zip(*items))
-        fields = [""] * len(columns)
-        opening, closing = "[", "]"
-    else:
-        return None
-    encoders = [_encoder(set(map(type, column))) for column in columns]
-    if not columns or None in encoders or len(set(map(len, items))) != 1:
-        return None
-    # row i is parts[i*step : (i+1)*step], each cell after its separator; the
-    # first separator closes the previous row and opens this one
-    inner, rows, step = newline + "  ", len(items), 2 * len(columns)
-    parts = [""] * (rows * step)
-    for j, (field, column, encode) in enumerate(zip(fields, columns, encoders)):
-        separator = "," if j else newline + closing + "," + newline + opening
-        parts[2 * j :: step] = [separator + inner + field] * rows
-        parts[2 * j + 1 :: step] = map(encode, column)
-    parts[0] = opening + inner + fields[0]
-    return parts + [newline + closing]
+def _write_rows(write, keys: tuple[str, ...] | None, size: int, cells, newline: str) -> None:
+    """Write the array of rows that cells gives, as json.dumps(indent=2,
+    sort_keys=True) spells it at indent newline.  cells(a, b) gives the rows of
+    ids a .. b-1 (maybe fewer, or none) as one list of encoded cells per column,
+    each spelled for the rows' inner indent; keys are the sorted keys of object
+    rows, or None for array rows.  Each block of _BLOCK ids is written with one
+    join of its cells and the constant separators, interleaved by slice
+    assignment: row i is parts[i*step : (i+1)*step], each cell after its
+    separator, and the first separator closes the previous row."""
+    inner = newline + "  "
+    cell = inner + "  "
+    opening, closing = ("[", "]") if keys is None else ("{", "}")
+    head = "[" + inner + opening  # until the first row is written
+    for a in range(0, size, _BLOCK):
+        columns = cells(a, min(a + _BLOCK, size))
+        rows, step = len(columns[0]), 2 * len(columns)
+        if not rows:
+            continue
+        fields = [""] * len(columns) if keys is None else [encode_basestring_ascii(key) + ": " for key in keys]
+        parts = [""] * (rows * step)
+        for j, (field, column) in enumerate(zip(fields, columns)):
+            parts[2 * j :: step] = [("," if j else inner + closing + "," + inner + opening) + cell + field] * rows
+            parts[2 * j + 1 :: step] = column
+        if head:
+            parts[0], head = head + cell + fields[0], ""
+        write("".join(parts))
+    write("[]" if head else inner + closing + newline + "]")
 
 
-def _emit_json(obj: dict) -> None:
-    print(_json_text(obj))
+def _emit_json(obj: dict, **tables) -> None:
+    """Write json.dumps({**obj, **tables}, indent=2, sort_keys=True) and a newline
+    to stdout, where each table is (keys, size, cells) and is written block by
+    block by _write_rows; everything else goes through _json_text."""
+    write = sys.stdout.write
+    separator = "{"
+    for key in sorted({**obj, **tables}):
+        write(separator + "\n  " + encode_basestring_ascii(key) + ": ")
+        if key in tables:
+            _write_rows(write, *tables[key], "\n  ")
+        else:
+            write(_json_text(obj[key], "\n  "))
+        separator = ","
+    write("\n}\n")
 
 
 def _load_system(path: str) -> CoxeterSystem:
@@ -201,7 +194,17 @@ def cmd_ball(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(ball.to_dot())
     if args.format == "json":
-        _emit_json(ball.to_json_dict())
+        texts, names = ball.texts, list(map(encode_basestring_ascii, system.names))
+
+        def vertices(a, b):
+            return [list(map(int.__repr__, range(a, b))), list(map(encode_basestring_ascii, texts[a:b]))]
+
+        def edges(a, b):  # one id range's edges, sorted (see CayleyBall.edges_from)
+            us, vs, labels = list(zip(*ball.edges_from(a, b))) or [()] * 3
+            return [list(map(int.__repr__, us)), list(map(int.__repr__, vs)), list(map(names.__getitem__, labels))]
+
+        size = ball.size
+        _emit_json({"radius": ball.radius}, vertices=(("id", "word"), size, vertices), edges=(None, size, edges))
     else:
         print(f"radius: {ball.radius}")
         print(f"vertices: {ball.size}")
@@ -216,34 +219,33 @@ def cmd_cycles(args) -> int:
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     max_m = system.max_finite_order()
     max_length = args.max_length if args.max_length is not None else (2 * max_m if max_m else 6)
-    rows = []
+    rows = []  # (cycle, its essentiality report, its sorted relator pair or None)
     for cycle in enumerate_embedded_cycles(ball, max_length, max_vertices):
-        report = is_essential(ball, cycle)
-        relator = None
-        if is_alternating(cycle):
-            a, b = sorted(cycle.labels[:2])
-            relator = [system.name_of(a), system.name_of(b)]
-        rows.append(
-            {
-                "vertices": list(cycle.vertices),
-                "labels": [system.name_of(x) for x in cycle.labels],
-                "essential": report.essential,
-                "certified": report.certified,
-                "relator": relator,
-            }
-        )
+        rows.append((cycle, is_essential(ball, cycle), sorted(cycle.labels[:2]) if is_alternating(cycle) else None))
+    names = system.names
     if args.format == "json":
-        _emit_json({"radius": args.radius, "max_length": max_length, "cycles": rows})
+        quoted = list(map(encode_basestring_ascii, names))
+
+        def cells(row):
+            cycle, report, relator = row
+            labels = _array(list(map(quoted.__getitem__, cycle.labels)), _CELL)
+            vertices = _array(list(map(int.__repr__, cycle.vertices)), _CELL)
+            relator = _array(list(map(quoted.__getitem__, relator)), _CELL) if relator else "null"
+            return _json_text(report.certified), _json_text(report.essential), labels, relator, vertices
+
+        keys = ("certified", "essential", "labels", "relator", "vertices")
+        table = (keys, len(rows), lambda a, b: list(zip(*map(cells, rows[a:b]))))
+        _emit_json({"radius": args.radius, "max_length": max_length}, cycles=table)
     else:
         print(f"{len(rows)} embedded cycles of length <= {max_length} at radius {args.radius}")
-        for row in rows:
+        for cycle, report, relator in rows:
             flags = [
-                "essential" if row["essential"] else "not-essential",
-                "certified" if row["certified"] else "uncertified",
+                "essential" if report.essential else "not-essential",
+                "certified" if report.certified else "uncertified",
             ]
-            if row["relator"]:
-                flags.append(f"relator({','.join(row['relator'])})")
-            print(f"  {'-'.join(map(str, row['vertices']))} [{' '.join(row['labels'])}] {' '.join(flags)}")
+            if relator:
+                flags.append(f"relator({names[relator[0]]},{names[relator[1]]})")
+            print(f"  {'-'.join(map(str, cycle.vertices))} [{' '.join(map(names.__getitem__, cycle.labels))}] {' '.join(flags)}")
     return EXIT_OK
 
 
@@ -258,29 +260,27 @@ def cmd_exotic(args) -> int:
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
     field = local_permutation_field(ball, aut)
-    texts = ball.texts
-    payload = {
-        "pivot": system.name_of(witness.pivot),
-        "phi": witness.phi.cycle_notation(system.names),
-        "n": args.n,
-        "verified": report.ok,
-        "violations": list(report.violations),
-        "map": [[texts[v], texts[image]] for v, image in enumerate(aut.vmap) if image is not None],
-        "field": {
-            "stars": len(field.perms),
-            "constant": field.is_constant,
-            "distinct_permutations": len(set(field.perms)),
-        },
-    }
+    texts, vmap = ball.texts, aut.vmap
+    pivot, phi = system.name_of(witness.pivot), witness.phi.cycle_notation(system.names)
     if args.format == "json":
-        _emit_json(payload)
+        quoted = list(map(encode_basestring_ascii, texts))
+
+        def pairs(a, b):  # [texts[v], texts[image]] for each mapped v
+            ids = list(compress(range(a, b), map(is_not, vmap[a:b], repeat(None))))
+            return [list(map(quoted.__getitem__, ids)), list(map(quoted.__getitem__, map(vmap.__getitem__, ids)))]
+
+        perms, violations = field.perms, list(report.violations)
+        stats = {"stars": len(perms), "constant": field.is_constant, "distinct_permutations": len(set(perms))}
+        payload = {"pivot": pivot, "phi": phi, "n": args.n, "verified": report.ok, "violations": violations, "field": stats}
+        _emit_json(payload, map=(None, ball.size, pairs))
     else:
         name = "psi" if args.n is None else f"psi_{args.n}"
-        print(f"{name} pivot={payload['pivot']} phi={payload['phi']}")
+        print(f"{name} pivot={pivot} phi={phi}")
         print(f"verified: {'yes' if report.ok else 'no'}")
         print(f"field: {'constant' if field.is_constant else 'non-constant'} over {len(field.perms)} stars")
-        for pair in payload["map"]:
-            print(f"  {pair[0]} -> {pair[1]}")
+        for v, image in enumerate(vmap):
+            if image is not None:
+                print(f"  {texts[v]} -> {texts[image]}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -290,17 +290,15 @@ def cmd_stabilizer(args) -> int:
     probe = args.probe if args.probe is not None else default_probe_radius(system, args.radius)
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
-    texts = ball.texts
-    entries = [
-        {
-            "images": list(entry.images),
-            "map": [[texts[v], texts[image]] for v, image in enumerate(entry.images)],
-            "verdict": entry.verdict,
-            "diagram": entry.diagram.cycle_notation(system.names) if entry.diagram else None,
-        }
-        for entry in census.entries
-    ]
+    entries, texts = census.entries, ball.texts
     if args.format == "json":
+
+        def cells(entry):
+            diagram = entry.diagram.cycle_notation(system.names) if entry.diagram else None
+            pairs = [[texts[v], texts[image]] for v, image in enumerate(entry.images)]
+            return _json_text(diagram), _json_text(entry.images, _CELL), _json_text(pairs, _CELL), _json_text(entry.verdict)
+
+        table = (("diagram", "images", "map", "verdict"), len(entries), lambda a, b: list(zip(*map(cells, entries[a:b]))))
         _emit_json(
             {
                 "radius": ball.radius,
@@ -309,8 +307,8 @@ def cmd_stabilizer(args) -> int:
                 "diagram_count": census.diagram_count,
                 "exotic_count": census.exotic_count,
                 "search_nodes": census.search_nodes,
-                "entries": entries,
-            }
+            },
+            entries=table,
         )
     else:
         print(
@@ -318,8 +316,8 @@ def cmd_stabilizer(args) -> int:
             f"({census.diagram_count} diagram, {census.exotic_count} exotic)"
         )
         for entry in entries:
-            tag = entry["diagram"] if entry["diagram"] else "exotic"
-            moved = [f"{a}->{b}" for a, b in entry["map"] if a != b]
+            tag = entry.diagram.cycle_notation(system.names) if entry.diagram else "exotic"
+            moved = [f"{texts[v]}->{texts[image]}" for v, image in enumerate(entry.images) if v != image]
             print(f"  [{tag}] {' '.join(moved) if moved else 'identity'}")
     return EXIT_OK
 

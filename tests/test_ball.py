@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import product
 from pathlib import Path
@@ -5,12 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from coxaut import cli
 from coxaut.ball import build_ball, count_paths, distance, distances_within
 from coxaut.cycles import enumerate_embedded_cycles
 from coxaut.system import parse_system
 from coxaut.words import LimitExceeded, format_word, parse_word, reduce_word
 
 from conftest import DIAGRAMS, RANK3, ball_words, make_system, random_systems, star
+from payloads import ball_payload, run_json
 
 FRONTIER = sorted((Path(__file__).resolve().parent.parent / "diagrams" / "frontier").glob("*.cox"))
 
@@ -147,7 +150,9 @@ class TestQueries:
 
 class TestExports:
     def test_json_shape(self, a2):
-        payload = build_ball(a2, 2).to_json_dict()
+        code, out = run_json(a2, ["ball", "--radius", "2"])
+        payload = json.loads(out)
+        assert code == 0 and payload == ball_payload(build_ball(a2, 2))
         assert payload["radius"] == 2
         assert payload["vertices"][0] == {"id": 0, "word": "e"}
         assert all(len(edge) == 3 for edge in payload["edges"])
@@ -212,6 +217,15 @@ def assert_tables_match_definitions(ball):
 
 class TestTables:
     @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
+    def test_edges_from_id_ranges(self, path):
+        # every edge once with u < v, sorted; cut into id ranges at any step
+        ball = build_ball(parse_system(path.read_text()), 5)
+        assert ball.edges == sorted((u, v, s) for u in range(ball.size) for s, v in star(ball, u).items() if u < v)
+        for step in (1, 2, 7, ball.size):
+            assert [e for a in range(0, ball.size, step) for e in ball.edges_from(a, a + step)] == ball.edges
+        assert ball.edges_from(ball.size, ball.size + 5) == ball.edges_from(3, 3) == []
+
+    @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
     def test_shipped_diagrams(self, path):
         system = parse_system(path.read_text())
         for radius in range(7):
@@ -222,10 +236,14 @@ class TestTables:
     def test_random_diagrams(self, system):
         assert_tables_match_definitions(build_ball(system, 3))
 
-    def test_json_export_builds_no_label_table(self, atilde2):
-        # ball --format json must not pay for a per-vertex table; label reads rows
-        ball = build_ball(atilde2, 4)
-        ball.to_json_dict()
+    def test_json_export_builds_no_label_table(self, atilde2, monkeypatch):
+        # ball --format json must not pay for a per-vertex table or the whole
+        # edge list; label reads rows
+        balls = []
+        monkeypatch.setattr(cli, "build_ball", lambda *args, **kwargs: balls.append(build_ball(*args, **kwargs)) or balls[-1])
+        assert run_json(atilde2, ["ball", "--radius", "4"])[0] == 0
+        (ball,) = balls
+        assert "rows" not in vars(ball) and "neighbors" not in vars(ball) and "edges" not in vars(ball)
         ball.to_dot()
         assert "rows" not in vars(ball) and "neighbors" not in vars(ball)
         assert ball.label(0, 1) == 0

@@ -124,6 +124,7 @@ class TestRunChecks:
         coupling = {c.name: c for c in report.checks}["census-coupling"]
         assert coupling.status == "fail"
         assert coupling.detail.startswith("generator (0, 3, 1, 2, 8, 9, 4, 5, 6, 7): coupling fails")
+        assert report.verdict == "INCONCLUSIVE"  # a failed check is no evidence either way
 
     def test_ball_guard_short_circuits(self, atilde2):
         report = run_system_checks(atilde2, radius=6, max_vertices=5)
@@ -138,6 +139,7 @@ class TestRunChecks:
         census = {c.name: c for c in report.checks}["essential-census"]
         assert (census.status, census.detail) == ("indeterminate", "ball exceeded 715 vertices")
         assert census in report.indeterminate and not report.ok  # verify exits 3
+        assert report.verdict == "INDETERMINATE"  # though the census decides
 
     def test_bipartite_edges_reads_both_ends_of_every_edge(self, a2, monkeypatch):
         def one_sided_ball(system, radius, max_vertices):

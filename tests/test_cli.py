@@ -103,6 +103,20 @@ class TestBallCommand:
         assert text.startswith("graph")
         assert '"a"' in text or "label" in text
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["ball", "flexible.cox", "--radius", "5", "--max-vertices", "50"], "ball exceeded 50 vertices"),
+            (["exotic", "flexible.cox", "--radius", "5", "--max-vertices", "50"], "ball exceeded 50 vertices"),
+            (["stabilizer", "flexible.cox", "--radius", "4", "--max-nodes", "10"], "stabilizer search exceeded 10 nodes"),
+        ],
+    )
+    def test_guard_trips_before_any_output(self, argv, err, capsys):
+        # exit 3 never comes with partial JSON: every guard runs before the first byte
+        assert main([argv[0], str(ROOT / "diagrams" / argv[1]), *argv[2:], "--format", "json"]) == EXIT_INDETERMINATE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"INDETERMINATE: {err}\n")
+
     def test_negative_radius(self, a2_file, capsys):
         assert main(["ball", a2_file, "--radius", "-1"]) == 2
         assert "radius" in capsys.readouterr().err
@@ -173,6 +187,13 @@ class TestCyclesCommand:
         assert main(argv + guard) == code
         if code == 3:
             assert capsys.readouterr().err == f"INDETERMINATE: ball exceeded {max_vertices} vertices\n"
+
+    def test_guard_trips_before_any_output(self, capsys):
+        # the r = 5 ball fits in 715 vertices, the r = 8 ball of its cycle words does not
+        argv = ["cycles", str(ROOT / "diagrams" / "frontier" / "triangle578.cox"), "--radius", "5"]
+        assert main([*argv, "--max-vertices", "715", "--format", "json"]) == EXIT_INDETERMINATE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "INDETERMINATE: ball exceeded 715 vertices\n")
 
     def test_negative_max_length(self, a2_file, capsys):
         assert main(["cycles", a2_file, "--radius", "3", "--max-length", "-3"]) == 2
@@ -268,6 +289,26 @@ class TestVerifyCommand:
             assert checks[name]["detail"].startswith("psi_n is undefined: the pivot s has odd order 3 with t")
         assert checks["psi-verified"]["status"] == "pass"
 
+    def test_indeterminate_check_gives_indeterminate_verdict(self, capsys):
+        # the census decides, but essential-census needs the r = 8 ball of its cycle words
+        argv = ["verify", str(ROOT / "diagrams" / "frontier" / "triangle578.cox"), "--radius", "5", "--max-vertices", "715"]
+        assert main(argv) == EXIT_INDETERMINATE
+        out = capsys.readouterr().out
+        assert "[INDETERMINATE] essential-census: ball exceeded 715 vertices\n" in out
+        assert "[         PASS] census-verified" in out
+        assert out.endswith("verdict: INDETERMINATE\n")
+        assert main([*argv, "--format", "json"]) == EXIT_INDETERMINATE
+        assert json.loads(capsys.readouterr().out)["verdict"] == "INDETERMINATE"
+
+    def test_failing_check_gives_inconclusive_verdict(self, a2_file, capsys, monkeypatch):
+        # every map's field is reported broken: the census still decides, but a failed check is no evidence
+        monkeypatch.setattr(coxaut.checks, "field_violations", lambda ball, aut, field: [(0, 1, 0)])
+        assert main(["verify", a2_file, "--radius", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "[         FAIL] left-mult-identity-field" in out
+        assert "[         PASS] census-verified" in out
+        assert out.endswith("verdict: INCONCLUSIVE\n")
+
     def test_radius_zero(self, a2_file, capsys):
         assert main(["verify", a2_file, "--radius", "0"]) == 0
 
@@ -325,6 +366,8 @@ class TestErrorsAndGuards:
         argv = ["stabilizer", branched_file, "--radius", "4", "--probe", "2", "--max-nodes"]
         assert main([*argv, "98"]) == 3
         assert capsys.readouterr().err == "INDETERMINATE: stabilizer listing exceeded 98 nodes\n"
+        assert main([*argv, "98", "--format", "json"]) == 3
+        assert capsys.readouterr().out == ""
         assert main([*argv, "99"]) == 0
 
     def test_help_exits_zero(self, capsys):

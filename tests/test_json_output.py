@@ -1,5 +1,8 @@
-"""The indent-2 JSON writer behind every --format json against the stdlib's
-json.dumps(obj, indent=2, sort_keys=True), which it must match byte for byte."""
+"""The JSON writer behind every --format json against the stdlib's
+json.dumps(obj, indent=2, sort_keys=True), which it must match byte for byte:
+_json_text on arbitrary trees, _write_rows on arbitrary tables, and each
+command's stdout against the payload that tests/payloads.py builds one Python
+object per row."""
 
 from __future__ import annotations
 
@@ -11,8 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coxaut import cli
+from coxaut.automorphisms import BallAutomorphism, identity_stabilizer_census
+from coxaut.ball import DEFAULT_MAX_VERTICES, build_ball
+from coxaut.checks import default_probe_radius, run_system_checks
+from coxaut.system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, is_flexible, parse_system
 
-from test_golden import COMMANDS, GUARD_VARS, _write_fallbacks, run
+from conftest import make_system, random_systems
+from payloads import ball_payload, cycles_payload, exotic_payload, run_json, stabilizer_payload
+from test_golden import COMMANDS, FALLBACK, ROOT
 
 
 def stdlib(obj) -> str:
@@ -69,101 +78,184 @@ def test_non_str_key_raises(obj):
         cli._json_text(obj)
 
 
-def test_every_golden_payload_matches_stdlib(monkeypatch, tmp_path):
-    for name in GUARD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    payloads = []
-    monkeypatch.setattr(cli, "_emit_json", payloads.append)
-    _write_fallbacks(tmp_path)
-    for argv in COMMANDS:
-        run(argv, tmp_path)
-    assert len(payloads) == len(COMMANDS)
-    for payload in payloads:
-        assert cli._json_text(payload) == stdlib(payload)
-
-
-# -- flat lists and flat-row tables --------------------------------------------
-# Random trees almost never hold a list whose items share one flat shape, so
-# these strategies build such lists on purpose, clean or with one flaw that
-# must send the writer back to its recursion.
+# -- tables -------------------------------------------------------------------
+# _write_rows on tables of any shape: object rows with the same keys or array
+# rows of one length, cells of any JSON value, rows dropped from some ids (as
+# ball edges and exotic map pairs are), at any indent and any block size.
 
 PERCENT_KEYS = st.sampled_from(["%", "%d", "%s", "%%", "%(id)s", "a%", "100%"])
 table_keys = keys | PERCENT_KEYS
-column_values = {
-    int: st.integers() | st.sampled_from([2**63, -(10**100)]),
-    str: st.text() | st.sampled_from(TRICKY_TEXT) | PERCENT_KEYS,
-}
-# each one, in a column or a flat list of exact ints or strs, is a flaw
-odd_values = st.sampled_from([True, False, None, 1.5, float("nan"), Order.TWO, Label("x"), 0, "0", [1], {"a": 1}])
-
-
-@st.composite
-def flat_lists(draw):
-    """(a non-empty flat list of exact ints or exact strs, whether it is still
-    flat after an optional odd item)."""
-    kind = draw(st.sampled_from([int, str]))
-    items = draw(st.lists(column_values[kind], min_size=1, max_size=6))
-    value = draw(st.none() | odd_values)
-    if value is None or type(value) is kind:
-        return items, True
-    items.insert(draw(st.integers(0, len(items))), value)
-    return items, False
+table_cells = scalars | PERCENT_KEYS | st.lists(scalars, max_size=3) | st.dictionaries(table_keys, scalars, max_size=2)
 
 
 @st.composite
 def tables(draw):
-    """(a list of flat rows of one shape, each column of one exact type,
-    whether it is still a flat-row table after an optional flaw).
-
-    The rows are dicts with the same keys, lists, tuples, or a mix of lists
-    and tuples.  A flaw is a cell of another type, or one odd row: longer,
-    shorter, or with one key replaced by another."""
+    """(keys, rows, kept): keys sorted and unique, or None for array rows; rows
+    of one width; kept[i] whether id i has its row in the table."""
     width = draw(st.integers(1, 4))
-    kinds = draw(st.lists(st.sampled_from([int, str]), min_size=width, max_size=width))
-    names = draw(st.lists(table_keys, min_size=width, max_size=width, unique=True))
-    cells = [[draw(column_values[kind]) for kind in kinds] for _ in range(draw(st.integers(1, 5)))]
-    shape = draw(st.sampled_from(["dict", "list", "tuple", "mixed"]))
-    clean = True
-    flaw = draw(st.sampled_from(["none", "cell", "longer", "shorter"] + ["rekeyed"] * (shape == "dict")))
-    row = draw(st.integers(0, len(cells) - 1))
-    if flaw == "cell":
-        value = draw(odd_values)
-        column = draw(st.integers(0, width - 1))
-        clean = type(value) is kinds[column]
-        cells[row][column] = value
-    elif flaw != "none" and len(cells) > 1:
-        clean = False
-    if shape == "dict":
-        rows = [dict(zip(names, values)) for values in cells]
-        if not clean and flaw == "longer":
-            rows[row][draw(table_keys.filter(lambda k: k not in names))] = 0
-        elif not clean and flaw == "shorter":
-            del rows[row][names[-1]]
-        elif not clean and flaw == "rekeyed":
-            rows[row][draw(table_keys.filter(lambda k: k not in names))] = rows[row].pop(names[0])
+    names = None
+    if draw(st.booleans()):
+        names = tuple(sorted(draw(st.lists(table_keys, min_size=width, max_size=width, unique=True))))
+    rows = draw(st.lists(st.lists(table_cells, min_size=width, max_size=width), max_size=9))
+    kept = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return names, rows, kept
+
+
+@given(tables(), st.integers(1, 4), st.sampled_from(["\n", "\n  ", "\n      "]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example((None, [], []), 1, "\n  ")
+@example((None, [[1, "a"]], [True]), 1, "\n  ")
+@example((None, [[1, "a"], [2, "b"]], [False, False]), 1, "\n  ")
+@example((("%", "%d"), [[1, "%s"], [2, "%%"], [3, "x"]], [True, False, True]), 2, "\n  ")
+@example((("a", "b"), [[[], {}], [[1, [2]], {"c": None}]], [True, True]), 1, "\n")
+def test_tables_match_stdlib(table, block, newline):
+    keys, rows, kept = table
+    kept_rows = [row for row, keep in zip(rows, kept) if keep]
+    expected = [row if keys is None else dict(zip(keys, row)) for row in kept_rows]
+    cell = newline + "    "
+
+    def cells(a, b):
+        block_rows = [row for row, keep in zip(rows[a:b], kept[a:b]) if keep]
+        return [[cli._json_text(row[j], cell) for row in block_rows] for j in range(len(rows[0]))]
+
+    parts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK", block)
+        cli._write_rows(parts.append, keys, len(rows), cells, newline)
+    assert "".join(parts) == stdlib(expected).replace("\n", newline)
+    assert len(parts) == 1 + len({i // block for i, keep in enumerate(kept) if keep})  # a join per non-empty block
+
+
+# -- commands against the payload oracle --------------------------------------
+
+
+def oracle(system: CoxeterSystem, argv: list[str]) -> dict | None:
+    """The payload of argv (a command and its options, without the file), built
+    by tests/payloads.py; None when the command prints no JSON (exotic on a
+    rigid diagram).  Raises what the command raises."""
+    args = cli.build_parser().parse_args([argv[0], "diagram.cox", *argv[1:]])
+    max_vertices = args.max_vertices or DEFAULT_MAX_VERTICES
+    if args.command == "verify":
+        return run_system_checks(system, radius=args.radius, probe_radius=args.probe, max_vertices=max_vertices).to_json_dict()
+    witness = is_flexible(system)
+    if args.command == "exotic" and witness is None:
+        return None
+    ball = build_ball(system, args.radius, max_vertices=max_vertices)
+    if args.command == "ball":
+        return ball_payload(ball)
+    if args.command == "cycles":
+        max_m = system.max_finite_order()
+        max_length = args.max_length if args.max_length is not None else (2 * max_m if max_m else 6)
+        return cycles_payload(ball, args.radius, max_length, max_vertices)
+    if args.command == "exotic":
+        aut = cli.psi_phi(ball, witness) if args.n is None else cli.psi_n(ball, witness, args.n)
+        return exotic_payload(ball, witness, aut, args.n)
+    probe = args.probe if args.probe is not None else default_probe_radius(system, args.radius)
+    census = identity_stabilizer_census(ball, probe, max_nodes=args.max_nodes or DEFAULT_MAX_NODES)
+    return stabilizer_payload(ball, census)
+
+
+def assert_matches_oracle(system: CoxeterSystem, argv: list[str], block: int = cli._BLOCK) -> str:
+    """Stdout of argv is json.dumps(oracle payload, indent=2, sort_keys=True) and
+    a newline; a command without a payload prints nothing."""
+    code, out = run_json(system, argv, block)
+    try:
+        payload = oracle(system, argv)
+    except ValueError:  # psi_n at an odd-order pivot
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        return out
+    except LimitExceeded:
+        assert (code, out) == (cli.EXIT_INDETERMINATE, "")
+        return out
+    if payload is None:
+        assert (code, out) == (cli.EXIT_INPUT, "")
     else:
-        if not clean and flaw == "longer":
-            cells[row].append(0)
-        elif not clean and flaw == "shorter":
-            cells[row].pop()
-        row_types = {"list": [list], "tuple": [tuple], "mixed": [list, tuple]}[shape]
-        rows = [draw(st.sampled_from(row_types))(values) for values in cells]
-    return rows, clean
+        assert out == stdlib(payload) + "\n", argv
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+    return out
 
 
-@given(flat_lists() | tables(), st.sampled_from(["bare", "in a dict", "in a list", "deep"]))
-@settings(max_examples=600, deadline=None, derandomize=True)
-@example(([[], []], False), "bare")
-@example(([{}, {}], False), "bare")
-@example(([{"%": 1, "%d": "%s"}, {"%": 2, "%d": "%%"}], True), "bare")
-@example(([[1, "a"], (2, "b"), [3, "c"]], True), "in a dict")
-@example(([{"100%": "%d%%", "%(id)s": 1}, {"100%": "50%", "%(id)s": 2}], True), "in a list")
-@example(([(0, 1, "a"), (1, 2, "b%s"), (2, 3, "c")], True), "deep")
-@example(([{"a": 1}, [1]], False), "bare")
-@example(([Order.TWO, 2], False), "bare")
-@example(([Label("x"), "y"], False), "bare")
-def test_tables_match_stdlib(case, context):
-    items, clean = case
-    obj = {"bare": items, "in a dict": {"t": items, "u": 1}, "in a list": [items, items], "deep": [{"a": [items]}]}[context]
-    assert cli._json_text(obj) == stdlib(obj)
-    assert (cli._flat_texts(items, "\n  ") is not None) == clean
+TABLE_COMMANDS = [["ball"], ["cycles"], ["exotic"], ["exotic", "--n", "1"], ["exotic", "--n", "2"], ["stabilizer"]]
+NAMES = st.sampled_from([*TRICKY_TEXT, "%s", "%d", "%%", "%(id)s"]) | st.text(min_size=1)
+
+
+@st.composite
+def named_systems(draw):
+    """A random diagram of rank <= 4 whose generators are named by any text:
+    escapes, surrogates, percent signs, spaces."""
+    system = draw(random_systems())
+    names = draw(st.lists(NAMES.filter(lambda name: name != "e"), min_size=system.rank, max_size=system.rank, unique=True))
+    return CoxeterSystem(names, {(s, t): m for s, t, m in system.finite_pairs()})
+
+
+@given(named_systems(), st.integers(0, 3), st.sampled_from([1, 2, 3, 4096]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(make_system("s t u", (1, 2, 2)), 3, 2)  # flexible, with psi_n
+@example(make_system("a b c", (0, 1, 3), (0, 2, 3), (1, 2, 3)), 2, 1)  # affine, cycles at r = 2
+def test_commands_match_the_oracle(system, radius, block):
+    for argv in TABLE_COMMANDS:
+        assert_matches_oracle(system, [*argv, "--radius", str(radius)], block)
+
+
+A2 = make_system("a b", (0, 1, 3))  # six vertices, six edges, one hexagon at r = 3
+
+
+def test_radius_zero_has_an_empty_edge_table():
+    out = assert_matches_oracle(A2, ["ball", "--radius", "0"])
+    assert '"edges": [],' in out and json.loads(out)["vertices"] == [{"id": 0, "word": "e"}]
+
+
+def test_no_cycles_is_an_empty_table():
+    out = assert_matches_oracle(make_system("a b"), ["cycles", "--radius", "4"])
+    assert json.loads(out)["cycles"] == []
+
+
+@pytest.mark.parametrize("block", [1, 5, 6, 7])
+def test_tables_of_one_row_one_block_and_one_block_and_a_row(block):
+    # 6 vertices and 6 edges: one block and a row at 5, exactly one block at 6
+    out = assert_matches_oracle(A2, ["ball", "--radius", "3"], block)
+    assert len(json.loads(out)["vertices"]) == len(json.loads(out)["edges"]) == 6
+    assert len(json.loads(assert_matches_oracle(A2, ["cycles", "--radius", "3"], block))["cycles"]) == 1
+
+
+def test_exotic_with_violations(monkeypatch):
+    # two boundary vertices sent to one image: not injective, yet every edge still maps to an edge
+    psi_phi = cli.psi_phi
+
+    def merged(ball, witness):
+        vmap = list(psi_phi(ball, witness).vmap)
+        vmap[-1] = vmap[-2]
+        return BallAutomorphism(tuple(vmap), ball.radius)
+
+    monkeypatch.setattr(cli, "psi_phi", merged)
+    system = make_system("s t u", (1, 2, 2))
+    code, out = run_json(system, ["exotic", "--radius", "3"])
+    assert code == cli.EXIT_VIOLATION
+    assert json.loads(out)["violations"] == ["not injective: vertices 15 and 16 both map to 12"]
+    assert_matches_oracle(system, ["exotic", "--radius", "3"])
+
+
+def test_exotic_map_leaves_out_undefined_vertices(monkeypatch):
+    # a map defined on word lengths <= 1 only needs its images there and a field at e
+    psi_phi = cli.psi_phi
+
+    def partial(ball, witness):
+        return BallAutomorphism(psi_phi(ball, witness).vmap[:-1] + (None,), 1)
+
+    monkeypatch.setattr(cli, "psi_phi", partial)
+    system = make_system("s t u", (1, 2, 2))
+    code, out = run_json(system, ["exotic", "--radius", "3"])
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["map"]) == build_ball(system, 3).size - 1
+    assert_matches_oracle(system, ["exotic", "--radius", "3"])
+
+
+def test_every_golden_payload_matches_stdlib(tmp_path):
+    # every golden command, verify included, prints its oracle payload as the stdlib spells it
+    for name, text in FALLBACK.items():
+        (tmp_path / name).write_text(text)
+    for argv in COMMANDS:
+        path = tmp_path / argv[1] if argv[1] in FALLBACK else ROOT / argv[1]
+        system = parse_system(path.read_text())
+        options = [x for x in argv[2:] if x not in ("--format", "json")]
+        assert_matches_oracle(system, [argv[0], *options])
