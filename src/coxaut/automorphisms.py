@@ -17,7 +17,10 @@ automorphism acting by x -> w * d(x).  These compose by
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .ball import CayleyBall, field_map
 from .system import (
@@ -192,12 +195,17 @@ def field_violations(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tup
 
 
 class VerificationReport:
-    __slots__ = ("ok", "total", "violations")
+    """The checks of a ball map, and its local-permutation field when the same
+    pass read one: a PermutationField, or None with field_error saying why."""
 
-    def __init__(self, ok: bool, total: bool, violations: tuple[str, ...]):
+    __slots__ = ("ok", "total", "violations", "field", "field_error")
+
+    def __init__(self, ok: bool, total: bool, violations: tuple[str, ...], field=None, field_error=None):
         self.ok = ok
         self.total = total
         self.violations = violations
+        self.field = field
+        self.field_error = field_error
 
     def __eq__(self, other):
         if type(other) is not VerificationReport:
@@ -205,8 +213,9 @@ class VerificationReport:
         return (self.ok, self.total, self.violations) == (other.ok, other.total, other.violations)
 
 
-def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> VerificationReport:
-    """Definedness on the interior, injectivity, and edge preservation.
+def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, read_field: bool = True) -> VerificationReport:
+    """Definedness on the interior, injectivity, and edge preservation, and
+    unless read_field is false the local-permutation field, in one pass.
 
     Edges are checked wherever both endpoint images exist, not only in the
     interior: every constructor in this module restricts a map of the full
@@ -214,29 +223,42 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
     injective map on a finite vertex set is a bijection, and a bijection
     sending edges to edges sends non-edges to non-edges, so these checks
     suffice for total maps to certify a genuine graph automorphism.
+
+    Reading the field (local_permutation_field) checks every edge with an end
+    in the star interior; the edges beyond it come from the ball's cached edge
+    list, which a total map with the whole ball as interior never needs.  With
+    read_field=False, for a caller that checks many maps of one ball, every
+    edge comes from the list.
     """
-    vmap = aut.vmap
-    violations: list[str] = [
-        f"undefined at interior vertex {v} (length {ball.length[v]})"
-        for v in ball.interior(aut.interior_radius)
-        if vmap[v] is None
-    ]
-    images: dict[int, int] = {}
-    for v, x in enumerate(vmap):
-        if x is None:
-            continue
-        if x in images:
-            violations.append(f"not injective: vertices {images[x]} and {v} both map to {x}")
-        else:
-            images[x] = v
-    rows = ball.rows
-    for u, v, s in ball.edges:
+    vmap, rows = aut.vmap, ball.rows
+    values = set(vmap)
+    holes = None in values
+    interior = ball.interior(aut.interior_radius) if holes else ()
+    violations = [f"undefined at interior vertex {v} (length {ball.length[v]})" for v in interior if vmap[v] is None]
+    if len(values) - holes < len(vmap) - (vmap.count(None) if holes else 0):  # not injective
+        first: dict[int, int] = {}
+        for v, x in enumerate(vmap):
+            u = v if x is None else first.setdefault(x, v)
+            if u != v:
+                violations.append(f"not injective: vertices {u} and {v} both map to {x}")
+    field = field_error = None
+    if read_field:
+        try:
+            field = local_permutation_field(ball, aut)
+        except ValueError as exc:
+            field_error = str(exc)
+    low = 0 if field is None else len(field.vertices)  # edges with an end below low are checked
+    edges = ball.edges if low < len(ball.interior(ball.radius - 1)) else []
+    for u, v, s in edges[bisect_left(edges, (low,)) :]:
         fu, fv = vmap[u], vmap[v]
         if fu is not None and fv is not None and fv not in rows[fu]:
-            violations.append(
-                f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})"
-            )
-    return VerificationReport(ok=not violations, total=aut.is_total, violations=tuple(violations))
+            violations.append(f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})")
+    return VerificationReport(not violations, None not in values, tuple(violations), field, field_error)
+
+
+def _picked(items, ids) -> tuple:
+    """(items[i] for i in ids) as a tuple, taken by one itemgetter call."""
+    return itemgetter(*ids)(items) if len(ids) > 1 else tuple(map(items.__getitem__, ids))
 
 
 # -- local permutations ------------------------------------------------------
@@ -299,30 +321,27 @@ class PermutationField:
 
 
 def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> PermutationField:
-    """Total local permutations at every star-interior vertex.
+    """Total local permutations at every star-interior vertex, read label by
+    label: each neighbour's image is found in the row of the vertex's image,
+    which checks every edge with an end there.  ValueError, from
+    local_permutation, at the first vertex where that fails.
 
     A left multiplication produces the identity at every vertex; a diagram
     automorphism produces its own permutation at every vertex; a non-constant
     field is the signature of an exotic map.
     """
-    vertices = ball.star_interior(aut.interior_radius)
-    vmap, rows = aut.vmap, ball.rows
-    perms: list[tuple[int, ...]] = []
-    for v in vertices:
-        fv = vmap[v]
-        if fv is not None:
-            image = rows[fv]  # v's star is full; a neighbour's image has its label in fv's row
-            try:
-                perms.append(tuple([image.index(vmap[u]) for u in rows[v]]))
-                continue
-            except ValueError:
-                pass
-        # an image is missing or leaves the graph; local_permutation names it
-        local_permutation(ball, aut, v)
-        raise ValueError(f"local permutation at star-interior vertex {v} is not total")
+    vmap, rank, stars = aut.vmap, ball.rank, ball.star_interior(aut.interior_radius)
+    try:  # each image row rank times, against the images of the neighbours
+        image_rows = _picked(ball.rows, vmap[: len(stars)])
+        neighbour_images = _picked(vmap, ball.adj[: len(stars) * rank])
+        labels = list(map(tuple.index, chain.from_iterable(zip(*[image_rows] * rank)), neighbour_images))
+    except (TypeError, ValueError):  # an image is None, or an edge goes to a non-edge
+        for v in stars:
+            if len(local_permutation(ball, aut, v)) < rank:
+                raise ValueError(f"local permutation at star-interior vertex {v} is not total") from None
+    perms = tuple(zip(*[iter(labels)] * rank)) if rank else ((),) * len(stars)
     distinct = set(perms)
-    constant = perms[0] if len(distinct) == 1 else None
-    return PermutationField(vertices, tuple(perms), len(distinct) <= 1, constant)
+    return PermutationField(stars, perms, len(distinct) <= 1, perms[0] if len(distinct) == 1 else None)
 
 
 def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple[int, int, int, int]]:

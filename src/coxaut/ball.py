@@ -163,14 +163,22 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
     A vertex's word is its parent's word plus the generator that reached it
     first.  Parents are expanded in id order and generators in index order,
     so that word is the lexicographically least reduced word: the canonical
-    form.  Expanding v, s is a right descent exactly when v already has an
-    s-edge.  Otherwise w = v·s may have an earlier parent u = w·t; then s, t
-    are right descents of w, so w = x·w0(s, t) with l(w) = l(x) + m(s, t)
+    form.  Ids are sorted by length and an edge changes length by one, so a
+    neighbour one layer down is exactly a smaller id.
+
+    Expanding v, s is a right descent exactly when v already has an s-edge.
+    Otherwise w = v·s may have an earlier parent u = w·t; then s, t are right
+    descents of w, so w = x·w0(s, t) with l(w) = l(x) + m(s, t)
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2), and the letters
     t, s, t, ... lead from v down m - 1 layers to x and back up to u, whose
-    t-edge, once u is expanded, ends at w.  When no walk finds w, w is new.
-    The walk goes down at most l(v) layers, so a pair with m(s, t) > l(v) + 1
-    is never walked.
+    t-edge ends at w.  Each vertex on the way up is x times a prefix of a
+    reduced word of w0(s, t), shorter than w, so it is in the ball with its
+    edges down set.  When no walk finds w, w is new.  The walk goes down at
+    most l(v) layers, so a pair with m(s, t) > l(v) + 1 is never walked.
+
+    A walk can reach u > v before u is expanded, with u's t-slot empty.  That
+    slot is linked to w as soon as w is known: u·t = v·s is one element, so it
+    is the edge a walk from u would set, and expanding u skips the slot.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -179,42 +187,50 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
     empty_star = [-1] * rank
     # braids[s] = (t, m(s, t)) for the diagram neighbours t of s
     braids = [[(t, system.order(s, t)) for t in system.neighbors(s)] for s in system.generators()]
+    linked = []  # the empty slots u*rank + t of later parents u met by a walk
     start = 0
     for layer in range(1, radius + 1):
-        end = len(length)
-        walks = [[((t, s), m) for t, m in pairs if m <= layer] for s, pairs in enumerate(braids)]
+        end = len(last)
+        # walks[s] = (letters down, letters up, t): t s t ... of length 2m - 2, cut in half
+        walks = [
+            [(word[: m - 1], word[m - 1 :], t) for t, m in pairs if m <= layer for word in [(t, s) * (m - 1)]]
+            for s, pairs in enumerate(braids)
+        ]
         for v in range(start, end):
             base = v * rank
             for s in range(rank):
-                if adj[base + s] >= 0:
+                w = adj[base + s]
+                if w >= 0:
                     continue
-                w = -1
-                for letters, m in walks[s]:
+                for down, up, t in walks[s]:
                     x = v
-                    for i in range(m - 1):  # down: no parent of w ends in t unless each step is
-                        y = adj[x * rank + letters[i & 1]]
-                        if y < 0 or length[y] >= length[x]:
+                    for a in down:  # no parent of w ends in t unless each step is down
+                        y = adj[x * rank + a]
+                        if not 0 <= y < x:
                             break
                         x = y
                     else:
-                        for i in range(m - 1, 2 * m - 2):
-                            x = adj[x * rank + letters[i & 1]]
-                            if x < 0:
-                                raise AssertionError("relator walk left the ball below its frontier")
-                        w = adj[x * rank + letters[0]]
+                        for a in up:
+                            x = adj[x * rank + a]
+                        w = adj[x * rank + t]
                         if w >= 0:
                             break
+                        linked.append(x * rank + t)
                 if w < 0:
-                    w = len(length)
+                    w = len(last)
                     if w >= max_vertices:
                         raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
                     last.append(s)
-                    length.append(layer)
                     adj += empty_star
                 adj[base + s] = w
                 adj[w * rank + s] = v
+                while linked:
+                    slot = linked.pop()
+                    adj[slot] = w
+                    adj[w * rank + slot % rank] = slot // rank
+        length += [layer] * (len(last) - end)
         start = end
-        if start == len(length):
+        if start == len(last):
             break
     return CayleyBall(system, radius, adj, last, length)
 

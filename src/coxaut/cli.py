@@ -21,7 +21,6 @@ from operator import is_not
 
 from .automorphisms import (
     identity_stabilizer_census,
-    local_permutation_field,
     psi_n,
     psi_phi,
     verify_ball_automorphism,
@@ -259,8 +258,7 @@ def cmd_exotic(args) -> int:
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
-    field = local_permutation_field(ball, aut)
-    texts, vmap = ball.texts, aut.vmap
+    field, texts, vmap = report.field, ball.texts, aut.vmap
     pivot, phi = system.name_of(witness.pivot), witness.phi.cycle_notation(system.names)
     if args.format == "json":
         quoted = list(map(encode_basestring_ascii, texts))
@@ -269,15 +267,21 @@ def cmd_exotic(args) -> int:
             ids = list(compress(range(a, b), map(is_not, vmap[a:b], repeat(None))))
             return [list(map(quoted.__getitem__, ids)), list(map(quoted.__getitem__, map(vmap.__getitem__, ids)))]
 
-        perms, violations = field.perms, list(report.violations)
-        stats = {"stars": len(perms), "constant": field.is_constant, "distinct_permutations": len(set(perms))}
+        stats = None  # an undefined field
+        if field is not None:
+            perms = field.perms
+            stats = {"stars": len(perms), "constant": field.is_constant, "distinct_permutations": len(set(perms))}
+        violations = list(report.violations)
         payload = {"pivot": pivot, "phi": phi, "n": args.n, "verified": report.ok, "violations": violations, "field": stats}
         _emit_json(payload, map=(None, ball.size, pairs))
     else:
         name = "psi" if args.n is None else f"psi_{args.n}"
         print(f"{name} pivot={pivot} phi={phi}")
         print(f"verified: {'yes' if report.ok else 'no'}")
-        print(f"field: {'constant' if field.is_constant else 'non-constant'} over {len(field.perms)} stars")
+        if field is None:
+            print(f"field: undefined: {report.field_error}")
+        else:
+            print(f"field: {'constant' if field.is_constant else 'non-constant'} over {len(field.perms)} stars")
         for v, image in enumerate(vmap):
             if image is not None:
                 print(f"  {texts[v]} -> {texts[image]}")

@@ -64,7 +64,10 @@ def cycles_payload(ball: CayleyBall, radius: int, max_length: int, max_vertices:
 def exotic_payload(ball: CayleyBall, witness, aut, n: int | None) -> dict:
     system = ball.system
     report = verify_ball_automorphism(ball, aut)
-    field = local_permutation_field(ball, aut)
+    try:
+        field = local_permutation_field(ball, aut)
+    except ValueError:  # an edge sent to a non-edge, or a star-interior vertex without its star's images
+        field = None
     texts = words(ball)
     return {
         "pivot": system.name_of(witness.pivot),
@@ -73,7 +76,9 @@ def exotic_payload(ball: CayleyBall, witness, aut, n: int | None) -> dict:
         "verified": report.ok,
         "violations": list(report.violations),
         "map": [[texts[v], texts[image]] for v, image in enumerate(aut.vmap) if image is not None],
-        "field": {
+        "field": None
+        if field is None
+        else {
             "stars": len(field.perms),
             "constant": field.is_constant,
             "distinct_permutations": len(set(field.perms)),

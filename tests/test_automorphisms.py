@@ -546,12 +546,40 @@ def outcome(check, *args):
 
 
 def assert_checks_match_oracle(ball, aut):
-    """The table-driven report, field and coupling list equal map_checks' on aut."""
-    assert verify_ball_automorphism(ball, aut) == map_checks.verify_ball_automorphism(ball, aut)
-    field = outcome(local_permutation_field, ball, aut)
-    assert field == outcome(map_checks.local_permutation_field, ball, aut)
+    """The one-pass report and field, the report read from the edge list alone,
+    and the coupling list, equal map_checks' on aut."""
+    report = verify_ball_automorphism(ball, aut)
+    assert report == map_checks.verify_ball_automorphism(ball, aut)
+    assert verify_ball_automorphism(ball, aut, read_field=False) == report
+    field = outcome(map_checks.local_permutation_field, ball, aut)
+    assert (report.field or f"ValueError: {report.field_error}") == field
+    assert outcome(local_permutation_field, ball, aut) == field
     if not isinstance(field, str):
         assert coupling_violations(ball, field) == map_checks.coupling_violations(ball, aut)
+
+
+def corrupted_maps(ball, aut):
+    """(kind, map) for aut with two images swapped (an adjacent pair and a far
+    pair), with an interior image set to None, and with an image moved to a
+    vertex adjacent to none of the images of its star."""
+    vmap = list(aut.vmap)
+    for u, v in [(1, min(2, ball.size - 1)), (0, ball.size - 1), (1, ball.neighbors[1][-1])]:
+        swapped = vmap.copy()
+        swapped[u], swapped[v] = swapped[v], swapped[u]
+        yield "swapped", BallAutomorphism(tuple(swapped), aut.interior_radius)
+    for v in (0, 1, len(ball.interior(1)) - 1):
+        holed = vmap.copy()
+        holed[v] = None
+        yield "holed", BallAutomorphism(tuple(holed), aut.interior_radius)
+    for v in (1, len(ball.interior(1)) - 1):
+        if vmap[v] is None:
+            continue
+        near = {vmap[u] for u in star(ball, v).values()} | {vmap[v]}
+        far = [x for x in range(ball.size) if all(x not in star(ball, y).values() for y in near - {None})]
+        if far:
+            moved = vmap.copy()
+            moved[v] = far[-1]
+            yield "moved", BallAutomorphism(tuple(moved), aut.interior_radius)
 
 
 def shipped_maps(ball):
@@ -585,31 +613,32 @@ class TestChecksMatchOracle:
         system = parse_system(path.read_text())
         ball = build_ball(system, 4)
         for aut in shipped_maps(ball):
-            vmap = list(aut.vmap)
-            # swap two images, including an adjacent pair and a far pair
-            for u, v in [(1, min(2, ball.size - 1)), (0, ball.size - 1), (1, ball.neighbors[1][-1])]:
-                swapped = vmap.copy()
-                swapped[u], swapped[v] = swapped[v], swapped[u]
-                assert_checks_match_oracle(ball, BallAutomorphism(tuple(swapped), aut.interior_radius))
-            # an interior image set to None
-            for v in (0, 1, len(ball.interior(1)) - 1):
-                holed = vmap.copy()
-                holed[v] = None
-                assert_checks_match_oracle(ball, BallAutomorphism(tuple(holed), aut.interior_radius))
-            # an image moved to a vertex not adjacent to the images of its neighbors
-            for v in (1, len(ball.interior(1)) - 1):
-                if vmap[v] is None:
-                    continue
-                near = {vmap[u] for u in star(ball, v).values()} | {vmap[v]}
-                far = [x for x in range(ball.size) if all(x not in star(ball, y).values() for y in near - {None})]
-                if far:
-                    moved = vmap.copy()
-                    moved[v] = far[-1]
-                    corrupted = BallAutomorphism(tuple(moved), aut.interior_radius)
+            for kind, corrupted in corrupted_maps(ball, aut):
+                if kind == "moved":
                     report = verify_ball_automorphism(ball, corrupted)
                     assert not report.ok
                     assert report.violations[0] == map_checks.verify_ball_automorphism(ball, corrupted).violations[0]
+                assert_checks_match_oracle(ball, corrupted)
+
+    def test_exotic_maps_and_their_corruptions(self):
+        # psi and psi_n on flexible at every r <= 7, sound and corrupted: the
+        # one pass gives the oracle's report, violation order, and field or error
+        flexible = parse_system((DIAGRAMS[0].parent / "flexible.cox").read_text())
+        witness = is_flexible(flexible)
+        for radius in range(8):
+            ball = build_ball(flexible, radius)
+            for aut in [psi_phi(ball, witness)] + [psi_n(ball, witness, n) for n in (1, 2, 3)]:
+                assert_checks_match_oracle(ball, aut)
+                for _, corrupted in corrupted_maps(ball, aut) if radius >= 2 else ():
                     assert_checks_match_oracle(ball, corrupted)
+                    assert not verify_ball_automorphism(ball, corrupted).ok
+                if radius >= 3:  # broken on the outer sphere, with the field at e intact
+                    vmap, a = list(aut.vmap), len(ball.interior(radius - 1))
+                    vmap[a], vmap[-1] = vmap[-1], vmap[a]
+                    corrupted = BallAutomorphism(tuple(vmap), 1)
+                    assert_checks_match_oracle(ball, corrupted)
+                    report = verify_ball_automorphism(ball, corrupted)
+                    assert not report.ok and report.field is not None
 
 
 class TestComposeAndDecompose:

@@ -93,6 +93,17 @@ class TestRunChecks:
         # one identity entry against two diagram automorphisms decides nothing
         assert report.verdict == "INCONCLUSIVE"
 
+    def test_probe_radius_zero_is_no_evidence(self, a2):
+        # (2,3,7) is rigid with a trivial diagram group, so at probe radius 0 the
+        # census of the identity alone equals it after no search at all
+        triangle = make_system("a b c", (0, 1, 2), (0, 2, 3), (1, 2, 7))
+        report = run_system_checks(triangle, radius=0)
+        assert (report.probe_radius, report.ok, report.verdict) == (0, True, "INCONCLUSIVE")
+        assert run_system_checks(triangle, radius=7).verdict == "INCONCLUSIVE"  # probe radius 0 too
+        assert run_system_checks(triangle, radius=4, probe_radius=0).verdict == "INCONCLUSIVE"
+        report = run_system_checks(a2, radius=4)  # probe radius 1
+        assert (report.probe_radius, report.verdict) == (1, "DISCRETE-EVIDENCE")
+
     def test_check_names_stable(self, a2):
         report = run_system_checks(a2, radius=3)
         assert [c.name for c in report.checks] == [

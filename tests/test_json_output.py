@@ -235,6 +235,35 @@ def test_exotic_with_violations(monkeypatch):
     assert_matches_oracle(system, ["exotic", "--radius", "3"])
 
 
+def test_exotic_with_a_broken_edge(monkeypatch, capsys):
+    # the images of vertices 1 and 2 swapped: edges go to non-edges, which is a
+    # violation (exit 1) with no local-permutation field, not an input error
+    psi_phi = cli.psi_phi
+
+    def swapped(ball, witness):
+        vmap = list(psi_phi(ball, witness).vmap)
+        vmap[1], vmap[2] = vmap[2], vmap[1]
+        return BallAutomorphism(tuple(vmap), ball.radius)
+
+    monkeypatch.setattr(cli, "psi_phi", swapped)
+    system = make_system("s t u", (1, 2, 2))
+    code, out = run_json(system, ["exotic", "--radius", "3"])
+    payload = json.loads(out)
+    assert code == cli.EXIT_VIOLATION
+    assert (payload["verified"], payload["field"]) == (False, None)
+    assert payload["violations"] == [
+        "edge (1, 4) labeled t maps to non-adjacent pair (3, 4)",
+        "edge (1, 5) labeled u maps to non-adjacent pair (3, 5)",
+        "edge (2, 6) labeled s maps to non-adjacent pair (1, 8)",
+        "edge (2, 7) labeled u maps to non-adjacent pair (1, 7)",
+    ]
+    assert_matches_oracle(system, ["exotic", "--radius", "3"])
+    monkeypatch.setattr(cli, "_load_system", lambda path: system)
+    assert cli.main(["exotic", "diagram.cox", "--radius", "3"]) == cli.EXIT_VIOLATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["verified: no", "field: undefined: edge (1, 4) maps to non-adjacent pair (3, 4)"]
+
+
 def test_exotic_map_leaves_out_undefined_vertices(monkeypatch):
     # a map defined on word lengths <= 1 only needs its images there and a field at e
     psi_phi = cli.psi_phi

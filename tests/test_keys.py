@@ -26,6 +26,8 @@ from coxaut.words import (
 
 from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, random_systems, star
 
+FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
+
 FLEXIBLE5 = Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / "flexible5.cox"
 
 
@@ -133,6 +135,19 @@ class TestBall:
     @given(random_systems(4, finite_orders=(2, 3, 4, 5, 6, 7, 8, 10, 12)), st.integers(0, 5))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_random_orders_match_rewriting(self, system, radius):
+        assert_same_ball(system, radius)
+
+    @pytest.mark.parametrize("path", FRONTIER, ids=lambda p: p.stem)
+    def test_frontier_diagrams_match_rewriting(self, path):
+        # orders 5, 7 and 8: relator walks go m - 1 layers down and up, and a
+        # walk may reach a parent that is not yet expanded; free10 has no walk
+        system = parse_system(path.read_text())
+        for radius in range(8 if system.max_finite_order() else 4):
+            assert_same_ball(system, radius)
+
+    @given(random_systems(3, finite_orders=(3, 4, 5, 6, 7, 8)), st.integers(5, 7))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_deep_walks_match_rewriting(self, system, radius):
         assert_same_ball(system, radius)
 
     def test_rank3_diagrams_match_rewriting(self):
