@@ -130,16 +130,8 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
 
     psi_phi applies phi to a reduced word before its first pivot and psi_n
     after its n-th; phi fixes the pivot, so the image of w s is the image of w
-    followed by field(w)[s].  Raises ValueError unless witness is valid.
-
-    psi_n is a map on elements only when the number of pivots is: when each
-    diagram neighbour t of the pivot p has even order with it, else this
-    raises ValueError.  Reduced words of one element are joined by
-    m-operations.  phi carries one on a pair without p, a block on one side of
-    the n-th pivot, to the move on the image pair; one on (p, t) with m(p, t)
-    even keeps the block's pivot count, and phi fixes its letters.  Either way
-    the images differ by one m-operation.  With m(p, t) odd, p t p and t p t
-    differ in pivot count.
+    followed by field(w)[s].  Raises ValueError unless witness is valid and,
+    for psi_n, validate_psi_n passes.
     """
     system = ball.system
     validate_witness(system, witness)
@@ -147,12 +139,7 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
     identity = tuple(system.generators())
     pivot = witness.pivot
     if n is not None:
-        for t in system.neighbors(pivot):
-            if system.order(pivot, t) % 2:
-                raise ValueError(
-                    f"psi_n is undefined: the pivot {system.name_of(pivot)} has odd order "
-                    f"{system.order(pivot, t)} with {system.name_of(t)}, so words of one element differ in pivot count"
-                )
+        validate_psi_n(system, witness)
     # pivots[v] = the pivots in v's canonical word, counted down the BFS tree
     adj, last, rank = ball.adj, ball.last, ball.rank
     pivots = [0] * ball.size
@@ -161,6 +148,24 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
     if n is None:
         return lambda x: identity if pivots[x] else phi
     return lambda x: phi if pivots[x] >= n else identity
+
+
+def validate_psi_n(system: CoxeterSystem, witness: FlexibilityWitness) -> None:
+    """ValueError unless each diagram neighbour t of the pivot p has even order
+    with it: psi_n is a map on elements only when the number of pivots is.
+    Reduced words of one element are joined by m-operations.  phi carries one
+    on a pair without p, a block on one side of the n-th pivot, to the move on
+    the image pair; one on (p, t) with m(p, t) even keeps the block's pivot
+    count, and phi fixes its letters.  Either way the images differ by one
+    m-operation.  With m(p, t) odd, p t p and t p t differ in pivot count.
+    """
+    p = witness.pivot
+    for t in system.neighbors(p):
+        if system.order(p, t) % 2:
+            raise ValueError(
+                f"psi_n is undefined: the pivot {system.name_of(p)} has odd order {system.order(p, t)} "
+                f"with {system.name_of(t)}, so words of one element differ in pivot count"
+            )
 
 
 def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
@@ -173,39 +178,23 @@ def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorp
     return BallAutomorphism(field_map(ball, 0, pivot_field(ball, witness, n)), ball.radius)
 
 
-def field_violations(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tuple[int, int, int]]:
-    """The edges (u, v, s), u the shorter end, where aut(v) is not the
-    field(u)[s]-neighbor of aut(u); edges with an unmapped end are skipped.
-
-    Every reduced word of v is a reduced word of such a u followed by s, so,
-    by induction on length, no violation for psi_phi and its field means that
-    psi_phi's image does not depend on the reduced word (the field reads only
-    which letters a word has, and m-operations keep them).
-    """
-    bad = []
-    adj, rank = ball.adj, ball.rank
-    for u, v, s in ball.edges:
-        fu, fv = aut.vmap[u], aut.vmap[v]
-        if fu is not None and fv is not None and adj[fu * rank + field(u)[s]] != fv:
-            bad.append((u, v, s))
-    return bad
-
-
 # -- verification ------------------------------------------------------------
 
 
 class VerificationReport:
-    """The checks of a ball map, and its local-permutation field when the same
-    pass read one: a PermutationField, or None with field_error saying why."""
+    """The checks of a ball map.  broken lists the edges that break the field
+    it was walked from, when given; else field is its own PermutationField,
+    or None with field_error saying why."""
 
-    __slots__ = ("ok", "total", "violations", "field", "field_error")
+    __slots__ = ("ok", "total", "violations", "field", "field_error", "broken")
 
-    def __init__(self, ok: bool, total: bool, violations: tuple[str, ...], field=None, field_error=None):
+    def __init__(self, ok: bool, total: bool, violations: tuple[str, ...], field=None, field_error=None, broken=None):
         self.ok = ok
         self.total = total
         self.violations = violations
         self.field = field
         self.field_error = field_error
+        self.broken = broken
 
     def __eq__(self, other):
         if type(other) is not VerificationReport:
@@ -213,9 +202,9 @@ class VerificationReport:
         return (self.ok, self.total, self.violations) == (other.ok, other.total, other.violations)
 
 
-def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, read_field: bool = True) -> VerificationReport:
-    """Definedness on the interior, injectivity, and edge preservation, and
-    unless read_field is false the local-permutation field, in one pass.
+def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None) -> VerificationReport:
+    """Definedness on the interior, injectivity, and edge preservation, in one
+    pass with the field aut was walked from, else with aut's own field.
 
     Edges are checked wherever both endpoint images exist, not only in the
     interior: every constructor in this module restricts a map of the full
@@ -224,11 +213,15 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, read_field
     sending edges to edges sends non-edges to non-edges, so these checks
     suffice for total maps to certify a genuine graph automorphism.
 
-    Reading the field (local_permutation_field) checks every edge with an end
-    in the star interior; the edges beyond it come from the ball's cached edge
-    list, which a total map with the whole ball as interior never needs.  With
-    read_field=False, for a caller that checks many maps of one ball, every
-    edge comes from the list.
+    With field (as given to field_map), an edge (u, v, s) of the cached edge
+    list, u the shorter end, is broken when aut(v) is not the
+    field(u)[s]-neighbour of aut(u); only broken edges can join a non-adjacent
+    pair.  Every reduced word of v is one of such a u followed by s, so, by
+    induction on length, no broken edge means aut's image does not depend on
+    the reduced word.  Without it, aut's field is read
+    (local_permutation_field), checking every edge with an end in the star
+    interior; the edges beyond come from the list, which a total map with the
+    whole ball as interior never needs.
     """
     vmap, rows = aut.vmap, ball.rows
     values = set(vmap)
@@ -241,19 +234,26 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, read_field
             u = v if x is None else first.setdefault(x, v)
             if u != v:
                 violations.append(f"not injective: vertices {u} and {v} both map to {x}")
-    field = field_error = None
-    if read_field:
+    own = field_error = broken = None
+    if field is not None:
+        adj, rank = ball.adj, ball.rank
+        edges = broken = [
+            (u, v, s)
+            for u, v, s in ball.edges
+            if (fu := vmap[u]) is not None and (fv := vmap[v]) is not None and adj[fu * rank + field(u)[s]] != fv
+        ]
+    else:
         try:
-            field = local_permutation_field(ball, aut)
+            own = local_permutation_field(ball, aut)
         except ValueError as exc:
             field_error = str(exc)
-    low = 0 if field is None else len(field.vertices)  # edges with an end below low are checked
-    edges = ball.edges if low < len(ball.interior(ball.radius - 1)) else []
-    for u, v, s in edges[bisect_left(edges, (low,)) :]:
+        low = 0 if own is None else len(own.vertices)  # edges with an end below low are checked
+        edges = ball.edges[bisect_left(ball.edges, (low,)) :] if low < len(ball.interior(ball.radius - 1)) else ()
+    for u, v, s in edges:
         fu, fv = vmap[u], vmap[v]
         if fu is not None and fv is not None and fv not in rows[fu]:
             violations.append(f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})")
-    return VerificationReport(not violations, None not in values, tuple(violations), field, field_error)
+    return VerificationReport(not violations, None not in values, tuple(violations), own, field_error, broken)
 
 
 def _picked(items, ids) -> tuple:

@@ -45,6 +45,12 @@ Two tests inside the psi checks go by the same rule:
   at r >= 2; diagram_aut(phi) sends it to p phi(t), and psi to p t, so psi
   never factors.
 
+Each map is verified once.  left-mult-identity-field, diagram-aut-field
+and psi-m-class-well-defined give verify_ball_automorphism the field their
+map was walked from and fail on an edge that breaks it (psi-verified reads
+the same psi report); psi-n-verified, which tests no field, lets it read
+psi_n's own field, which costs less than computing the field again.
+
 census-diagram-consistency fails on a rigid diagram exactly when the
 census has an exotic entry.  The diagram restrictions form a subgroup of
 the census group of order diagram_count (each is a ball automorphism fixing
@@ -66,11 +72,10 @@ from __future__ import annotations
 from functools import cache
 
 from .automorphisms import (
-    BallAutomorphism,
+    VerificationReport,
     coupling_violations,
     diagram_aut,
     factored_ball_map,
-    field_violations,
     identity_stabilizer_census,
     local_permutation_field,
     psi_family_distinctness,
@@ -79,7 +84,7 @@ from .automorphisms import (
     pivot_field,
     verify_ball_automorphism,
 )
-from .ball import DEFAULT_MAX_VERTICES, CayleyBall, build_ball
+from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .cycles import verify_essential_characterization
 from .system import (
     DEFAULT_MAX_NODES,
@@ -171,15 +176,11 @@ def default_probe_radius(system: CoxeterSystem, radius: int) -> int:
     return max(radius - (m if m is not None else 1), 0)
 
 
-def _exotic_map_problem(ball: CayleyBall, aut: BallAutomorphism, name: str) -> str | None:
-    """Why aut, a field_map from the identity, is not verified and total; None
-    if it is, and it then keeps word length (see the module docstring)."""
-    report = verify_ball_automorphism(ball, aut, read_field=False)
+def _exotic_map_problem(report: VerificationReport, name: str) -> str | None:
+    """Why a field_map from e is not verified and total; None if it is (it then keeps word length)."""
     if not report.ok:
         return f"{name} not verified: {report.violations[0]}"
-    if not report.total:
-        return f"{name} vertex map is not total"
-    return None
+    return None if report.total else f"{name} vertex map is not total"
 
 
 def run_system_checks(
@@ -259,19 +260,16 @@ def run_system_checks(
     def left_mult_fields() -> tuple[str, str]:
         if radius < 1:
             return "vacuous", "radius too small for left multiplications"
-        identity = identity_automorphism(system)
-        checked = 0
-        for v in ball.interior(min(2, radius - 1)):
-            aut = factored_ball_map(ball, v, identity)
-            report = verify_ball_automorphism(ball, aut, read_field=False)
+        identity, starts = identity_automorphism(system), ball.interior(min(2, radius - 1))
+        for v in starts:
+            report = verify_ball_automorphism(ball, factored_ball_map(ball, v, identity), lambda x: identity.images)
             if not report.ok:
                 return "fail", f"left_mult({ball.word(v)}) not verified: {report.violations[0]}"
-            # no violation: every defined edge keeps its label, so the local
+            # no broken edge: every defined edge keeps its label, so the local
             # permutation is the identity wherever it is defined
-            if field_violations(ball, aut, lambda x: identity.images):
+            if report.broken:
                 return "fail", f"left_mult({ball.word(v)}) field is not the constant identity"
-            checked += 1
-        return "pass", f"{checked} left multiplications verified with constant identity fields"
+        return "pass", f"{len(starts)} left multiplications verified with constant identity fields"
 
     add("left-mult-identity-field", left_mult_fields)
 
@@ -279,11 +277,10 @@ def run_system_checks(
         if not strong_generators:
             return "vacuous", "the diagram group is trivial"
         for d in strong_generators:
-            aut = diagram_aut(ball, d)
-            report = verify_ball_automorphism(ball, aut, read_field=False)
+            report = verify_ball_automorphism(ball, diagram_aut(ball, d), lambda x: d.images)
             if not report.ok:
                 return "fail", f"diagram_aut({d.images}) not verified: {report.violations[0]}"
-            if field_violations(ball, aut, lambda x: d.images):
+            if report.broken:
                 return "fail", f"diagram_aut({d.images}) field is not constantly d"
         if ball.size == 1:
             return "vacuous", "no edges; fields are empty"
@@ -337,8 +334,8 @@ def run_system_checks(
     add("census-diagram-consistency", census_diagram_consistency)
 
     @cache
-    def psi() -> BallAutomorphism:
-        return psi_phi(ball, witness)
+    def psi() -> VerificationReport:  # read by psi-verified and psi-m-class-well-defined
+        return verify_ball_automorphism(ball, psi_phi(ball, witness), pivot_field(ball, witness))
 
     # -- exotic automorphisms (flexible diagrams only) ---------------------
 
@@ -347,7 +344,7 @@ def run_system_checks(
             return "vacuous", "diagram is not flexible"
         if radius < 2:
             return "vacuous", "radius too small for the exotic map"
-        problem = _exotic_map_problem(ball, psi(), "psi")
+        problem = _exotic_map_problem(psi(), "psi")
         if problem:
             return "fail", problem
         return "pass", "psi verified total, length-preserving, identity-fixing, and non-factorable"
@@ -357,9 +354,8 @@ def run_system_checks(
     def psi_well_defined() -> tuple[str, str]:
         if witness is None:
             return "vacuous", "diagram is not flexible"
-        bad = field_violations(ball, psi(), pivot_field(ball, witness))
-        if bad:
-            u, v, s = bad[0]
+        if psi().broken:
+            u, v, s = psi().broken[0]
             return "fail", f"psi breaks its field on edge ({u}, {v}) labeled {system.name_of(s)}"
         return "pass", f"psi constant on the m-class at all {ball.size} vertices"
 
@@ -372,7 +368,7 @@ def run_system_checks(
             return "vacuous", "radius too small"
         for n in range(1, min(radius, 5) + 1):
             try:
-                problem = _exotic_map_problem(ball, psi_n(ball, witness, n), f"psi_{n}")
+                problem = _exotic_map_problem(verify_ball_automorphism(ball, psi_n(ball, witness, n)), f"psi_{n}")
             except ValueError as exc:  # an odd-order neighbour of the pivot
                 return "vacuous", str(exc)
             if problem:

@@ -23,6 +23,7 @@ from .automorphisms import (
     identity_stabilizer_census,
     psi_n,
     psi_phi,
+    validate_psi_n,
     verify_ball_automorphism,
 )
 from .ball import DEFAULT_MAX_VERTICES, build_ball
@@ -255,6 +256,8 @@ def cmd_exotic(args) -> int:
     if witness is None:
         print("error: the diagram is not flexible; no exotic map exists", file=sys.stderr)
         return EXIT_INPUT
+    if args.n is not None:
+        validate_psi_n(system, witness)
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
@@ -292,6 +295,8 @@ def cmd_stabilizer(args) -> int:
     system = _load_system(args.file)
     _, max_vertices, max_nodes = _guards(args)
     probe = args.probe if args.probe is not None else default_probe_radius(system, args.radius)
+    if not 0 <= probe <= args.radius:
+        raise ValueError("probe radius must lie between 0 and the ball radius")
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
     entries, texts = census.entries, ball.texts

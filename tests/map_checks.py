@@ -61,6 +61,18 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
     return VerificationReport(ok=not violations, total=total, violations=tuple(violations))
 
 
+def broken_edges(ball: CayleyBall, aut: BallAutomorphism, field) -> list[tuple[int, int, int]]:
+    """The edges (u, v, s), u < v, with both ends mapped where aut(v) is not
+    the field(u)[s]-neighbour of aut(u), in (u, v, s) order."""
+    broken = []
+    for u in range(ball.size):
+        for s, v in star(ball, u).items():
+            fu, fv = aut.vmap[u], aut.vmap[v]
+            if u < v and fu is not None and fv is not None and star(ball, fu).get(field(u)[s]) != fv:
+                broken.append((u, v, s))
+    return sorted(broken)
+
+
 def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[int, int]:
     fv = aut.vmap[v]
     if fv is None:

@@ -8,7 +8,6 @@ from coxaut.automorphisms import (
     coupling_violations,
     decompose,
     diagram_aut,
-    field_violations,
     identity_factored,
     identity_stabilizer_census,
     left_mult,
@@ -374,7 +373,7 @@ class TestFieldWalk:
         psi = psi_phi(ball, witness)
         assert_matches_rewriting(ball, psi, lambda x: psi_phi_word(system, witness, x), ball.radius)
         # psi_phi's image does not depend on the reduced word: every edge follows its field
-        assert field_violations(ball, psi, pivot_field(ball, witness)) == []
+        assert verify_ball_automorphism(ball, psi, pivot_field(ball, witness)).broken == []
         odd = [t for t in system.neighbors(witness.pivot) if system.order(witness.pivot, t) % 2]
         if odd:
             with pytest.raises(ValueError, match=f"odd order {system.order(witness.pivot, odd[0])} with"):
@@ -383,7 +382,7 @@ class TestFieldWalk:
         psi_k = psi_n(ball, witness, n)
         assert_matches_rewriting(ball, psi_k, lambda x: psi_n_word(system, witness, n, x), ball.radius)
         # so does psi_n's, when every neighbour of the pivot has even order with it
-        assert field_violations(ball, psi_k, pivot_field(ball, witness, n)) == []
+        assert verify_ball_automorphism(ball, psi_k, pivot_field(ball, witness, n)).broken == []
 
 
 class TestFieldViolations:
@@ -391,10 +390,11 @@ class TestFieldViolations:
         ball = build_ball(branched, 4)
         swap = DiagramAutomorphism((0, 2, 1))
         identity = tuple(branched.generators())
-        assert field_violations(ball, left_mult(ball, (0, 1)), lambda x: identity) == []
-        assert field_violations(ball, diagram_aut(ball, swap), lambda x: swap.images) == []
-        # the swap's field is not the identity's
-        assert field_violations(ball, diagram_aut(ball, swap), lambda x: identity)
+        assert verify_ball_automorphism(ball, left_mult(ball, (0, 1)), lambda x: identity).broken == []
+        assert verify_ball_automorphism(ball, diagram_aut(ball, swap), lambda x: swap.images).broken == []
+        # the swap's field is not the identity's: its edges break it, and keep adjacency
+        report = verify_ball_automorphism(ball, diagram_aut(ball, swap), lambda x: identity)
+        assert report.ok and report.broken
 
     def test_fails_on_a_rule_that_is_no_witness(self):
         # phi swaps the pivot t with u: validate_witness rejects it, and the
@@ -408,7 +408,7 @@ class TestFieldViolations:
             return identity if bad.pivot in ball.word(x) else bad.phi.images
 
         aut = BallAutomorphism(field_map(ball, 0, field), ball.radius)
-        assert field_violations(ball, aut, field)
+        assert verify_ball_automorphism(ball, aut, field).broken
         with pytest.raises(ValueError):
             pivot_field(ball, bad)
 
@@ -545,17 +545,22 @@ def outcome(check, *args):
         return f"ValueError: {exc}"
 
 
-def assert_checks_match_oracle(ball, aut):
-    """The one-pass report and field, the report read from the edge list alone,
-    and the coupling list, equal map_checks' on aut."""
+def assert_checks_match_oracle(ball, aut, field=None):
+    """The one-pass report and field, and the coupling list, equal map_checks'
+    on aut; so does the report against field, the one aut was walked from,
+    with its broken edges."""
+    oracle = map_checks.verify_ball_automorphism(ball, aut)
     report = verify_ball_automorphism(ball, aut)
-    assert report == map_checks.verify_ball_automorphism(ball, aut)
-    assert verify_ball_automorphism(ball, aut, read_field=False) == report
-    field = outcome(map_checks.local_permutation_field, ball, aut)
-    assert (report.field or f"ValueError: {report.field_error}") == field
-    assert outcome(local_permutation_field, ball, aut) == field
-    if not isinstance(field, str):
-        assert coupling_violations(ball, field) == map_checks.coupling_violations(ball, aut)
+    assert report == oracle  # ok, total, and violations in order
+    if field is not None:
+        walked = verify_ball_automorphism(ball, aut, field)
+        assert walked == oracle
+        assert walked.broken == map_checks.broken_edges(ball, aut, field)
+    own = outcome(map_checks.local_permutation_field, ball, aut)
+    assert (report.field or f"ValueError: {report.field_error}") == own
+    assert outcome(local_permutation_field, ball, aut) == own
+    if not isinstance(own, str):
+        assert coupling_violations(ball, own) == map_checks.coupling_violations(ball, aut)
 
 
 def corrupted_maps(ball, aut):
@@ -583,17 +588,19 @@ def corrupted_maps(ball, aut):
 
 
 def shipped_maps(ball):
-    """Every map verify builds on this ball: left multiplications by words of
-    length <= 2, diagram maps, psi_phi and psi_1..psi_3, census entries."""
+    """(map, the field it was walked from or None) for every map verify builds
+    on this ball: left multiplications by words of length <= 2, diagram maps,
+    psi_phi and psi_1..psi_3, census entries (None)."""
     system = ball.system
-    maps = [left_mult(ball, w) for w in ball_words(ball) if len(w) <= min(2, ball.radius)]
-    maps += [diagram_aut(ball, d) for d in enumerate_diagram_automorphisms(system)]
+    identity = tuple(system.generators())
+    maps = [(left_mult(ball, w), lambda x: identity) for w in ball_words(ball) if len(w) <= min(2, ball.radius)]
+    maps += [(diagram_aut(ball, d), lambda x, d=d: d.images) for d in enumerate_diagram_automorphisms(system)]
     witness = is_flexible(system)
     if witness is not None:
-        maps.append(psi_phi(ball, witness))
-        maps += [psi_n(ball, witness, n) for n in (1, 2, 3)]
+        maps.append((psi_phi(ball, witness), pivot_field(ball, witness)))
+        maps += [(psi_n(ball, witness, n), pivot_field(ball, witness, n)) for n in (1, 2, 3)]
     probe = max(ball.radius - (system.max_finite_order() or 1), 0)
-    maps += [e.automorphism for e in identity_stabilizer_census(ball, probe).entries]
+    maps += [(e.automorphism, None) for e in identity_stabilizer_census(ball, probe).entries]
     return maps
 
 
@@ -605,20 +612,20 @@ class TestChecksMatchOracle:
         system = parse_system(path.read_text())
         for radius in range(6):
             ball = build_ball(system, radius)
-            for aut in shipped_maps(ball):
-                assert_checks_match_oracle(ball, aut)
+            for aut, field in shipped_maps(ball):
+                assert_checks_match_oracle(ball, aut, field)
 
     @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
     def test_corrupted_maps(self, path):
         system = parse_system(path.read_text())
         ball = build_ball(system, 4)
-        for aut in shipped_maps(ball):
+        for aut, field in shipped_maps(ball):
             for kind, corrupted in corrupted_maps(ball, aut):
                 if kind == "moved":
                     report = verify_ball_automorphism(ball, corrupted)
                     assert not report.ok
                     assert report.violations[0] == map_checks.verify_ball_automorphism(ball, corrupted).violations[0]
-                assert_checks_match_oracle(ball, corrupted)
+                assert_checks_match_oracle(ball, corrupted, field)
 
     def test_exotic_maps_and_their_corruptions(self):
         # psi and psi_n on flexible at every r <= 7, sound and corrupted: the
@@ -627,18 +634,32 @@ class TestChecksMatchOracle:
         witness = is_flexible(flexible)
         for radius in range(8):
             ball = build_ball(flexible, radius)
-            for aut in [psi_phi(ball, witness)] + [psi_n(ball, witness, n) for n in (1, 2, 3)]:
-                assert_checks_match_oracle(ball, aut)
+            for n in (None, 1, 2, 3):
+                aut = psi_phi(ball, witness) if n is None else psi_n(ball, witness, n)
+                field = pivot_field(ball, witness, n)
+                assert_checks_match_oracle(ball, aut, field)
                 for _, corrupted in corrupted_maps(ball, aut) if radius >= 2 else ():
-                    assert_checks_match_oracle(ball, corrupted)
+                    assert_checks_match_oracle(ball, corrupted, field)
                     assert not verify_ball_automorphism(ball, corrupted).ok
                 if radius >= 3:  # broken on the outer sphere, with the field at e intact
                     vmap, a = list(aut.vmap), len(ball.interior(radius - 1))
                     vmap[a], vmap[-1] = vmap[-1], vmap[a]
                     corrupted = BallAutomorphism(tuple(vmap), 1)
-                    assert_checks_match_oracle(ball, corrupted)
+                    assert_checks_match_oracle(ball, corrupted, field)
                     report = verify_ball_automorphism(ball, corrupted)
                     assert not report.ok and report.field is not None
+
+    def test_exotic_maps_verified_without_the_edge_list(self):
+        # psi and psi_n are total with the whole ball as interior: reading their
+        # own field checks every edge, and the ball's edge list is never built
+        flexible = parse_system((DIAGRAMS[0].parent / "flexible.cox").read_text())
+        witness = is_flexible(flexible)
+        for radius in (3, 4, 7):
+            ball = build_ball(flexible, radius)
+            for aut in [psi_phi(ball, witness)] + [psi_n(ball, witness, n) for n in (1, 2, 3)]:
+                report = verify_ball_automorphism(ball, aut)
+                assert report.ok and report.field is not None and report.broken is None
+            assert "edges" not in vars(ball)
 
 
 class TestComposeAndDecompose:

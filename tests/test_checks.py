@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import coxaut.checks
+from coxaut.automorphisms import BallAutomorphism
 from coxaut.ball import build_ball
 from coxaut.checks import (
     commutation_violations,
@@ -206,3 +207,56 @@ class TestRunChecks:
                 assert flexible, system
             if report.verdict == "DISCRETE-EVIDENCE":
                 assert not flexible, system
+
+
+def load(name: str):
+    return parse_system((DIAGRAMS[0].parent / name).read_text())
+
+
+def checks_with(monkeypatch, constructor: str, corrupt, system, radius: int) -> dict:
+    """run_system_checks(system, radius) by name, with each map that coxaut.checks
+    builds by constructor replaced by corrupt(ball, its map)."""
+    real = getattr(coxaut.checks, constructor)
+    monkeypatch.setattr(coxaut.checks, constructor, lambda ball, *args: corrupt(ball, real(ball, *args)))
+    report = run_system_checks(system, radius)
+    assert report.verdict == "INCONCLUSIVE"  # a failed check is no evidence
+    return {c.name: (c.status, c.detail) for c in report.checks}
+
+
+class TestMapCheckDetails:
+    """Each map check's failure detail, with the constructor it calls corrupted."""
+
+    def test_left_mult_with_two_images_swapped(self, a2, monkeypatch):
+        def swapped(ball, aut):
+            vmap = list(aut.vmap)
+            vmap[1], vmap[2] = vmap[2], vmap[1]
+            return BallAutomorphism(tuple(vmap), aut.interior_radius)
+
+        checks = checks_with(monkeypatch, "factored_ball_map", swapped, a2, 4)
+        assert checks["left-mult-identity-field"] == (
+            "fail",
+            "left_mult(()) not verified: edge (1, 3) labeled b maps to non-adjacent pair (2, 3)",
+        )
+
+    def test_diagram_aut_as_the_identity_map(self, monkeypatch):
+        def identity(ball, aut):
+            return BallAutomorphism(tuple(range(ball.size)), ball.radius)
+
+        checks = checks_with(monkeypatch, "diagram_aut", identity, load("c2cubed.cox"), 4)
+        assert checks["diagram-aut-field"] == ("fail", "diagram_aut((1, 0, 2)) field is not constantly d")
+
+    def test_psi_as_the_identity_map(self, monkeypatch):
+        # an automorphism, so psi-verified passes; only its field is broken
+        def identity(ball, aut):
+            return BallAutomorphism(tuple(range(ball.size)), ball.radius)
+
+        checks = checks_with(monkeypatch, "psi_phi", identity, load("flexible.cox"), 5)
+        assert checks["psi-verified"][0] == "pass"
+        assert checks["psi-m-class-well-defined"] == ("fail", "psi breaks its field on edge (0, 2) labeled t")
+
+    def test_psi_n_with_an_image_dropped(self, monkeypatch):
+        def holed(ball, aut):
+            return BallAutomorphism(aut.vmap[:-1] + (None,), ball.radius - 1)
+
+        checks = checks_with(monkeypatch, "psi_n", holed, load("flexible.cox"), 5)
+        assert checks["psi-n-verified"] == ("fail", "psi_1 vertex map is not total")

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import coxaut.checks
 import coxaut.system
 from coxaut import cli
+from coxaut.automorphisms import diagram_aut
 from coxaut.cli import EXIT_INDETERMINATE, EXIT_INTERNAL, main
-from coxaut.system import ParseError, parse_system
+from coxaut.system import DiagramAutomorphism, ParseError, parse_system
 
 from conftest import random_systems
 
@@ -230,6 +231,14 @@ class TestExoticCommand:
         )
         assert main(["exotic", ODD_PIVOT, "--radius", "4"]) == 0
 
+    def test_odd_pivot_rejected_before_the_ball(self, capsys, monkeypatch):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(cli, "build_ball", no_ball)
+        assert main(["exotic", ODD_PIVOT, "--radius", "40", "--n", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: psi_n is undefined: the pivot s has odd order 3 with t")
+
     def test_json_map_entries(self, branched_file, capsys):
         assert main(["exotic", branched_file, "--radius", "3", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -267,6 +276,18 @@ class TestStabilizerCommand:
         assert [entry["diagram"] for entry in payload["entries"]] == ["id"]
 
 
+    @pytest.mark.parametrize("probe", ["-1", "31"])
+    def test_probe_out_of_range_rejected_before_the_ball(self, tmp_path, probe, capsys, monkeypatch):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(cli, "build_ball", no_ball)
+        tree = tmp_path / "tree.cox"
+        tree.write_text("gens a b c\n")
+        assert main(["stabilizer", str(tree), "--radius", "30", "--probe", probe]) == 2
+        assert capsys.readouterr().err == "error: probe radius must lie between 0 and the ball radius\n"
+
+
 class TestVerifyCommand:
     def test_rigid_system_passes(self, a2_file, capsys):
         assert main(["verify", a2_file, "--radius", "4"]) == 0
@@ -301,11 +322,13 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().out)["verdict"] == "INDETERMINATE"
 
     def test_failing_check_gives_inconclusive_verdict(self, a2_file, capsys, monkeypatch):
-        # every map's field is reported broken: the census still decides, but a failed check is no evidence
-        monkeypatch.setattr(coxaut.checks, "field_violations", lambda ball, aut, field: [(0, 1, 0)])
+        # every left multiplication is built as the diagram swap, an automorphism whose
+        # field is not the identity: the census still decides, but a failed check is no evidence
+        swap = DiagramAutomorphism((1, 0))
+        monkeypatch.setattr(coxaut.checks, "factored_ball_map", lambda ball, v, d: diagram_aut(ball, swap))
         assert main(["verify", a2_file, "--radius", "4"]) == 1
         out = capsys.readouterr().out
-        assert "[         FAIL] left-mult-identity-field" in out
+        assert "[         FAIL] left-mult-identity-field: left_mult(()) field is not the constant identity\n" in out
         assert "[         PASS] census-verified" in out
         assert out.endswith("verdict: INCONCLUSIVE\n")
 
