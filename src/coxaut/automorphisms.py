@@ -168,8 +168,9 @@ def validate_psi_n(system: CoxeterSystem, witness: FlexibilityWitness) -> None:
             )
 
 
-def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
-    return BallAutomorphism(field_map(ball, 0, pivot_field(ball, witness)), ball.radius)
+def psi_phi(ball: CayleyBall, witness: FlexibilityWitness, field=None) -> BallAutomorphism:
+    """psi, walked from field: pivot_field(ball, witness) unless given."""
+    return BallAutomorphism(field_map(ball, 0, field or pivot_field(ball, witness)), ball.radius)
 
 
 def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorphism:
@@ -320,6 +321,15 @@ class PermutationField:
         return self.is_constant and self.constant == tuple(range(len(self.constant or ())))
 
 
+def _perms(ball: CayleyBall, image_rows, neighbour_images) -> tuple[tuple[int, ...], ...]:
+    """The local permutations at the vertices whose image rows are given, read
+    label by label: each row rank times, against the images of the vertex's
+    neighbours, rank per vertex in label order."""
+    rank = ball.rank
+    labels = map(tuple.index, chain.from_iterable(zip(*[image_rows] * rank)), neighbour_images)
+    return tuple(zip(*[labels] * rank)) if rank else ((),) * len(image_rows)
+
+
 def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> PermutationField:
     """Total local permutations at every star-interior vertex, read label by
     label: each neighbour's image is found in the row of the vertex's image,
@@ -331,15 +341,12 @@ def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> Permutat
     field is the signature of an exotic map.
     """
     vmap, rank, stars = aut.vmap, ball.rank, ball.star_interior(aut.interior_radius)
-    try:  # each image row rank times, against the images of the neighbours
-        image_rows = _picked(ball.rows, vmap[: len(stars)])
-        neighbour_images = _picked(vmap, ball.adj[: len(stars) * rank])
-        labels = list(map(tuple.index, chain.from_iterable(zip(*[image_rows] * rank)), neighbour_images))
+    try:
+        perms = _perms(ball, _picked(ball.rows, vmap[: len(stars)]), _picked(vmap, ball.adj[: len(stars) * rank]))
     except (TypeError, ValueError):  # an image is None, or an edge goes to a non-edge
         for v in stars:
             if len(local_permutation(ball, aut, v)) < rank:
                 raise ValueError(f"local permutation at star-interior vertex {v} is not total") from None
-    perms = tuple(zip(*[iter(labels)] * rank)) if rank else ((),) * len(stars)
     distinct = set(perms)
     return PermutationField(stars, perms, len(distinct) <= 1, perms[0] if len(distinct) == 1 else None)
 
@@ -348,8 +355,10 @@ def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple
     """Adjacent-vertex coupling: across an s-edge (v, vs), the local permutations
     at v and vs agree on s and on every generator at finite order with s.
 
-    Returns (v, u, s, x) tuples naming each violation; empty means the law
-    holds throughout the field's vertices.
+    Returns (v, u, s, x) tuples naming each violation, v in the field's vertex
+    order; empty means the law holds throughout the field's vertices.  A
+    census entry's support_field gives the same list as its whole star
+    interior's field.
     """
     perm_of = dict(zip(field.vertices, field.perms))
     fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
@@ -406,30 +415,46 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
 
 
 class StabilizerEntry:
-    """One automorphism class, keyed by its restriction to the probe sub-ball."""
+    """One automorphism class, keyed by its restriction images to the probe
+    sub-ball of a ball of ball_size vertices; support lists the probe ids it
+    moves."""
 
-    __slots__ = ("images", "automorphism", "verdict", "diagram")
+    __slots__ = ("images", "verdict", "diagram", "support", "ball_size", "probe_radius")
 
     def __init__(
-        self, images: tuple[int, ...], automorphism: BallAutomorphism, verdict: str, diagram: DiagramAutomorphism | None
+        self,
+        images: tuple[int, ...],
+        verdict: str,
+        diagram: DiagramAutomorphism | None,
+        support: tuple[int, ...],
+        ball_size: int,
+        probe_radius: int,
     ):
         self.images = images
-        self.automorphism = automorphism
         self.verdict = verdict
         self.diagram = diagram
+        self.support = support
+        self.ball_size = ball_size
+        self.probe_radius = probe_radius
 
     def __eq__(self, other):
         if type(other) is not StabilizerEntry:
             return NotImplemented
-        return (self.images, self.automorphism, self.verdict, self.diagram) == (
+        return (self.images, self.verdict, self.diagram, self.ball_size, self.probe_radius) == (
             other.images,
-            other.automorphism,
             other.verdict,
             other.diagram,
+            other.ball_size,
+            other.probe_radius,
         )
 
     def __hash__(self):
         return hash(self.images)
+
+    @property
+    def automorphism(self) -> BallAutomorphism:
+        """The restriction as a ball map, undefined beyond the probe ids; built on each read."""
+        return BallAutomorphism(self.images + (None,) * (self.ball_size - len(self.images)), self.probe_radius)
 
 
 class StabilizerCensus:
@@ -481,26 +506,58 @@ class StabilizerCensus:
 
     def _entries(self, restrictions) -> tuple[StabilizerEntry, ...]:
         """A diagram entry restricts diagram_aut(d), d its label permutation at e
-        (or id when e is alone).  diagram_aut(d) is walked down the BFS tree, so
-        it agrees with images on the probe ids exactly when each probe vertex
-        v = p s, p its parent, has images[v] the d(s)-neighbour of images[p]."""
+        (or id when e is alone).  With d the identity, diagram_aut(d) is the
+        identity map, so the entry is a diagram entry exactly when its support is
+        empty.  Any other diagram_aut(d) is walked down the BFS tree, so it agrees
+        with images on the probe ids exactly when each probe vertex v = p s, p its
+        parent, has images[v] the d(s)-neighbour of images[p]."""
         ball, n = self.ball, self.probe_count
         system, adj, last, rank = ball.system, ball.adj, ball.last, ball.rank
-        star = adj[:rank]
+        star, identity = adj[:rank], tuple(system.generators())
         tree = [(v, adj[v * rank + last[v]], last[v]) for v in range(1, n)]
         diagram_of = {}  # d, or None when d breaks a pair order
-        padding = (None,) * (ball.size - n)
         entries = []
         for images in restrictions:
-            perm = tuple([star.index(images[u]) for u in star]) if n > 1 else tuple(system.generators())
+            support = tuple([v for v, x in enumerate(images) if v != x])
+            perm = tuple([star.index(images[u]) for u in star]) if n > 1 else identity
             if perm not in diagram_of:
                 diagram_of[perm] = DiagramAutomorphism(perm) if is_label_preserving(system, perm) else None
             d = diagram_of[perm]
-            if d is not None and any(images[v] != adj[images[p] * rank + perm[s]] for v, p, s in tree):
-                d = None
-            aut = BallAutomorphism(images + padding, self.probe_radius)
-            entries.append(StabilizerEntry(images, aut, "exotic" if d is None else "diagram", d))
+            if perm == identity:  # diagram_aut(d) is the identity map
+                exotic = bool(support)
+            else:
+                exotic = d is None or any(images[v] != adj[images[p] * rank + perm[s]] for v, p, s in tree)
+            verdict, d = ("exotic", None) if exotic else ("diagram", d)
+            entries.append(StabilizerEntry(images, verdict, d, support, ball.size, self.probe_radius))
         return tuple(entries)
+
+
+def support_field(ball: CayleyBall, entry: StabilizerEntry) -> PermutationField:
+    """entry's local permutations at the star-interior vertices within distance 2
+    of its support, and at the first star-interior vertex beyond, in id order.
+
+    Beyond distance 1 the entry fixes each vertex with its star, so its local
+    permutation is the identity; two permutations differ only across edges
+    with both ends within distance 2, and coupling_violations reads the same
+    list from this field as from the whole star interior's.  The first vertex
+    beyond adds the identity where the whole field first shows it, so both
+    fields' permutation sets iterate alike and their summaries agree.
+    """
+    images, rows = entry.images, ball.rows
+    k = len(ball.star_interior(entry.probe_radius))
+    near = set(entry.support)
+    for _ in range(2):
+        near.update(*_picked(rows, list(near)))
+        near.discard(-1)
+    vertices = [v for v in near if v < k]
+    beyond = next((v for v in range(k) if v not in near), k)
+    if beyond < k:
+        vertices.append(beyond)
+    vertices.sort()
+    neighbours = list(chain.from_iterable(_picked(rows, vertices)))
+    perms = _perms(ball, _picked(rows, _picked(images, vertices)), _picked(images, neighbours))
+    distinct = set(perms)
+    return PermutationField(tuple(vertices), perms, len(distinct) <= 1, perms[0] if len(distinct) == 1 else None)
 
 
 def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> StabilizerCensus:
@@ -603,7 +660,7 @@ class PsiFamilyReport:
 
 
 def psi_family_distinctness(
-    ball: CayleyBall, witness: FlexibilityWitness, n_max: int
+    ball: CayleyBall, witness: FlexibilityWitness, n_max: int, psi=None
 ) -> PsiFamilyReport:
     """Check that psi_1, ..., psi_n_max are pairwise distinct maps.
 
@@ -611,7 +668,8 @@ def psi_family_distinctness(
     exactly when k < n, so the column at k = n separates psi_n from every
     psi_m with m > n; pairwise distinctness follows from the triangular
     fixed/moved table.  The ball must contain every test element (s t)^k,
-    hence the radius requirement.
+    hence the radius requirement.  psi(n), when given, returns psi_n(ball,
+    witness, n), such as a map a caller has already built.
     """
     system = ball.system
     if ball.radius < 2 * n_max:
@@ -625,7 +683,7 @@ def psi_family_distinctness(
         tests.append(v)
     rows: list[tuple[bool, ...]] = []
     for n in range(1, n_max + 1):
-        vmap = psi_n(ball, witness, n).vmap
+        vmap = psi(n).vmap if psi else psi_n(ball, witness, n).vmap
         rows.append(tuple(vmap[v] == v for v in tests))
     problems = [
         f"psi_{n} on (st)^{k}: fixed={fixed}, expected {k < n}"

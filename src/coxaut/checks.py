@@ -49,7 +49,9 @@ Each map is verified once.  left-mult-identity-field, diagram-aut-field
 and psi-m-class-well-defined give verify_ball_automorphism the field their
 map was walked from and fail on an edge that breaks it (psi-verified reads
 the same psi report); psi-n-verified, which tests no field, lets it read
-psi_n's own field, which costs less than computing the field again.
+psi_n's own field, which costs less than computing the field again.  Each
+map is built once too: psi from the field it is checked against, and each
+psi_n once for psi-n-verified and psi-family-distinct.
 
 census-diagram-consistency fails on a rigid diagram exactly when the
 census has an exotic entry.  The diagram restrictions form a subgroup of
@@ -65,6 +67,13 @@ g's at v, and g keeps the star interior.  If g couples and keeps pair
 orders, it carries s and its finite-order partners at the s-edge (v, u)
 onto s' and partners at the s'-edge (g(v), g(u)), where f's coupling
 applies; so f g couples.
+
+A diagram generator's field is constant once diagram-aut-field passes (or
+is vacuous), and a constant field couples, so census-coupling then skips
+diagram generators, and lists none when the census order is diagram_count.
+Any other generator is the identity outside distance 1 of its support (the
+probe ids it moves), so its field changes only across edges within
+distance 2, the vertices support_field reads.
 """
 
 from __future__ import annotations
@@ -77,11 +86,11 @@ from .automorphisms import (
     diagram_aut,
     factored_ball_map,
     identity_stabilizer_census,
-    local_permutation_field,
     psi_family_distinctness,
     psi_n,
     psi_phi,
     pivot_field,
+    support_field,
     verify_ball_automorphism,
 )
 from .ball import DEFAULT_MAX_VERTICES, build_ball
@@ -305,9 +314,16 @@ def run_system_checks(
             return "indeterminate", "census unavailable"
         if probe_radius < 1:
             return "vacuous", "no couplable pairs at this probe radius"
-        generators = census.generators
+        # a diagram generator's field is constant once diagram-aut-field passes
+        diagram_fields_hold = next(c.status for c in checks if c.name == "diagram-aut-field") in ("pass", "vacuous")
+        if census.count == census.diagram_count and diagram_fields_hold:
+            generators = ()  # every generator is a diagram restriction
+        else:
+            generators = census.generators
         for g in generators:
-            field = local_permutation_field(ball, g.automorphism)
+            if g.verdict == "diagram" and diagram_fields_hold:
+                continue
+            field = support_field(ball, g)
             bad = coupling_violations(ball, field)
             if bad:
                 v, u, s, x = bad[0]
@@ -318,7 +334,8 @@ def run_system_checks(
             perm = next((p for p in set(field.perms) if not is_label_preserving(system, p)), None)
             if perm is not None:
                 return "fail", f"generator {g.images}: local permutation {perm} does not preserve pair orders"
-        return "pass", f"adjacent-vertex coupling holds on {len(generators)} strong generator(s), so on all {census.count} census entries"
+        count = sum(map(len, census.transversals))
+        return "pass", f"adjacent-vertex coupling holds on {count} strong generator(s), so on all {census.count} census entries"
 
     add("census-coupling", census_coupling)
 
@@ -335,7 +352,12 @@ def run_system_checks(
 
     @cache
     def psi() -> VerificationReport:  # read by psi-verified and psi-m-class-well-defined
-        return verify_ball_automorphism(ball, psi_phi(ball, witness), pivot_field(ball, witness))
+        field = pivot_field(ball, witness)
+        return verify_ball_automorphism(ball, psi_phi(ball, witness, field), field)
+
+    @cache
+    def psi_n_map(n: int):  # built by psi-n-verified, read again by psi-family-distinct
+        return psi_n(ball, witness, n)
 
     # -- exotic automorphisms (flexible diagrams only) ---------------------
 
@@ -368,7 +390,7 @@ def run_system_checks(
             return "vacuous", "radius too small"
         for n in range(1, min(radius, 5) + 1):
             try:
-                problem = _exotic_map_problem(verify_ball_automorphism(ball, psi_n(ball, witness, n)), f"psi_{n}")
+                problem = _exotic_map_problem(verify_ball_automorphism(ball, psi_n_map(n)), f"psi_{n}")
             except ValueError as exc:  # an odd-order neighbour of the pivot
                 return "vacuous", str(exc)
             if problem:
@@ -384,7 +406,7 @@ def run_system_checks(
         if n_max < 2:
             return "vacuous", f"radius {radius} too small to separate two family members"
         try:
-            report = psi_family_distinctness(ball, witness, n_max)
+            report = psi_family_distinctness(ball, witness, n_max, psi_n_map)
         except ValueError as exc:  # an odd-order neighbour of the pivot
             return "vacuous", str(exc)
         if not report.ok:

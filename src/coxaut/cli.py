@@ -189,10 +189,15 @@ def cmd_reduce(args) -> int:
 def cmd_ball(args) -> int:
     system = _load_system(args.file)
     _, max_vertices, _ = _guards(args)
-    ball = build_ball(system, args.radius, max_vertices=max_vertices)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(ball.to_dot())
+    # opened first, so an unwritable path is an input error even where the ball guard trips
+    dot = open(args.dot, "w", encoding="utf-8") if args.dot else None
+    try:
+        ball = build_ball(system, args.radius, max_vertices=max_vertices)
+        if dot:
+            dot.write(ball.to_dot())
+    finally:
+        if dot:
+            dot.close()
     if args.format == "json":
         texts, names = ball.texts, list(map(encode_basestring_ascii, system.names))
 
@@ -326,7 +331,7 @@ def cmd_stabilizer(args) -> int:
         )
         for entry in entries:
             tag = entry.diagram.cycle_notation(system.names) if entry.diagram else "exotic"
-            moved = [f"{texts[v]}->{texts[image]}" for v, image in enumerate(entry.images) if v != image]
+            moved = [f"{texts[v]}->{texts[entry.images[v]]}" for v in entry.support]
             print(f"  [{tag}] {' '.join(moved) if moved else 'identity'}")
     return EXIT_OK
 
@@ -342,7 +347,13 @@ def cmd_verify(args) -> int:
         max_nodes=max_nodes,
     )
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        checks, keys = report.checks, ("detail", "name", "status")  # a check's sorted keys
+
+        def cells(a, b):
+            return [[encode_basestring_ascii(getattr(c, key)) for c in checks[a:b]] for key in keys]
+
+        skeleton = {key: getattr(report, key) for key in ("radius", "probe_radius", "flexible", "verdict")}
+        _emit_json(skeleton, checks=(keys, len(checks), cells))
     else:
         for check in report.checks:
             print(f"[{check.status.upper():>13}] {check.name}: {check.detail}")

@@ -21,15 +21,20 @@ from coxaut.automorphisms import (
     identity_stabilizer_census,
     local_permutation_field,
     psi_phi,
+    support_field,
     verify_ball_automorphism,
 )
 from coxaut.ball import build_ball
-from coxaut.checks import default_probe_radius
+import coxaut.checks
+from coxaut.checks import default_probe_radius, run_system_checks
 from coxaut.cycles import is_essential, map_cycle, verify_essential_characterization
 from coxaut.system import enumerate_diagram_automorphisms, is_flexible, is_label_preserving, parse_system
 from coxaut.words import LimitExceeded
 
-from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, star
+import map_checks
+from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, star
+
+FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
 
 
 def reference_automorphisms(ball, max_nodes):
@@ -84,9 +89,11 @@ def reference_entries(ball, probe_radius, automorphisms):
         entries.append(
             StabilizerEntry(
                 images=images,
-                automorphism=BallAutomorphism(images + (None,) * (size - probe_count), probe_radius),
                 verdict="diagram" if d is not None else "exotic",
                 diagram=d,
+                support=tuple(v for v in range(probe_count) if images[v] != v),
+                ball_size=size,
+                probe_radius=probe_radius,
             )
         )
     return tuple(entries)
@@ -97,6 +104,10 @@ def assert_matches_reference(ball, max_nodes=10**6):
     for probe in range(ball.radius + 1):
         census = identity_stabilizer_census(ball, probe)
         assert census.entries == reference_entries(ball, probe, automorphisms), probe
+        for entry in census.entries:
+            n = len(entry.images)
+            assert entry.support == tuple(v for v in range(n) if entry.images[v] != v)
+            assert entry.automorphism == BallAutomorphism(entry.images + (None,) * (ball.size - n), probe)
         assert census.search_nodes <= reference_nodes
         assert census.count == len(census.entries)
         assert census.diagram_count == sum(e.verdict == "diagram" for e in reference_entries(ball, probe, automorphisms))
@@ -248,3 +259,113 @@ def test_census_entries_and_psi_map_essential_cycles_onto_essential_cycles(syste
                 continue
             essentiality = is_essential(ball, image)
             assert essentiality.certified and essentiality.essential, (cycle.vertices, image.vertices)
+
+
+SUPPORT_CASES = [pytest.param(parse_system(p.read_text()), id=p.stem) for p in DIAGRAMS + FRONTIER] + [
+    pytest.param(system, id=f"rank3-{i}") for i, system in enumerate(RANK3)
+]
+
+
+def swapped(entry, a, b):
+    """entry with the images of probe ids a and b exchanged, its support recomputed."""
+    images = list(entry.images)
+    images[a], images[b] = images[b], images[a]
+    support = tuple(v for v, x in enumerate(images) if v != x)
+    return StabilizerEntry(tuple(images), "exotic", None, support, entry.ball_size, entry.probe_radius)
+
+
+def coupling_readings(ball, entry):
+    """The coupling list and the distinct local permutations, in set order, read
+    near the support and over the whole star; a ValueError stands for the list."""
+    readings = []
+    for read in (lambda: support_field(ball, entry), lambda: map_checks.local_permutation_field(ball, entry.automorphism)):
+        try:
+            field = read()
+        except ValueError:
+            readings.append("ValueError")
+            continue
+        readings.append((coupling_violations(ball, field), list(set(field.perms)), field.is_constant, field.constant))
+    oracle = map_checks.coupling_violations(ball, entry.automorphism) if readings[1] != "ValueError" else "ValueError"
+    assert readings[1] == "ValueError" or readings[1][0] == oracle
+    return readings
+
+
+@pytest.mark.parametrize("system", SUPPORT_CASES)
+def test_support_coupling_equals_whole_star_coupling(system):
+    # census-coupling reads each generator within distance 2 of its support; the
+    # whole star interior is the oracle, on the generators and on copies with
+    # two probe images swapped, at every probe radius up to the ball's
+    for radius in range(1, 7):
+        try:
+            ball = build_ball(system, radius, max_vertices=1_500)
+        except LimitExceeded:
+            break
+        for probe in range(1, radius + 1):
+            try:
+                generators = identity_stabilizer_census(ball, probe, max_nodes=20_000).generators
+            except LimitExceeded:
+                continue
+            n = len(ball.interior(probe))
+            for g in generators:
+                for entry in (g, swapped(g, n - 2, n - 1), swapped(g, g.support[0], (g.support[0] + 1) % n)):
+                    near, whole = coupling_readings(ball, entry)
+                    assert near == whole, (radius, probe, entry.images)
+
+
+def tree_walk_verdict(ball, images):
+    """The entry's verdict by comparing it with diagram_aut(d) along the probe
+    ids' BFS tree, d its label permutation at e."""
+    rank, n = ball.rank, len(images)
+    perm = tuple(ball.rows[images[0]].index(images[ball.adj[s]]) for s in range(rank)) if n > 1 else tuple(range(rank))
+    if not is_label_preserving(ball.system, perm):
+        return "exotic"
+    for v in range(1, n):
+        s = ball.last[v]
+        p = ball.adj[v * rank + s]
+        if images[v] != ball.adj[images[p] * rank + perm[s]]:
+            return "exotic"
+    return "diagram"
+
+
+@pytest.mark.parametrize("system", SUPPORT_CASES)
+def test_support_classification_matches_tree_walk(system):
+    # an entry with the identity as its label permutation at e is exotic exactly
+    # when it moves something; every other entry is still walked
+    for radius in range(7):
+        try:
+            ball = build_ball(system, radius, max_vertices=1_500)
+        except LimitExceeded:
+            break
+        for probe in range(radius + 1):
+            try:
+                census = identity_stabilizer_census(ball, probe, max_nodes=20_000)
+                entries = census.generators + (census.entries if census.count <= 2_000 else ())
+            except LimitExceeded:
+                continue
+            for entry in entries:
+                assert entry.verdict == tree_walk_verdict(ball, entry.images), (radius, probe, entry.images)
+
+
+def test_diagram_generators_are_read_when_diagram_fields_fail(monkeypatch):
+    # a diagram generator's field is constant only once diagram-aut-field passes
+    mixed = make_system("a b c", (0, 1, 3), (0, 2, 3))  # at probe radius 3: 1 diagram, 2 exotic generators
+    a3 = parse_system((DIAGRAMS[0].parent / "a3.cox").read_text())  # census order = diagram count
+    read = []
+
+    def spy(ball, entry):
+        read.append(entry.verdict)
+        return support_field(ball, entry)
+
+    def census_coupling_reads(system, radius, probe_radius=None):
+        read.clear()
+        checks = {c.name: c for c in run_system_checks(system, radius, probe_radius).checks}
+        return checks["diagram-aut-field"].status, checks["census-coupling"].status, list(read)
+
+    monkeypatch.setattr(coxaut.checks, "support_field", spy)
+    assert census_coupling_reads(mixed, 3, 3) == ("pass", "fail", ["exotic"])
+    assert census_coupling_reads(a3, 4) == ("pass", "pass", [])
+    # diagram_aut walked with the identity field breaks every field it is checked against
+    identity = coxaut.checks.identity_automorphism(mixed)
+    monkeypatch.setattr(coxaut.checks, "diagram_aut", lambda ball, d: coxaut.checks.factored_ball_map(ball, 0, identity))
+    assert census_coupling_reads(mixed, 3, 3) == ("fail", "fail", ["diagram", "exotic"])
+    assert census_coupling_reads(a3, 4) == ("fail", "pass", ["diagram"])

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
+import coxaut.automorphisms
 import coxaut.checks
 from coxaut.automorphisms import BallAutomorphism
 from coxaut.ball import build_ball
@@ -211,6 +212,28 @@ class TestRunChecks:
 
 def load(name: str):
     return parse_system((DIAGRAMS[0].parent / name).read_text())
+
+
+def test_each_psi_map_and_field_is_built_once(monkeypatch):
+    # psi-n-verified builds psi_1 .. psi_5, psi-family-distinct reads them and
+    # builds psi_6; psi is walked from the field it is checked against
+    built = []
+    real_field, real_psi_n = coxaut.automorphisms.pivot_field, coxaut.checks.psi_n
+
+    def pivot_field(ball, witness, n=None):
+        built.append(("pivot_field", n))
+        return real_field(ball, witness, n)
+
+    def psi_n(ball, witness, n):
+        built.append(("psi_n", n))
+        return real_psi_n(ball, witness, n)
+
+    for module in (coxaut.automorphisms, coxaut.checks):
+        monkeypatch.setattr(module, "pivot_field", pivot_field)
+    monkeypatch.setattr(coxaut.checks, "psi_n", psi_n)
+    assert run_system_checks(load("flexible.cox"), 12).ok
+    assert built.count(("pivot_field", None)) == 1
+    assert sorted(x for x in built if x[0] == "psi_n") == [("psi_n", n) for n in range(1, 7)]
 
 
 def checks_with(monkeypatch, constructor: str, corrupt, system, radius: int) -> dict:

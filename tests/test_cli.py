@@ -104,6 +104,16 @@ class TestBallCommand:
         assert text.startswith("graph")
         assert '"a"' in text or "label" in text
 
+    @pytest.mark.parametrize("radius", ["2", "30"])
+    def test_unwritable_dot_path_is_an_input_error_before_the_ball(self, radius, tmp_path, capsys):
+        # at radius 30 the 10-vertex guard would trip while building the ball
+        tree = tmp_path / "tree.cox"
+        tree.write_text("gens a b c\n")
+        path = tmp_path / "missing" / "x.dot"
+        assert main(["ball", str(tree), "--radius", radius, "--max-vertices", "10", "--dot", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2] No such file or directory")
+
     @pytest.mark.parametrize(
         "argv, err",
         [
