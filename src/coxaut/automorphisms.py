@@ -287,38 +287,18 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
 
 
 class PermutationField:
-    """Local permutations over the star interior, with a constancy summary."""
+    """Local permutations at vertices listed in id order."""
 
-    __slots__ = ("vertices", "perms", "is_constant", "constant")
+    __slots__ = ("vertices", "perms")
 
-    def __init__(
-        self,
-        vertices: tuple[int, ...],
-        perms: tuple[tuple[int, ...], ...],
-        is_constant: bool,
-        constant: tuple[int, ...] | None,
-    ):
+    def __init__(self, vertices: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
         self.vertices = vertices
         self.perms = perms
-        self.is_constant = is_constant
-        self.constant = constant
 
     def __eq__(self, other):
         if type(other) is not PermutationField:
             return NotImplemented
-        return (self.vertices, self.perms, self.is_constant, self.constant) == (
-            other.vertices,
-            other.perms,
-            other.is_constant,
-            other.constant,
-        )
-
-    def perm_at(self, v: int) -> tuple[int, ...]:
-        return self.perms[self.vertices.index(v)]
-
-    @property
-    def is_identity_field(self) -> bool:
-        return self.is_constant and self.constant == tuple(range(len(self.constant or ())))
+        return (self.vertices, self.perms) == (other.vertices, other.perms)
 
 
 def _perms(ball: CayleyBall, image_rows, neighbour_images) -> tuple[tuple[int, ...], ...]:
@@ -347,8 +327,7 @@ def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> Permutat
         for v in stars:
             if len(local_permutation(ball, aut, v)) < rank:
                 raise ValueError(f"local permutation at star-interior vertex {v} is not total") from None
-    distinct = set(perms)
-    return PermutationField(stars, perms, len(distinct) <= 1, perms[0] if len(distinct) == 1 else None)
+    return PermutationField(stars, perms)
 
 
 def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple[int, int, int, int]]:
@@ -416,45 +395,23 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
 
 class StabilizerEntry:
     """One automorphism class, keyed by its restriction images to the probe
-    sub-ball of a ball of ball_size vertices; support lists the probe ids it
-    moves."""
+    sub-ball; support lists the probe ids it moves."""
 
-    __slots__ = ("images", "verdict", "diagram", "support", "ball_size", "probe_radius")
+    __slots__ = ("images", "verdict", "diagram", "support")
 
-    def __init__(
-        self,
-        images: tuple[int, ...],
-        verdict: str,
-        diagram: DiagramAutomorphism | None,
-        support: tuple[int, ...],
-        ball_size: int,
-        probe_radius: int,
-    ):
+    def __init__(self, images: tuple[int, ...], verdict: str, diagram: DiagramAutomorphism | None, support: tuple[int, ...]):
         self.images = images
         self.verdict = verdict
         self.diagram = diagram
         self.support = support
-        self.ball_size = ball_size
-        self.probe_radius = probe_radius
 
     def __eq__(self, other):
         if type(other) is not StabilizerEntry:
             return NotImplemented
-        return (self.images, self.verdict, self.diagram, self.ball_size, self.probe_radius) == (
-            other.images,
-            other.verdict,
-            other.diagram,
-            other.ball_size,
-            other.probe_radius,
-        )
+        return (self.images, self.verdict, self.diagram) == (other.images, other.verdict, other.diagram)
 
     def __hash__(self):
         return hash(self.images)
-
-    @property
-    def automorphism(self) -> BallAutomorphism:
-        """The restriction as a ball map, undefined beyond the probe ids; built on each read."""
-        return BallAutomorphism(self.images + (None,) * (self.ball_size - len(self.images)), self.probe_radius)
 
 
 class StabilizerCensus:
@@ -528,36 +485,29 @@ class StabilizerCensus:
             else:
                 exotic = d is None or any(images[v] != adj[images[p] * rank + perm[s]] for v, p, s in tree)
             verdict, d = ("exotic", None) if exotic else ("diagram", d)
-            entries.append(StabilizerEntry(images, verdict, d, support, ball.size, self.probe_radius))
+            entries.append(StabilizerEntry(images, verdict, d, support))
         return tuple(entries)
 
 
-def support_field(ball: CayleyBall, entry: StabilizerEntry) -> PermutationField:
-    """entry's local permutations at the star-interior vertices within distance 2
-    of its support, and at the first star-interior vertex beyond, in id order.
+def support_field(ball: CayleyBall, entry: StabilizerEntry, probe_radius: int) -> PermutationField:
+    """entry's local permutations at the vertices of the probe radius's star
+    interior within distance 2 of its support, in id order.
 
     Beyond distance 1 the entry fixes each vertex with its star, so its local
     permutation is the identity; two permutations differ only across edges
     with both ends within distance 2, and coupling_violations reads the same
-    list from this field as from the whole star interior's.  The first vertex
-    beyond adds the identity where the whole field first shows it, so both
-    fields' permutation sets iterate alike and their summaries agree.
+    list from this field as from the whole star interior's.
     """
     images, rows = entry.images, ball.rows
-    k = len(ball.star_interior(entry.probe_radius))
+    k = len(ball.star_interior(probe_radius))
     near = set(entry.support)
     for _ in range(2):
         near.update(*_picked(rows, list(near)))
         near.discard(-1)
-    vertices = [v for v in near if v < k]
-    beyond = next((v for v in range(k) if v not in near), k)
-    if beyond < k:
-        vertices.append(beyond)
-    vertices.sort()
+    vertices = sorted([v for v in near if v < k])
     neighbours = list(chain.from_iterable(_picked(rows, vertices)))
     perms = _perms(ball, _picked(rows, _picked(images, vertices)), _picked(images, neighbours))
-    distinct = set(perms)
-    return PermutationField(tuple(vertices), perms, len(distinct) <= 1, perms[0] if len(distinct) == 1 else None)
+    return PermutationField(tuple(vertices), perms)
 
 
 def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> StabilizerCensus:

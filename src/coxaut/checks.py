@@ -73,7 +73,10 @@ is vacuous), and a constant field couples, so census-coupling then skips
 diagram generators, and lists none when the census order is diagram_count.
 Any other generator is the identity outside distance 1 of its support (the
 probe ids it moves), so its field changes only across edges within
-distance 2, the vertices support_field reads.
+distance 2, the vertices support_field reads.  A permutation that breaks
+pair orders is not the identity, so it lies within distance 1 too: the
+first one in vertex order, which the check names, is the same in that
+field as in the whole star interior's.
 """
 
 from __future__ import annotations
@@ -185,6 +188,15 @@ def default_probe_radius(system: CoxeterSystem, radius: int) -> int:
     return max(radius - (m if m is not None else 1), 0)
 
 
+def resolve_probe_radius(system: CoxeterSystem, radius: int, probe_radius: int | None) -> int:
+    """probe_radius, or the default when None; ValueError unless it lies in 0 .. radius."""
+    if probe_radius is None:
+        probe_radius = default_probe_radius(system, radius)
+    if not 0 <= probe_radius <= radius:
+        raise ValueError("probe radius must lie between 0 and the ball radius")
+    return probe_radius
+
+
 def _exotic_map_problem(report: VerificationReport, name: str) -> str | None:
     """Why a field_map from e is not verified and total; None if it is (it then keeps word length)."""
     if not report.ok:
@@ -199,10 +211,7 @@ def run_system_checks(
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SystemReport:
-    if probe_radius is None:
-        probe_radius = default_probe_radius(system, radius)
-    if not 0 <= probe_radius <= radius:
-        raise ValueError("probe radius must lie between 0 and the ball radius")
+    probe_radius = resolve_probe_radius(system, radius, probe_radius)
     # diagram-aut-field tests only these generators (see README)
     group_order, strong_generators = diagram_group(system)
     witness = is_flexible(system)
@@ -323,7 +332,7 @@ def run_system_checks(
         for g in generators:
             if g.verdict == "diagram" and diagram_fields_hold:
                 continue
-            field = support_field(ball, g)
+            field = support_field(ball, g, probe_radius)
             bad = coupling_violations(ball, field)
             if bad:
                 v, u, s, x = bad[0]
@@ -331,7 +340,7 @@ def run_system_checks(
                     f"generator {g.images}: coupling fails across edge ({v},{u}) "
                     f"label {system.name_of(s)} at generator {system.name_of(x)}"
                 )
-            perm = next((p for p in set(field.perms) if not is_label_preserving(system, p)), None)
+            perm = next((p for p in dict.fromkeys(field.perms) if not is_label_preserving(system, p)), None)
             if perm is not None:
                 return "fail", f"generator {g.images}: local permutation {perm} does not preserve pair orders"
         count = sum(map(len, census.transversals))
@@ -376,6 +385,8 @@ def run_system_checks(
     def psi_well_defined() -> tuple[str, str]:
         if witness is None:
             return "vacuous", "diagram is not flexible"
+        if ball.size == 1:
+            return "vacuous", "no edges at this radius"
         if psi().broken:
             u, v, s = psi().broken[0]
             return "fail", f"psi breaks its field on edge ({u}, {v}) labeled {system.name_of(s)}"

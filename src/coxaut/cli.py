@@ -27,7 +27,7 @@ from .automorphisms import (
     verify_ball_automorphism,
 )
 from .ball import DEFAULT_MAX_VERTICES, build_ball
-from .checks import default_probe_radius, run_system_checks
+from .checks import resolve_probe_radius, run_system_checks
 from .cycles import enumerate_embedded_cycles, is_alternating, is_essential
 from .system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, ParseError, is_flexible, parse_system
 from .words import DEFAULT_MAX_STATES, format_word, m_class_size, parse_word, reduce_word
@@ -131,7 +131,10 @@ def _guard(flag_value: int | None, env_name: str, default: int) -> int:
         value = flag_value
     else:
         env = os.environ.get(env_name)
-        value = int(env) if env else default
+        try:
+            value = int(env) if env else default
+        except ValueError:
+            raise ParseError(f"guard {env_name} must be an integer, got {env!r}") from None
     if value <= 0:
         raise ParseError(f"guard {env_name} must be positive, got {value}")
     return value
@@ -267,6 +270,7 @@ def cmd_exotic(args) -> int:
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
     field, texts, vmap = report.field, ball.texts, aut.vmap
+    distinct = None if field is None else set(field.perms)
     pivot, phi = system.name_of(witness.pivot), witness.phi.cycle_notation(system.names)
     if args.format == "json":
         quoted = list(map(encode_basestring_ascii, texts))
@@ -277,8 +281,7 @@ def cmd_exotic(args) -> int:
 
         stats = None  # an undefined field
         if field is not None:
-            perms = field.perms
-            stats = {"stars": len(perms), "constant": field.is_constant, "distinct_permutations": len(set(perms))}
+            stats = {"stars": len(field.perms), "constant": len(distinct) <= 1, "distinct_permutations": len(distinct)}
         violations = list(report.violations)
         payload = {"pivot": pivot, "phi": phi, "n": args.n, "verified": report.ok, "violations": violations, "field": stats}
         _emit_json(payload, map=(None, ball.size, pairs))
@@ -289,7 +292,7 @@ def cmd_exotic(args) -> int:
         if field is None:
             print(f"field: undefined: {report.field_error}")
         else:
-            print(f"field: {'constant' if field.is_constant else 'non-constant'} over {len(field.perms)} stars")
+            print(f"field: {'constant' if len(distinct) <= 1 else 'non-constant'} over {len(field.perms)} stars")
         for v, image in enumerate(vmap):
             if image is not None:
                 print(f"  {texts[v]} -> {texts[image]}")
@@ -299,31 +302,22 @@ def cmd_exotic(args) -> int:
 def cmd_stabilizer(args) -> int:
     system = _load_system(args.file)
     _, max_vertices, max_nodes = _guards(args)
-    probe = args.probe if args.probe is not None else default_probe_radius(system, args.radius)
-    if not 0 <= probe <= args.radius:
-        raise ValueError("probe radius must lie between 0 and the ball radius")
+    probe = resolve_probe_radius(system, args.radius, args.probe)
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
     entries, texts = census.entries, ball.texts
     if args.format == "json":
+        quoted, pair_newline = list(map(encode_basestring_ascii, texts[: census.probe_count])), _CELL + "  "
 
         def cells(entry):
-            diagram = entry.diagram.cycle_notation(system.names) if entry.diagram else None
-            pairs = [[texts[v], texts[image]] for v, image in enumerate(entry.images)]
-            return _json_text(diagram), _json_text(entry.images, _CELL), _json_text(pairs, _CELL), _json_text(entry.verdict)
+            diagram = encode_basestring_ascii(entry.diagram.cycle_notation(system.names)) if entry.diagram else "null"
+            pairs = [_array([quoted[v], quoted[image]], pair_newline) for v, image in enumerate(entry.images)]
+            images = _array(list(map(int.__repr__, entry.images)), _CELL)
+            return diagram, images, _array(pairs, _CELL), encode_basestring_ascii(entry.verdict)
 
         table = (("diagram", "images", "map", "verdict"), len(entries), lambda a, b: list(zip(*map(cells, entries[a:b]))))
-        _emit_json(
-            {
-                "radius": ball.radius,
-                "probe_radius": census.probe_radius,
-                "count": census.count,
-                "diagram_count": census.diagram_count,
-                "exotic_count": census.exotic_count,
-                "search_nodes": census.search_nodes,
-            },
-            entries=table,
-        )
+        skeleton = {key: getattr(census, key) for key in ("probe_radius", "count", "diagram_count", "exotic_count", "search_nodes")}
+        _emit_json({"radius": ball.radius, **skeleton}, entries=table)
     else:
         print(
             f"{census.count} identity-fixing classes at radius {ball.radius}, probe {census.probe_radius} "

@@ -102,9 +102,12 @@ def local_permutation_field(
         if len(pi) != rank:
             raise ValueError(f"local permutation at star-interior vertex {v} is not total")
         perms.append(tuple(pi[s] for s in range(rank)))
-    distinct = set(perms)
-    constant = perms[0] if len(distinct) == 1 else None
-    return PermutationField(tuple(vertices), tuple(perms), len(distinct) <= 1, constant)
+    return PermutationField(tuple(vertices), tuple(perms))
+
+
+def entry_map(ball: CayleyBall, entry, probe_radius: int) -> BallAutomorphism:
+    """A census entry as a ball map: its probe images, undefined beyond them."""
+    return BallAutomorphism(entry.images + (None,) * (ball.size - len(entry.images)), probe_radius)
 
 
 def coupling_violations(

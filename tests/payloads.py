@@ -80,7 +80,7 @@ def exotic_payload(ball: CayleyBall, witness, aut, n: int | None) -> dict:
         if field is None
         else {
             "stars": len(field.perms),
-            "constant": field.is_constant,
+            "constant": len(set(field.perms)) <= 1,
             "distinct_permutations": len(set(field.perms)),
         },
     }

@@ -451,16 +451,13 @@ class TestLocalPermutations:
         ball = build_ball(branched, 4)
         aut = left_mult(ball, parse_word(branched, "s t"))
         field = local_permutation_field(ball, aut)
-        assert field.is_constant and field.is_identity_field
-        assert field.vertices  # non-vacuous
+        assert set(field.perms) == {tuple(branched.generators())}  # non-vacuous
 
     def test_diagram_field_is_its_permutation(self, branched):
         ball = build_ball(branched, 4)
         aut = diagram_aut(ball, DiagramAutomorphism((0, 2, 1)))
         field = local_permutation_field(ball, aut)
-        assert field.is_constant
-        assert field.constant == (0, 2, 1)
-        assert not field.is_identity_field
+        assert set(field.perms) == {(0, 2, 1)}
 
     @pytest.mark.parametrize(
         "system, radius",
@@ -478,9 +475,10 @@ class TestLocalPermutations:
         ball = build_ball(system, radius)
         psi = psi_phi(ball, witness)
         field = local_permutation_field(ball, psi)
-        assert not field.is_constant
-        assert field.perm_at(0) == witness.phi.images  # phi visible at the identity
-        assert field.perm_at(star(ball, 0)[witness.pivot]) == tuple(system.generators())  # past the pivot nothing moves
+        assert len(set(field.perms)) > 1
+        perm_at = dict(zip(field.vertices, field.perms))
+        assert perm_at[0] == witness.phi.images  # phi visible at the identity
+        assert perm_at[star(ball, 0)[witness.pivot]] == tuple(system.generators())  # past the pivot nothing moves
         assert decompose(ball, psi) is None
         maps = [psi]
         try:
@@ -600,7 +598,7 @@ def shipped_maps(ball):
         maps.append((psi_phi(ball, witness), pivot_field(ball, witness)))
         maps += [(psi_n(ball, witness, n), pivot_field(ball, witness, n)) for n in (1, 2, 3)]
     probe = max(ball.radius - (system.max_finite_order() or 1), 0)
-    maps += [(e.automorphism, None) for e in identity_stabilizer_census(ball, probe).entries]
+    maps += [(map_checks.entry_map(ball, e, probe), None) for e in identity_stabilizer_census(ball, probe).entries]
     return maps
 
 
@@ -744,7 +742,7 @@ class TestCensus:
         for entry in census.entries:
             assert entry.images[0] == 0
             assert len(entry.images) == census.probe_count
-            assert verify_ball_automorphism(ball, entry.automorphism).ok
+            assert verify_ball_automorphism(ball, map_checks.entry_map(ball, entry, 3)).ok
 
     def test_single_generator(self):
         system = make_system("c")

@@ -4,7 +4,7 @@ The reference lists every identity-fixing automorphism of the whole ball
 by plain recursion, then keeps one entry per restriction to the probe
 sub-ball.  The census under test holds a permutation group on the probe
 ids; the entries it lists from its transversals must be the reference's
-(images, verdict, diagram, padding, order), its order and diagram count
+(images, verdict, diagram, support, order), its order and diagram count
 must match, and its search must visit no more nodes.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coxaut.automorphisms import (
-    BallAutomorphism,
     StabilizerEntry,
     coupling_violations,
     diagram_aut,
@@ -78,7 +77,6 @@ def reference_automorphisms(ball, max_nodes):
 
 
 def reference_entries(ball, probe_radius, automorphisms):
-    size = ball.size
     probe_count = sum(1 for w in ball_words(ball) if len(w) <= probe_radius)
     diagram_restrictions = {}
     for d in enumerate_diagram_automorphisms(ball.system):
@@ -92,8 +90,6 @@ def reference_entries(ball, probe_radius, automorphisms):
                 verdict="diagram" if d is not None else "exotic",
                 diagram=d,
                 support=tuple(v for v in range(probe_count) if images[v] != v),
-                ball_size=size,
-                probe_radius=probe_radius,
             )
         )
     return tuple(entries)
@@ -107,7 +103,6 @@ def assert_matches_reference(ball, max_nodes=10**6):
         for entry in census.entries:
             n = len(entry.images)
             assert entry.support == tuple(v for v in range(n) if entry.images[v] != v)
-            assert entry.automorphism == BallAutomorphism(entry.images + (None,) * (ball.size - n), probe)
         assert census.search_nodes <= reference_nodes
         assert census.count == len(census.entries)
         assert census.diagram_count == sum(e.verdict == "diagram" for e in reference_entries(ball, probe, automorphisms))
@@ -188,8 +183,8 @@ def test_coupling_on_generators_equals_coupling_on_every_entry(system):
                 entries = census.entries
             except LimitExceeded:  # too many to list, such as the tree of (inf, inf, inf)
                 continue
-            generators = [g.automorphism for g in census.generators]
-            every = [e.automorphism for e in entries]
+            generators = [map_checks.entry_map(ball, g, probe) for g in census.generators]
+            every = [map_checks.entry_map(ball, e, probe) for e in entries]
             assert coupling_holds(ball, generators) == coupling_holds(ball, every), (radius, probe)
             assert set(census.generators) <= set(entries)
 
@@ -201,8 +196,8 @@ def diagram_restriction_rule(ball, census):
     n = census.probe_count
     restrictions = {diagram_aut(ball, d).vmap[:n] for d in enumerate_diagram_automorphisms(ball.system)}
     for g in census.generators:
-        field = local_permutation_field(ball, g.automorphism)
-        if g.images not in restrictions or (field.perms and not field.is_constant):
+        field = local_permutation_field(ball, map_checks.entry_map(ball, g, census.probe_radius))
+        if g.images not in restrictions or len(set(field.perms)) > 1:
             return False
     return True
 
@@ -247,7 +242,8 @@ def test_census_entries_and_psi_map_essential_cycles_onto_essential_cycles(syste
     essential = verify_essential_characterization(ball).essential
     if not essential:
         return
-    maps = [e.automorphism for e in identity_stabilizer_census(ball, default_probe_radius(system, radius)).entries]
+    probe = default_probe_radius(system, radius)
+    maps = [map_checks.entry_map(ball, e, probe) for e in identity_stabilizer_census(ball, probe).entries]
     witness = is_flexible(system)
     if witness is not None:
         maps.append(psi_phi(ball, witness))
@@ -271,21 +267,24 @@ def swapped(entry, a, b):
     images = list(entry.images)
     images[a], images[b] = images[b], images[a]
     support = tuple(v for v, x in enumerate(images) if v != x)
-    return StabilizerEntry(tuple(images), "exotic", None, support, entry.ball_size, entry.probe_radius)
+    return StabilizerEntry(tuple(images), "exotic", None, support)
 
 
-def coupling_readings(ball, entry):
-    """The coupling list and the distinct local permutations, in set order, read
-    near the support and over the whole star; a ValueError stands for the list."""
+def coupling_readings(ball, entry, probe):
+    """The coupling list and the first vertex, with its local permutation, that
+    breaks pair orders in vertex order, read near the support and over the
+    whole star; a ValueError stands for both."""
+    aut = map_checks.entry_map(ball, entry, probe)
     readings = []
-    for read in (lambda: support_field(ball, entry), lambda: map_checks.local_permutation_field(ball, entry.automorphism)):
+    for read in (lambda: support_field(ball, entry, probe), lambda: map_checks.local_permutation_field(ball, aut)):
         try:
             field = read()
         except ValueError:
             readings.append("ValueError")
             continue
-        readings.append((coupling_violations(ball, field), list(set(field.perms)), field.is_constant, field.constant))
-    oracle = map_checks.coupling_violations(ball, entry.automorphism) if readings[1] != "ValueError" else "ValueError"
+        breaking = [(v, p) for v, p in zip(field.vertices, field.perms) if not is_label_preserving(ball.system, p)]
+        readings.append((coupling_violations(ball, field), breaking[:1]))
+    oracle = map_checks.coupling_violations(ball, aut) if readings[1] != "ValueError" else "ValueError"
     assert readings[1] == "ValueError" or readings[1][0] == oracle
     return readings
 
@@ -308,7 +307,7 @@ def test_support_coupling_equals_whole_star_coupling(system):
             n = len(ball.interior(probe))
             for g in generators:
                 for entry in (g, swapped(g, n - 2, n - 1), swapped(g, g.support[0], (g.support[0] + 1) % n)):
-                    near, whole = coupling_readings(ball, entry)
+                    near, whole = coupling_readings(ball, entry, probe)
                     assert near == whole, (radius, probe, entry.images)
 
 
@@ -352,9 +351,9 @@ def test_diagram_generators_are_read_when_diagram_fields_fail(monkeypatch):
     a3 = parse_system((DIAGRAMS[0].parent / "a3.cox").read_text())  # census order = diagram count
     read = []
 
-    def spy(ball, entry):
+    def spy(ball, entry, probe_radius):
         read.append(entry.verdict)
-        return support_field(ball, entry)
+        return support_field(ball, entry, probe_radius)
 
     def census_coupling_reads(system, radius, probe_radius=None):
         read.clear()

@@ -95,6 +95,13 @@ class TestRunChecks:
         # one identity entry against two diagram automorphisms decides nothing
         assert report.verdict == "INCONCLUSIVE"
 
+    def test_radius_zero_psi_field_is_vacuous(self, branched):
+        # a ball without edges has no edge for psi to break
+        report = run_system_checks(branched, radius=0)
+        check = {c.name: c for c in report.checks}["psi-m-class-well-defined"]
+        assert (check.status, check.detail) == ("vacuous", "no edges at this radius")
+        assert report.verdict == "INCONCLUSIVE"
+
     def test_probe_radius_zero_is_no_evidence(self, a2):
         # (2,3,7) is rigid with a trivial diagram group, so at probe radius 0 the
         # census of the identity alone equals it after no search at all

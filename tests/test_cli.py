@@ -388,6 +388,11 @@ class TestErrorsAndGuards:
         monkeypatch.setenv("COXAUT_MAX_VERTICES", "3")
         assert main(["ball", branched_file, "--radius", "4", "--max-vertices", "1000"]) == 0
 
+    def test_malformed_env_guard_is_named(self, a2_file, capsys, monkeypatch):
+        monkeypatch.setenv("COXAUT_MAX_NODES", "abc")
+        assert main(["verify", a2_file]) == 2
+        assert capsys.readouterr().err == "error: guard COXAUT_MAX_NODES must be an integer, got 'abc'\n"
+
     def test_nonpositive_guard_rejected(self, a2_file, capsys):
         assert main(["ball", a2_file, "--max-vertices", "0"]) == 2
 
