@@ -173,12 +173,13 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
     t, s, t, ... lead from v down m - 1 layers to x and back up to u, whose
     t-edge ends at w.  Each vertex on the way up is x times a prefix of a
     reduced word of w0(s, t), shorter than w, so it is in the ball with its
-    edges down set.  When no walk finds w, w is new.  The walk goes down at
-    most l(v) layers, so a pair with m(s, t) > l(v) + 1 is never walked.
+    edges down set.  The walk goes down at most l(v) layers, so a pair with
+    m(s, t) > l(v) + 1 is never walked.
 
-    A walk can reach u > v before u is expanded, with u's t-slot empty.  That
-    slot is linked to w as soon as w is known: u·t = v·s is one element, so it
-    is the edge a walk from u would set, and expanding u skips the slot.
+    So the walks from the first parent v reach every other parent u = w·t,
+    and they run when w is made: each one that ends links u's t-slot to w.
+    A slot still empty when its vertex is expanded therefore leads to a new
+    element, and w is made at once, before its walks.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -187,7 +188,6 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
     empty_star = [-1] * rank
     # braids[s] = (t, m(s, t)) for the diagram neighbours t of s
     braids = [[(t, system.order(s, t)) for t in system.neighbors(s)] for s in system.generators()]
-    linked = []  # the empty slots u*rank + t of later parents u met by a walk
     start = 0
     for layer in range(1, radius + 1):
         end = len(last)
@@ -199,9 +199,15 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
         for v in range(start, end):
             base = v * rank
             for s in range(rank):
-                w = adj[base + s]
-                if w >= 0:
+                if adj[base + s] >= 0:
                     continue
+                w = len(last)
+                if w >= max_vertices:
+                    raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
+                last.append(s)
+                adj += empty_star
+                adj[base + s] = w
+                adj[w * rank + s] = v
                 for down, up, t in walks[s]:
                     x = v
                     for a in down:  # no parent of w ends in t unless each step is down
@@ -212,22 +218,8 @@ def build_ball(system: CoxeterSystem, radius: int, max_vertices: int = DEFAULT_M
                     else:
                         for a in up:
                             x = adj[x * rank + a]
-                        w = adj[x * rank + t]
-                        if w >= 0:
-                            break
-                        linked.append(x * rank + t)
-                if w < 0:
-                    w = len(last)
-                    if w >= max_vertices:
-                        raise LimitExceeded(f"ball exceeded {max_vertices} vertices")
-                    last.append(s)
-                    adj += empty_star
-                adj[base + s] = w
-                adj[w * rank + s] = v
-                while linked:
-                    slot = linked.pop()
-                    adj[slot] = w
-                    adj[w * rank + slot % rank] = slot // rank
+                        adj[x * rank + t] = w
+                        adj[w * rank + t] = x
         length += [layer] * (len(last) - end)
         start = end
         if start == len(last):

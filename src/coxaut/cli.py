@@ -308,12 +308,16 @@ def cmd_stabilizer(args) -> int:
     entries, texts = census.entries, ball.texts
     if args.format == "json":
         quoted, pair_newline = list(map(encode_basestring_ascii, texts[: census.probe_count])), _CELL + "  "
+        ids = range(census.probe_count)
+
+        @cache  # a pair cell depends only on its two ids, and entries share most pairs
+        def pair(v, image):
+            return _array([quoted[v], quoted[image]], pair_newline)
 
         def cells(entry):
             diagram = encode_basestring_ascii(entry.diagram.cycle_notation(system.names)) if entry.diagram else "null"
-            pairs = [_array([quoted[v], quoted[image]], pair_newline) for v, image in enumerate(entry.images)]
             images = _array(list(map(int.__repr__, entry.images)), _CELL)
-            return diagram, images, _array(pairs, _CELL), encode_basestring_ascii(entry.verdict)
+            return diagram, images, _array(list(map(pair, ids, entry.images)), _CELL), encode_basestring_ascii(entry.verdict)
 
         table = (("diagram", "images", "map", "verdict"), len(entries), lambda a, b: list(zip(*map(cells, entries[a:b]))))
         skeleton = {key: getattr(census, key) for key in ("probe_radius", "count", "diagram_count", "exotic_count", "search_nodes")}
@@ -360,6 +364,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The coxaut parser; parser.commands maps each command name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="coxaut",
         description="Coxeter systems: word problem, Cayley-graph balls, and their automorphisms.",
@@ -374,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-nodes", type=int, default=None, help="stabilizer search guard")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # filled by each add_parser below
 
     sub.add_parser("check-flexible", parents=[common], help="decide diagram flexibility")
 
@@ -418,7 +424,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a leading command name goes straight to that command's parser: parsed by
+    # the top-level parser, the rest of argv would be parsed a second time by it
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # empty argv, -h, an unknown command, an option before the command
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:])
+        args.command = argv[0]
     if getattr(args, "radius", 0) < 0:
         print("error: radius must be nonnegative", file=sys.stderr)
         return EXIT_INPUT

@@ -61,6 +61,7 @@ class CoxeterSystem:
         # tuple; systems with a Cartan matrix never fill it.
         self._reduce_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._diagram_group: tuple[int, tuple[DiagramAutomorphism, ...]] | None = None
+        self._order_table: tuple[list[list], list[list[int]]] | None = None
 
     @property
     def rank(self) -> int:
@@ -256,6 +257,18 @@ def is_label_preserving(system: CoxeterSystem, images: tuple[int, ...]) -> bool:
     return True
 
 
+def _order_table(system: CoxeterSystem) -> tuple[list[list], list[list[int]]]:
+    """(order, same_shape): order[s][t] = m(s, t), and same_shape[s] the
+    generators c, in increasing order, whose row m(c, .) rearranges m(s, .).
+    Built on the first diagram search and memoized per system."""
+    if system._order_table is None:
+        n = system.rank
+        order = [[system.order(s, t) for t in range(n)] for s in range(n)]
+        shapes = [sorted(row) for row in order]
+        system._order_table = order, [[c for c in range(n) if shapes[c] == shape] for shape in shapes]
+    return system._order_table
+
+
 def _label_preserving_images(system: CoxeterSystem, prescribed: dict[int, int]):
     """Yield the label-preserving permutations of S extending prescribed, a
     partial assignment {s: image}, as image tuples in lexicographic order.
@@ -267,11 +280,10 @@ def _label_preserving_images(system: CoxeterSystem, prescribed: dict[int, int]):
     c is a node; more than DEFAULT_MAX_NODES raise LimitExceeded.
     """
     n = system.rank
-    order = [[system.order(s, t) for t in range(n)] for s in range(n)]
-    shapes = [sorted(row) for row in order]
+    order, same_shape = _order_table(system)
     candidates = [
-        [c for c in range(n) if shapes[c] == shape and all(order[c][prescribed[f]] == row[f] for f in prescribed)]
-        for shape, row in zip(shapes, order)
+        [c for c in same if all(order[c][prescribed[f]] == row[f] for f in prescribed)]
+        for same, row in zip(same_shape, order)
     ]
     images: list[int] = []
     stack = [iter(candidates[0])]  # the untried candidates of generators 0 .. len(images)

@@ -10,7 +10,7 @@ from coxaut import cli
 from coxaut.ball import build_ball, count_paths, distance, distances_within
 from coxaut.cycles import enumerate_embedded_cycles
 from coxaut.system import parse_system
-from coxaut.words import LimitExceeded, format_word, parse_word, reduce_word
+from coxaut.words import LimitExceeded, format_word, parse_word, reduce_by_rewriting, reduce_word
 
 from conftest import DIAGRAMS, RANK3, ball_words, make_system, random_systems, star
 from payloads import ball_payload, run_json
@@ -33,7 +33,38 @@ def invariant_balls():
         yield build_ball(system, 5)
 
 
+def reference_ball(system, radius):
+    """build_ball's (adj, last, length) by a plain BFS that finds each v·s by
+    the rewriting oracle: vertices in order of first reach, frontier in id
+    order, generators in index order."""
+    index, words, adj = {(): 0}, [()], []
+    for word in words:  # grows as the search reaches new vertices
+        for s in system.generators():
+            w = reduce_by_rewriting(system, word + (s,))
+            if w not in index and len(w) <= radius:
+                index[w] = len(words)
+                words.append(w)
+            adj.append(index.get(w, -1))
+    return adj, [w[-1] if w else -1 for w in words], [len(w) for w in words]
+
+
+# the largest radius of each reference BFS, about 0.2 s of rewriting at most
+REFERENCE_RADIUS = {"flexible5": 6, "odd-pivot": 6, "free10": 3, "triangle578": 9}
+
+
 class TestBuild:
+    @pytest.mark.parametrize("path", DIAGRAMS + FRONTIER, ids=lambda p: p.stem)
+    def test_matches_reference_bfs(self, path):
+        # every smaller ball is the id prefix of length <= r, cut off at its boundary
+        system = parse_system(path.read_text())
+        top = REFERENCE_RADIUS.get(path.stem, 8)
+        adj, last, length = reference_ball(system, top)
+        for radius in range(top + 1):
+            n = sum(1 for x in length if x <= radius)
+            cut = [u if u < n else -1 for u in adj[: n * system.rank]]
+            ball = build_ball(system, radius)
+            assert (ball.adj, ball.last, ball.length) == (cut, last[:n], length[:n]), radius
+
     def test_a2_hexagon(self, a2):
         ball = build_ball(a2, 3)
         assert ball.size == 6

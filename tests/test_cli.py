@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -459,6 +460,97 @@ class TestErrorsAndGuards:
         out = capsys.readouterr().out
         assert "[INDETERMINATE] census-verified: stabilizer search exceeded 1000000 nodes" in out
         assert "verdict: INDETERMINATE" in out
+
+
+# -- dispatch ------------------------------------------------------------------
+
+# each command's positionals after the file, and its own options with valid values
+COMMANDS = {
+    "check-flexible": ([], []),
+    "reduce": (["a b a"], []),
+    "ball": ([], ["--radius", "2", "--dot", "x.dot"]),
+    "cycles": ([], ["--radius", "2", "--max-length", "4"]),
+    "exotic": ([], ["--radius", "2", "--n", "2"]),
+    "stabilizer": ([], ["--radius", "2", "--probe", "1"]),
+    "verify": ([], ["--radius", "2", "--probe", "1"]),
+}
+
+
+def dispatch_cases():
+    for command, (words, options) in COMMANDS.items():
+        args = ["diagram.cox", *words]
+        yield [command, *args]
+        yield [command, *args, *options]
+        yield [command, *options, *args]
+        yield [command, *options[:2], *args, *options[2:]]
+        yield [command, *args, *(f"{key}={value}" for key, value in zip(options[::2], options[1::2]))]
+        yield [command, "--format=json", *args, "--max-st", "5", "--max-v", "7", "--max-nodes=9"]
+        yield [command, *args, "--rad", "3"]  # an abbreviation; unrecognized without --radius
+        yield [command, *args, "--radius", "x"]
+        yield [command, *args, "--format", "xml"]
+        yield [command, *args, "--max-", "5"]  # ambiguous
+        yield [command, *args, "--bogus"]
+        yield [command, *args, "extra"]
+        yield [command]
+    yield []
+    yield ["--format", "json", "ball", "diagram.cox"]
+    yield ["bal", "diagram.cox"]
+
+
+def exit_or_result(call, capsys):
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+class TestDispatch:
+    """main gives argv[1:] to the parser of the command argv[0] names; the
+    reference is the top-level parser, whose subparser action parses argv[1:]
+    a second time."""
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        seen = []
+        for command in COMMANDS:
+            monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: seen.append(args) or 0)
+        return seen
+
+    @pytest.mark.parametrize("argv", list(dispatch_cases()), ids=" ".join)
+    def test_same_namespace_or_same_exit(self, argv, seen, capsys):
+        expected, reference = exit_or_result(lambda: cli.build_parser().parse_args(argv), capsys)
+        code, captured = exit_or_result(lambda: main(argv), capsys)
+        if isinstance(expected, argparse.Namespace):
+            assert code == 0 and seen == [expected]
+            return
+        assert code == expected == 2 and not seen
+        assert captured.out == reference.out == ""
+        message = reference.err.splitlines()[-1]
+        if message.startswith("coxaut: error: unrecognized arguments: "):
+            # the one change: the command's parser reports what it does not recognize
+            parser = cli.build_parser().commands[argv[0]]
+            assert captured.err == parser.format_usage() + message.replace("coxaut:", parser.prog + ":", 1) + "\n"
+        else:
+            assert captured.err == reference.err
+
+    @pytest.mark.parametrize("argv", [["-h"], *([command, "-h"] for command in COMMANDS), ["ball", "diagram.cox", "--help"]])
+    def test_help_is_unchanged(self, argv, capsys):
+        expected, reference = exit_or_result(lambda: cli.build_parser().parse_args(argv), capsys)
+        code, captured = exit_or_result(lambda: main(argv), capsys)
+        assert code == expected == 0
+        assert captured.out == reference.out
+        assert reference.out.startswith("usage: coxaut " + ("" if argv == ["-h"] else argv[0] + " "))
+
+    def test_argv_none_reads_sys_argv(self, a2_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["coxaut", "reduce", a2_file, "a b a b"])
+        assert main() == 0
+        assert capsys.readouterr().out == "canonical: b a\nlength: 2\nm-class size: 1\n"
+        monkeypatch.setattr(sys, "argv", ["coxaut", "ball", a2_file, "--bogus"])
+        code, captured = exit_or_result(main, capsys)
+        assert code == 2
+        assert captured.err.startswith("usage: coxaut ball ")
+        assert captured.err.endswith("\ncoxaut ball: error: unrecognized arguments: --bogus\n")
 
 
 def test_benchmark_tracer_runs_verify(capsys, monkeypatch):
