@@ -173,10 +173,11 @@ def psi_phi(ball: CayleyBall, witness: FlexibilityWitness, field=None) -> BallAu
     return BallAutomorphism(field_map(ball, 0, field or pivot_field(ball, witness)), ball.radius)
 
 
-def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorphism:
+def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int, field=None) -> BallAutomorphism:
+    """psi_n, walked from field: pivot_field(ball, witness, n) unless given."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return BallAutomorphism(field_map(ball, 0, pivot_field(ball, witness, n)), ball.radius)
+    return BallAutomorphism(field_map(ball, 0, field or pivot_field(ball, witness, n)), ball.radius)
 
 
 # -- verification ------------------------------------------------------------
@@ -592,63 +593,3 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
     order = diagram_group(ball.system)[0] if probe_count > 1 else 1
     return StabilizerCensus(ball, probe_radius, probe_count, tuple(transversals), order, nodes, max_nodes)
 
-
-# -- the exotic family is infinite -------------------------------------------
-
-
-class PsiFamilyReport:
-    """Fixed/moved behavior of psi_n on the test words (s t)^k."""
-
-    __slots__ = ("moved_generator", "n_max", "fixed", "ok", "detail")
-
-    def __init__(self, moved_generator: int, n_max: int, fixed: tuple[tuple[bool, ...], ...], ok: bool, detail: str):
-        self.moved_generator = moved_generator
-        self.n_max = n_max
-        self.fixed = fixed
-        self.ok = ok
-        self.detail = detail
-
-
-def psi_family_distinctness(
-    ball: CayleyBall, witness: FlexibilityWitness, n_max: int, psi=None
-) -> PsiFamilyReport:
-    """Check that psi_1, ..., psi_n_max are pairwise distinct maps.
-
-    With t a generator moved by phi, the element (s t)^k is fixed by psi_n
-    exactly when k < n, so the column at k = n separates psi_n from every
-    psi_m with m > n; pairwise distinctness follows from the triangular
-    fixed/moved table.  The ball must contain every test element (s t)^k,
-    hence the radius requirement.  psi(n), when given, returns psi_n(ball,
-    witness, n), such as a map a caller has already built.
-    """
-    system = ball.system
-    if ball.radius < 2 * n_max:
-        raise ValueError(f"radius {ball.radius} too small; need at least {2 * n_max} for n_max={n_max}")
-    validate_witness(system, witness)
-    t = next(t for t in system.generators() if witness.phi(t) != t)
-    # phi fixes the pivot's neighbours, so m(pivot, t) is infinite and (pivot t)^k reduced
-    tests, v = [], 0
-    for _ in range(n_max):
-        v = ball.adj[ball.adj[v * ball.rank + witness.pivot] * ball.rank + t]
-        tests.append(v)
-    rows: list[tuple[bool, ...]] = []
-    for n in range(1, n_max + 1):
-        vmap = psi(n).vmap if psi else psi_n(ball, witness, n).vmap
-        rows.append(tuple(vmap[v] == v for v in tests))
-    problems = [
-        f"psi_{n} on (st)^{k}: fixed={fixed}, expected {k < n}"
-        for n, row in enumerate(rows, 1)
-        for k, fixed in enumerate(row, 1)
-        if fixed != (k < n)
-    ]
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if rows[a] == rows[b]:
-                problems.append(f"psi_{a + 1} and psi_{b + 1} agree on every test word")
-    return PsiFamilyReport(
-        moved_generator=t,
-        n_max=n_max,
-        fixed=tuple(rows),
-        ok=not problems,
-        detail="; ".join(problems) if problems else f"{n_max} maps pairwise distinct",
-    )

@@ -6,10 +6,15 @@ coxaut.automorphisms checks a map with the per-ball tables of CayleyBall
 functions scan ball.adj and ball.length instead, as the checks were first
 written, so that a test can compare reports, fields and violation lists
 with code that shares none of those tables.
+
+psi_family_distinctness is the check verify ran as psi-family-distinct
+until its outcome was derived from pivot_field (see coxaut.checks): the
+psi_n are pairwise distinct.
 """
 
-from coxaut.automorphisms import BallAutomorphism, PermutationField, VerificationReport
+from coxaut.automorphisms import BallAutomorphism, PermutationField, VerificationReport, psi_n
 from coxaut.ball import CayleyBall
+from coxaut.system import FlexibilityWitness, validate_witness
 
 from conftest import star
 
@@ -126,3 +131,45 @@ def coupling_violations(
                 if pv[x] != pu[x]:
                     violations.append((v, u, s, x))
     return violations
+
+
+class PsiFamilyReport:
+    """Fixed/moved behavior of psi_n on the test words (p t)^k."""
+
+    def __init__(self, fixed: tuple[tuple[bool, ...], ...], problems: list[str]):
+        self.fixed = fixed
+        self.ok = not problems
+        self.detail = "; ".join(problems) if problems else f"{len(fixed)} maps pairwise distinct"
+
+
+def psi_family_distinctness(ball: CayleyBall, witness: FlexibilityWitness, n_max: int) -> PsiFamilyReport:
+    """Check that psi_1, ..., psi_n_max are pairwise distinct maps.
+
+    With p the pivot and t a generator moved by phi, the element (p t)^k is
+    fixed by psi_n exactly when k < n, so the column at k = n separates psi_n
+    from every psi_m with m > n.  The ball must contain every test element,
+    hence the radius requirement.
+    """
+    system = ball.system
+    if ball.radius < 2 * n_max:
+        raise ValueError(f"radius {ball.radius} too small; need at least {2 * n_max} for n_max={n_max}")
+    validate_witness(system, witness)
+    t = next(t for t in system.generators() if witness.phi(t) != t)
+    tests, v = [], 0
+    for _ in range(n_max):
+        v = star(ball, star(ball, v)[witness.pivot])[t]
+        tests.append(v)
+    rows = [tuple(psi_n(ball, witness, n).vmap[v] == v for v in tests) for n in range(1, n_max + 1)]
+    problems = [
+        f"psi_{n} on (pt)^{k}: fixed={fixed}, expected {k < n}"
+        for n, row in enumerate(rows, 1)
+        for k, fixed in enumerate(row, 1)
+        if fixed != (k < n)
+    ]
+    problems += [
+        f"psi_{a + 1} and psi_{b + 1} agree on every test word"
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+        if rows[a] == rows[b]
+    ]
+    return PsiFamilyReport(tuple(rows), problems)

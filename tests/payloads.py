@@ -1,6 +1,6 @@
-"""The payloads of ball, cycles, exotic and stabilizer --format json as plain
-dicts and lists, one Python object per row: the reference that the streamed
-JSON writer of coxaut.cli is compared with, through
+"""The payloads of ball, cycles, exotic, stabilizer and verify --format json
+as plain dicts and lists, one Python object per row: the reference that the
+streamed JSON writer of coxaut.cli is compared with, through
 json.dumps(payload, indent=2, sort_keys=True).
 
 Vertex words are spelled by format_word from the ball's parent walk and the
@@ -106,6 +106,13 @@ def stabilizer_payload(ball: CayleyBall, census) -> dict:
         "search_nodes": census.search_nodes,
         "entries": entries,
     }
+
+
+def report_payload(report) -> dict:
+    """A run_system_checks report as verify --format json prints it."""
+    checks = [{"name": c.name, "status": c.status, "detail": c.detail} for c in report.checks]
+    keys = ("radius", "probe_radius", "flexible", "verdict")
+    return {**{key: getattr(report, key) for key in keys}, "checks": checks}
 
 
 def run_json(system: CoxeterSystem, argv: list[str], block: int = cli._BLOCK) -> tuple[int, str]:

@@ -20,7 +20,6 @@ from coxaut.automorphisms import (
     left_mult,
     local_permutation,
     local_permutation_field,
-    psi_family_distinctness,
     psi_n,
     psi_phi,
     verify_ball_automorphism,
@@ -187,7 +186,7 @@ def test_criterion_06_exotic_family_witnesses_nondiscreteness(branched):
         report = verify_ball_automorphism(ball, aut)
         assert report.ok and report.total
         assert aut.vmap[0] == 0
-    family = psi_family_distinctness(ball, witness, 5)
+    family = map_checks.psi_family_distinctness(ball, witness, 5)
     assert family.ok, family.detail
 
     census = identity_stabilizer_census(build_ball(branched, 5), 4)

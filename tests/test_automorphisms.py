@@ -14,7 +14,6 @@ from coxaut.automorphisms import (
     local_permutation,
     local_permutation_field,
     pivot_field,
-    psi_family_distinctness,
     psi_n,
     psi_phi,
     verify_ball_automorphism,
@@ -268,7 +267,7 @@ class TestPsiN:
 
     def test_family_pairwise_distinct(self, branched, branched_witness):
         ball = build_ball(branched, 6)
-        report = psi_family_distinctness(ball, branched_witness, 3)
+        report = map_checks.psi_family_distinctness(ball, branched_witness, 3)
         assert report.ok, report.detail
         # triangular: psi_n fixes (st)^k exactly for k < n
         assert report.fixed == (
@@ -279,7 +278,7 @@ class TestPsiN:
 
     def test_family_needs_deep_ball(self, branched, branched_witness):
         with pytest.raises(ValueError):
-            psi_family_distinctness(build_ball(branched, 3), branched_witness, 2)
+            map_checks.psi_family_distinctness(build_ball(branched, 3), branched_witness, 2)
 
 
 ORDERS = (2, 3, 4, 5, 6, None)  # None is infinite; an order 5 makes the keys canonical words

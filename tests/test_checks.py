@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -5,17 +6,19 @@ from hypothesis import given, settings
 
 import coxaut.automorphisms
 import coxaut.checks
-from coxaut.automorphisms import BallAutomorphism
-from coxaut.ball import build_ball
+from coxaut.automorphisms import BallAutomorphism, factored_ball_map, verify_ball_automorphism
+from coxaut.ball import CayleyBall, build_ball
 from coxaut.checks import (
     commutation_violations,
     default_probe_radius,
     run_system_checks,
 )
-from coxaut.system import DiagramAutomorphism, is_flexible, is_label_preserving, parse_system
+from coxaut.system import DiagramAutomorphism, identity_automorphism, is_flexible, is_label_preserving, parse_system
 from coxaut.words import parse_word
 
+import map_checks
 from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system
+from payloads import report_payload
 
 
 class TestCommutation:
@@ -126,7 +129,6 @@ class TestRunChecks:
             "psi-verified",
             "psi-m-class-well-defined",
             "psi-n-verified",
-            "psi-family-distinct",
         ]
 
     def test_census_guard_gives_indeterminate_verdict(self, branched):
@@ -179,7 +181,7 @@ class TestRunChecks:
 
     def test_report_serialization(self, a2):
         report = run_system_checks(a2, radius=3)
-        payload = report.to_json_dict()
+        payload = report_payload(report)
         assert payload["radius"] == 3
         assert payload["verdict"] == report.verdict
         assert {c["name"] for c in payload["checks"]} == {c.name for c in report.checks}
@@ -222,8 +224,7 @@ def load(name: str):
 
 
 def test_each_psi_map_and_field_is_built_once(monkeypatch):
-    # psi-n-verified builds psi_1 .. psi_5, psi-family-distinct reads them and
-    # builds psi_6; psi is walked from the field it is checked against
+    # psi and psi_1 .. psi_5 are each walked from the field they are checked against
     built = []
     real_field, real_psi_n = coxaut.automorphisms.pivot_field, coxaut.checks.psi_n
 
@@ -231,16 +232,17 @@ def test_each_psi_map_and_field_is_built_once(monkeypatch):
         built.append(("pivot_field", n))
         return real_field(ball, witness, n)
 
-    def psi_n(ball, witness, n):
+    def psi_n(ball, witness, n, field=None):
         built.append(("psi_n", n))
-        return real_psi_n(ball, witness, n)
+        return real_psi_n(ball, witness, n, field)
 
     for module in (coxaut.automorphisms, coxaut.checks):
         monkeypatch.setattr(module, "pivot_field", pivot_field)
     monkeypatch.setattr(coxaut.checks, "psi_n", psi_n)
     assert run_system_checks(load("flexible.cox"), 12).ok
-    assert built.count(("pivot_field", None)) == 1
-    assert sorted(x for x in built if x[0] == "psi_n") == [("psi_n", n) for n in range(1, 7)]
+    assert sorted(built, key=lambda x: (x[0], x[1] or 0)) == [("pivot_field", n) for n in (None, 1, 2, 3, 4, 5)] + [
+        ("psi_n", n) for n in range(1, 6)
+    ]
 
 
 def checks_with(monkeypatch, constructor: str, corrupt, system, radius: int) -> dict:
@@ -265,7 +267,7 @@ class TestMapCheckDetails:
         checks = checks_with(monkeypatch, "factored_ball_map", swapped, a2, 4)
         assert checks["left-mult-identity-field"] == (
             "fail",
-            "left_mult(()) not verified: edge (1, 3) labeled b maps to non-adjacent pair (2, 3)",
+            "left_mult((0,)) not verified: edge (1, 3) labeled b maps to non-adjacent pair (3, 2)",
         )
 
     def test_diagram_aut_as_the_identity_map(self, monkeypatch):
@@ -290,3 +292,78 @@ class TestMapCheckDetails:
 
         checks = checks_with(monkeypatch, "psi_n", holed, load("flexible.cox"), 5)
         assert checks["psi-n-verified"] == ("fail", "psi_1 vertex map is not total")
+
+
+# -- the map walks verify does not run ------------------------------------------
+
+
+def edge_swaps(ball: CayleyBall, rng: random.Random, count: int):
+    """count copies of ball, each with two s-edges (a, b) and (c, d) between the
+    same two layers, drawn by rng, replaced by (a, d) and (c, b): every edge
+    keeps its word lengths, so bipartite-edges still passes."""
+    groups: dict = {}
+    for u, v, s in ball.edges:
+        groups.setdefault((s, ball.length[u]), []).append((u, v))
+    keys = sorted(key for key, group in groups.items() if len(group) > 1)
+    rank = ball.rank
+    for _ in range(count if keys else 0):
+        key = rng.choice(keys)
+        s, (a, b), (c, d) = key[0], *rng.sample(groups[key], 2)
+        adj = list(ball.adj)
+        adj[a * rank + s], adj[d * rank + s], adj[c * rank + s], adj[b * rank + s] = d, a, b, c
+        yield CayleyBall(ball.system, ball.radius, adj, ball.last, ball.length)
+
+
+def left_mult_fails(ball: CayleyBall, starts) -> bool:
+    """Whether a left multiplication walked from a vertex of starts fails its check."""
+    identity = identity_automorphism(ball.system)
+    for v in starts:
+        report = verify_ball_automorphism(ball, factored_ball_map(ball, v, identity), lambda x: identity.images)
+        if not report.ok or report.broken:
+            return True
+    return False
+
+
+def failed_checks(monkeypatch, ball: CayleyBall) -> dict:
+    """The failing checks of run_system_checks on ball, by name."""
+    monkeypatch.setattr(coxaut.checks, "build_ball", lambda system, radius, max_vertices: ball)
+    return {c.name: c.detail for c in run_system_checks(ball.system, ball.radius).failures}
+
+
+def test_dropped_walks_fail_only_with_a_kept_check(monkeypatch):
+    # the identity's walk and psi-family-distinct are dropped from verify (see
+    # coxaut.checks): on seeded edge swaps of the shipped balls at r <= 6,
+    # wherever the walks from the words of length <= 2 or the psi-family oracle
+    # fail, some kept check fails too
+    rng = random.Random(27)
+    caught = {"left-mult": 0, "psi-family": 0}
+    for path in DIAGRAMS:
+        system = parse_system(path.read_text())
+        witness = is_flexible(system)
+        for radius in (4, 5, 6):
+            for bad in edge_swaps(build_ball(system, radius), rng, 60 if witness else 12):
+                walks = left_mult_fails(bad, bad.interior(2))
+                family = witness is not None and not map_checks.psi_family_distinctness(bad, witness, radius // 2).ok
+                if walks or family:
+                    assert failed_checks(monkeypatch, bad), (path.name, radius)
+                caught["left-mult"] += walks
+                caught["psi-family"] += family
+    assert min(caught.values()) > 0, caught
+
+
+def test_a_length_two_walk_can_fail_alone(monkeypatch):
+    # why left-mult-identity-field keeps the words of length 2 (see coxaut.checks):
+    # on m(a, b) = 2, m(a, c) = m(b, c) = 3 at r = 3, join a to b c and b to a c by
+    # their c-edges (a c is then spelled b c); no generator walk breaks an edge, and
+    # no check but left-mult fails
+    system = make_system("a b c", (0, 1, 2), (0, 2, 3), (1, 2, 3))
+    ball = build_ball(system, 3)
+    a, b, ac, bc = (ball.vertex_of(parse_word(system, w)) for w in ("a", "b", "a c", "b c"))
+    adj = list(ball.adj)
+    adj[a * 3 + 2], adj[bc * 3 + 2], adj[b * 3 + 2], adj[ac * 3 + 2] = bc, a, ac, b
+    bad = CayleyBall(system, 3, adj, ball.last, ball.length)
+    assert not left_mult_fails(bad, bad.interior(1))
+    assert left_mult_fails(bad, [ac]) and left_mult_fails(bad, [bc])
+    assert failed_checks(monkeypatch, bad) == {
+        "left-mult-identity-field": "left_mult((1, 2)) not verified: edge (8, 13) labeled c maps to non-adjacent pair (0, 14)"
+    }

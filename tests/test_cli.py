@@ -316,9 +316,8 @@ class TestVerifyCommand:
         assert main(["verify", ODD_PIVOT, "--radius", str(radius), "--format", "json"]) == 0
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert not [c for c in checks.values() if c["status"] == "fail"]
-        for name in ("psi-n-verified", "psi-family-distinct"):
-            assert checks[name]["status"] == "vacuous"
-            assert checks[name]["detail"].startswith("psi_n is undefined: the pivot s has odd order 3 with t")
+        assert checks["psi-n-verified"]["status"] == "vacuous"
+        assert checks["psi-n-verified"]["detail"].startswith("psi_n is undefined: the pivot s has odd order 3 with t")
         assert checks["psi-verified"]["status"] == "pass"
 
     def test_indeterminate_check_gives_indeterminate_verdict(self, capsys):
@@ -339,7 +338,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(coxaut.checks, "factored_ball_map", lambda ball, v, d: diagram_aut(ball, swap))
         assert main(["verify", a2_file, "--radius", "4"]) == 1
         out = capsys.readouterr().out
-        assert "[         FAIL] left-mult-identity-field: left_mult(()) field is not the constant identity\n" in out
+        assert "[         FAIL] left-mult-identity-field: left_mult((0,)) field is not the constant identity\n" in out
         assert "[         PASS] census-verified" in out
         assert out.endswith("verdict: INCONCLUSIVE\n")
 

@@ -20,7 +20,7 @@ from coxaut.checks import default_probe_radius, run_system_checks
 from coxaut.system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, is_flexible, parse_system
 
 from conftest import make_system, random_systems
-from payloads import ball_payload, cycles_payload, exotic_payload, run_json, stabilizer_payload
+from payloads import ball_payload, cycles_payload, exotic_payload, report_payload, run_json, stabilizer_payload
 from test_golden import COMMANDS, FALLBACK, ROOT
 
 
@@ -136,7 +136,7 @@ def oracle(system: CoxeterSystem, argv: list[str]) -> dict | None:
     args = cli.build_parser().parse_args([argv[0], "diagram.cox", *argv[1:]])
     max_vertices = args.max_vertices or DEFAULT_MAX_VERTICES
     if args.command == "verify":
-        return run_system_checks(system, radius=args.radius, probe_radius=args.probe, max_vertices=max_vertices).to_json_dict()
+        return report_payload(run_system_checks(system, radius=args.radius, probe_radius=args.probe, max_vertices=max_vertices))
     witness = is_flexible(system)
     if args.command == "exotic" and witness is None:
         return None
