@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .ball import CayleyBall, field_map
@@ -137,14 +137,9 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
     validate_witness(system, witness)
     phi = witness.phi.images
     identity = tuple(system.generators())
-    pivot = witness.pivot
     if n is not None:
         validate_psi_n(system, witness)
-    # pivots[v] = the pivots in v's canonical word, counted down the BFS tree
-    adj, last, rank = ball.adj, ball.last, ball.rank
-    pivots = [0] * ball.size
-    for v in range(1, ball.size):
-        pivots[v] = pivots[adj[v * rank + last[v]]] + (last[v] == pivot)
+    pivots = ball.letter_counts(witness.pivot)  # counted once per ball, shared by psi and every psi_n
     if n is None:
         return lambda x: identity if pivots[x] else phi
     return lambda x: phi if pivots[x] >= n else identity
@@ -449,8 +444,9 @@ class StabilizerCensus:
 
     @property
     def generators(self) -> tuple[StabilizerEntry, ...]:
-        """The strong generators: every transversal member, level by level."""
-        return self._entries([images for level in self.transversals for images in level])
+        """The strong generators: every transversal member, level by level; a
+        member for base point i fixes 0 .. i-1, so its support starts at i."""
+        return self._entries([(i, images) for i, level in enumerate(self.transversals, 1) for images in level])
 
     @cached_property
     def entries(self) -> tuple[StabilizerEntry, ...]:
@@ -460,7 +456,7 @@ class StabilizerCensus:
         elements = [tuple(range(self.probe_count))]
         for level in reversed(self.transversals):
             elements += [tuple([u[x] for x in h]) for u in level for h in elements]
-        return self._entries(sorted(elements))
+        return self._entries(zip(repeat(0), sorted(elements)))
 
     def _entries(self, restrictions) -> tuple[StabilizerEntry, ...]:
         """A diagram entry restricts diagram_aut(d), d its label permutation at e
@@ -468,15 +464,16 @@ class StabilizerCensus:
         identity map, so the entry is a diagram entry exactly when its support is
         empty.  Any other diagram_aut(d) is walked down the BFS tree, so it agrees
         with images on the probe ids exactly when each probe vertex v = p s, p its
-        parent, has images[v] the d(s)-neighbour of images[p]."""
+        parent, has images[v] the d(s)-neighbour of images[p].  restrictions
+        are (start, images) pairs, images known to fix the ids below start."""
         ball, n = self.ball, self.probe_count
         system, adj, last, rank = ball.system, ball.adj, ball.last, ball.rank
         star, identity = adj[:rank], tuple(system.generators())
         tree = [(v, adj[v * rank + last[v]], last[v]) for v in range(1, n)]
         diagram_of = {}  # d, or None when d breaks a pair order
         entries = []
-        for images in restrictions:
-            support = tuple([v for v, x in enumerate(images) if v != x])
+        for start, images in restrictions:
+            support = tuple([v for v in range(start, n) if images[v] != v])
             perm = tuple([star.index(images[u]) for u in star]) if n > 1 else identity
             if perm not in diagram_of:
                 diagram_of[perm] = DiagramAutomorphism(perm) if is_label_preserving(system, perm) else None

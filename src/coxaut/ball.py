@@ -34,8 +34,9 @@ class CayleyBall:
     def __init__(self, system: CoxeterSystem, radius: int, adj: list[int], last: list[int], length: list[int]):
         self.system, self.rank, self.radius = system, system.rank, radius
         self.adj, self.last, self.length = adj, last, length
-        # star_interior results by radius
+        # star_interior results by radius, letter_counts results by letter
         self._stars: dict[int, tuple[int, ...]] = {}
+        self._letter_counts: dict[int, list[int]] = {}
 
     @property
     def size(self) -> int:
@@ -98,6 +99,18 @@ class CayleyBall:
                 stars = tuple(self.interior(min(interior_radius, self.radius) - 1))
             self._stars[interior_radius] = stars
         return stars
+
+    def letter_counts(self, s: int) -> list[int]:
+        """counts[v] = the letters s in v's canonical word, counted down the BFS
+        tree; memoized per letter."""
+        counts = self._letter_counts.get(s)
+        if counts is None:
+            adj, last, rank = self.adj, self.last, self.rank
+            counts = [0] * self.size
+            for v in range(1, self.size):
+                counts[v] = counts[adj[v * rank + last[v]]] + (last[v] == s)
+            self._letter_counts[s] = counts
+        return counts
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:

@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 invariant violation, 2 input error,
 3 indeterminate (an enumeration guard tripped before an answer existed),
 4 internal error (an unexpected exception; a bug, not a finding).
-Guards can be set by flag or by the environment variables COXAUT_MAX_STATES,
-COXAUT_MAX_VERTICES, and COXAUT_MAX_NODES; flags win.
+Guards: each command reads only those listed for it, each set by its flag or
+else its variable; it rejects any other guard's flag (exit 2) and ignores its variable.
+  --max-states    COXAUT_MAX_STATES    reduce
+  --max-vertices  COXAUT_MAX_VERTICES  ball, cycles, exotic, stabilizer, verify
+  --max-nodes     COXAUT_MAX_NODES     stabilizer, verify
 """
 
 from __future__ import annotations
@@ -126,10 +129,19 @@ def _load_system(path: str) -> CoxeterSystem:
         return parse_system(fh.read())
 
 
-def _guard(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        value = flag_value
-    else:
+# each guard's flag: its environment variable, its default and its help
+GUARDS = {
+    "--max-states": ("COXAUT_MAX_STATES", DEFAULT_MAX_STATES, "reduce guard (m-operation closures, m-class counts)"),
+    "--max-vertices": ("COXAUT_MAX_VERTICES", DEFAULT_MAX_VERTICES, "ball size guard"),
+    "--max-nodes": ("COXAUT_MAX_NODES", DEFAULT_MAX_NODES, "stabilizer search guard"),
+}
+
+
+def _guard(args, flag: str) -> int:
+    """The guard flag's value: the flag if given, else its variable, else its default."""
+    env_name, default, _ = GUARDS[flag]
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is None:
         env = os.environ.get(env_name)
         try:
             value = int(env) if env else default
@@ -138,14 +150,6 @@ def _guard(flag_value: int | None, env_name: str, default: int) -> int:
     if value <= 0:
         raise ParseError(f"guard {env_name} must be positive, got {value}")
     return value
-
-
-def _guards(args) -> tuple[int, int, int]:
-    return (
-        _guard(args.max_states, "COXAUT_MAX_STATES", DEFAULT_MAX_STATES),
-        _guard(args.max_vertices, "COXAUT_MAX_VERTICES", DEFAULT_MAX_VERTICES),
-        _guard(args.max_nodes, "COXAUT_MAX_NODES", DEFAULT_MAX_NODES),
-    )
 
 
 def cmd_check_flexible(args) -> int:
@@ -169,7 +173,7 @@ def cmd_check_flexible(args) -> int:
 
 def cmd_reduce(args) -> int:
     system = _load_system(args.file)
-    max_states, _, _ = _guards(args)
+    max_states = _guard(args, "--max-states")
     word = parse_word(system, args.word)
     canonical = reduce_word(system, word, max_states=max_states)
     size = m_class_size(system, canonical, max_states=max_states)
@@ -191,7 +195,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_ball(args) -> int:
     system = _load_system(args.file)
-    _, max_vertices, _ = _guards(args)
+    max_vertices = _guard(args, "--max-vertices")
     # opened first, so an unwritable path is an input error even where the ball guard trips
     dot = open(args.dot, "w", encoding="utf-8") if args.dot else None
     try:
@@ -223,7 +227,7 @@ def cmd_ball(args) -> int:
 
 def cmd_cycles(args) -> int:
     system = _load_system(args.file)
-    _, max_vertices, _ = _guards(args)
+    max_vertices = _guard(args, "--max-vertices")
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     max_m = system.max_finite_order()
     max_length = args.max_length if args.max_length is not None else (2 * max_m if max_m else 6)
@@ -259,7 +263,7 @@ def cmd_cycles(args) -> int:
 
 def cmd_exotic(args) -> int:
     system = _load_system(args.file)
-    _, max_vertices, _ = _guards(args)
+    max_vertices = _guard(args, "--max-vertices")
     witness = is_flexible(system)
     if witness is None:
         print("error: the diagram is not flexible; no exotic map exists", file=sys.stderr)
@@ -301,7 +305,7 @@ def cmd_exotic(args) -> int:
 
 def cmd_stabilizer(args) -> int:
     system = _load_system(args.file)
-    _, max_vertices, max_nodes = _guards(args)
+    max_vertices, max_nodes = _guard(args, "--max-vertices"), _guard(args, "--max-nodes")
     probe = resolve_probe_radius(system, args.radius, args.probe)
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     census = identity_stabilizer_census(ball, probe, max_nodes=max_nodes)
@@ -336,14 +340,8 @@ def cmd_stabilizer(args) -> int:
 
 def cmd_verify(args) -> int:
     system = _load_system(args.file)
-    _, max_vertices, max_nodes = _guards(args)
-    report = run_system_checks(
-        system,
-        radius=args.radius,
-        probe_radius=args.probe,
-        max_vertices=max_vertices,
-        max_nodes=max_nodes,
-    )
+    max_vertices, max_nodes = _guard(args, "--max-vertices"), _guard(args, "--max-nodes")
+    report = run_system_checks(system, args.radius, args.probe, max_vertices=max_vertices, max_nodes=max_nodes)
     if args.format == "json":
         checks, keys = report.checks, ("detail", "name", "status")  # a check's sorted keys
 
@@ -363,6 +361,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _parent(flag: str, **options) -> argparse.ArgumentParser:
+    """A parent parser declaring one option, for the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **options)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The coxaut parser; parser.commands maps each command name to its subparser."""
     parser = argparse.ArgumentParser(
@@ -374,37 +379,29 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="diagram file (gens/pair format)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-states", type=int, default=None, help="reduce guard (m-operation closures, m-class counts)")
-    common.add_argument("--max-vertices", type=int, default=None, help="ball size guard")
-    common.add_argument("--max-nodes", type=int, default=None, help="stabilizer search guard")
+    radius = _parent("--radius", type=int, default=5)
+    probe = _parent("--probe", type=int, default=None, help="dedupe radius; default radius - max finite order")
+    states, vertices, nodes = (_parent(flag, type=int, default=None, help=text) for flag, (_, _, text) in GUARDS.items())
 
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # filled by each add_parser below
 
     sub.add_parser("check-flexible", parents=[common], help="decide diagram flexibility")
 
-    p = sub.add_parser("reduce", parents=[common], help="canonical form of a word")
+    p = sub.add_parser("reduce", parents=[common, states], help="canonical form of a word")
     p.add_argument("word", help="whitespace-separated generator names; 'e' for the empty word")
 
-    p = sub.add_parser("ball", parents=[common], help="build a Cayley-graph ball")
-    p.add_argument("--radius", type=int, default=5)
+    p = sub.add_parser("ball", parents=[common, radius, vertices], help="build a Cayley-graph ball")
     p.add_argument("--dot", metavar="PATH", help="also write a Graphviz rendering")
 
-    p = sub.add_parser("cycles", parents=[common], help="classify embedded cycles")
-    p.add_argument("--radius", type=int, default=5)
+    p = sub.add_parser("cycles", parents=[common, radius, vertices], help="classify embedded cycles")
     p.add_argument("--max-length", type=int, default=None)
 
-    p = sub.add_parser("exotic", parents=[common], help="construct the exotic automorphism")
-    p.add_argument("--radius", type=int, default=5)
+    p = sub.add_parser("exotic", parents=[common, radius, vertices], help="construct the exotic automorphism")
     p.add_argument("--n", type=int, default=None, help="family index; omit for the basic map")
 
-    p = sub.add_parser("stabilizer", parents=[common], help="census of identity-fixing automorphisms")
-    p.add_argument("--radius", type=int, default=5)
-    p.add_argument("--probe", type=int, default=None, help="dedupe radius; default radius - max finite order")
-
-    p = sub.add_parser("verify", parents=[common], help="run the invariant suite for a system")
-    p.add_argument("--radius", type=int, default=5)
-    p.add_argument("--probe", type=int, default=None)
+    sub.add_parser("stabilizer", parents=[common, radius, probe, vertices, nodes], help="census of identity-fixing automorphisms")
+    sub.add_parser("verify", parents=[common, radius, probe, vertices, nodes], help="run the invariant suite for a system")
 
     return parser
 

@@ -227,9 +227,13 @@ class TestExports:
 
 
 def assert_tables_match_definitions(ball):
-    """label, interior, star_interior and neighbors against their definitions, read off adj and words."""
+    """label, interior, star_interior, letter_counts and neighbors against their definitions, read off adj and words."""
     n, rank = ball.size, ball.system.rank
-    length = [len(w) for w in ball_words(ball)]
+    words = ball_words(ball)
+    length = [len(w) for w in words]
+    for s in range(rank):
+        assert ball.letter_counts(s) == [w.count(s) for w in words]
+        assert ball.letter_counts(s) is ball.letter_counts(s)  # memoized
     for u in range(n):
         for v in range(n):
             edge = [s for s, w in star(ball, u).items() if w == v]

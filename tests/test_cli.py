@@ -29,6 +29,25 @@ FREE10 = str(Path(__file__).resolve().parent.parent / "diagrams" / "frontier" / 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the guards each command reads; it rejects every other guard's flag and ignores its variable
+READS = {
+    "check-flexible": (),
+    "reduce": ("--max-states",),
+    "ball": ("--max-vertices",),
+    "cycles": ("--max-vertices",),
+    "exotic": ("--max-vertices",),
+    "stabilizer": ("--max-vertices", "--max-nodes"),
+    "verify": ("--max-vertices", "--max-nodes"),
+}
+UNREAD = [(command, flag) for command, flags in READS.items() for flag in cli.GUARDS if flag not in flags]
+
+
+def guard_free_argv(command: str) -> list[str]:
+    """A small run of command on the flexible diagram (gens s t u) with no guard given."""
+    rest = {"reduce": ["s t u t"], "check-flexible": []}.get(command, ["--radius", "2"])
+    return [command, str(ROOT / "diagrams" / "flexible.cox"), *rest]
+
+
 @pytest.fixture()
 def a2_file(tmp_path):
     path = tmp_path / "a2.cox"
@@ -388,10 +407,32 @@ class TestErrorsAndGuards:
         monkeypatch.setenv("COXAUT_MAX_VERTICES", "3")
         assert main(["ball", branched_file, "--radius", "4", "--max-vertices", "1000"]) == 0
 
-    def test_malformed_env_guard_is_named(self, a2_file, capsys, monkeypatch):
-        monkeypatch.setenv("COXAUT_MAX_NODES", "abc")
-        assert main(["verify", a2_file]) == 2
-        assert capsys.readouterr().err == "error: guard COXAUT_MAX_NODES must be an integer, got 'abc'\n"
+    @pytest.mark.parametrize("command,flag", [(command, flag) for command, flags in READS.items() for flag in flags])
+    def test_malformed_env_guard_is_named(self, command, flag, capsys, monkeypatch):
+        variable = cli.GUARDS[flag][0]
+        monkeypatch.setenv(variable, "abc")
+        assert main(guard_free_argv(command)) == 2
+        assert capsys.readouterr() == ("", f"error: guard {variable} must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_the_guards_read(self, command, capsys):
+        code, captured = exit_or_result(lambda: main([command, "-h"]), capsys)
+        assert code == 0
+        assert [flag for flag in cli.GUARDS if flag in captured.out] == list(READS[command])
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_guard_flag_is_unrecognized(self, command, flag, capsys):
+        code, captured = exit_or_result(lambda: main([*guard_free_argv(command), flag, "5"]), capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith(f"coxaut {command}: error: unrecognized arguments: {flag} 5\n")
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_guard_variable_is_ignored(self, command, flag, capsys, monkeypatch):
+        argv = guard_free_argv(command)
+        expected = main(argv), capsys.readouterr()
+        for value in ("abc", "0", "-5"):
+            monkeypatch.setenv(cli.GUARDS[flag][0], value)
+            assert (main(argv), capsys.readouterr()) == expected
 
     def test_nonpositive_guard_rejected(self, a2_file, capsys):
         assert main(["ball", a2_file, "--max-vertices", "0"]) == 2
@@ -475,6 +516,10 @@ COMMANDS = {
 }
 
 
+# each guard given abbreviated, in full, or with "="
+GUARD_ARGS = {"--max-states": ["--max-st", "5"], "--max-vertices": ["--max-v", "7"], "--max-nodes": ["--max-nodes=9"]}
+
+
 def dispatch_cases():
     for command, (words, options) in COMMANDS.items():
         args = ["diagram.cox", *words]
@@ -483,7 +528,8 @@ def dispatch_cases():
         yield [command, *options, *args]
         yield [command, *options[:2], *args, *options[2:]]
         yield [command, *args, *(f"{key}={value}" for key, value in zip(options[::2], options[1::2]))]
-        yield [command, "--format=json", *args, "--max-st", "5", "--max-v", "7", "--max-nodes=9"]
+        yield [command, "--format=json", *args, *(arg for flag in READS[command] for arg in GUARD_ARGS[flag])]
+        yield [command, "--format=json", *args, "--max-st", "5", "--max-v", "7", "--max-nodes=9"]  # some unread
         yield [command, *args, "--rad", "3"]  # an abbreviation; unrecognized without --radius
         yield [command, *args, "--radius", "x"]
         yield [command, *args, "--format", "xml"]
