@@ -6,8 +6,8 @@ ss-deletions) otherwise; balls of the Cayley graph are materialized breadth-firs
 deterministic vertex ids; embedded cycles are classified as essential or not
 with an explicit certification flag; and ball automorphisms (left
 multiplications, diagram automorphisms, the exotic psi maps, and everything
-an identity-stabilizer search can find) are constructed, verified, composed,
-and decomposed.  Everything is stated on finite balls with an interior-radius
+an identity-stabilizer search can find) are constructed, verified, and
+decomposed.  Everything is stated on finite balls with an interior-radius
 discipline, so truncation can never smuggle in a false claim.
 """
 
@@ -29,15 +29,12 @@ from .words import (
     apply_m_operation,
     format_word,
     inverse_word,
-    is_reduced,
     m_class,
     m_class_size,
     m_closure,
     multiply,
     parse_word,
     reduce_word,
-    word_length,
-    words_equal,
 )
 from .ball import CayleyBall, build_ball, count_paths, distance
 from .cycles import (
@@ -45,7 +42,6 @@ from .cycles import (
     enumerate_embedded_cycles,
     is_alternating,
     is_essential,
-    map_cycle,
     relator_cycles,
     verify_essential_characterization,
 )
@@ -54,11 +50,9 @@ from .automorphisms import (
     FactoredAutomorphism,
     StabilizerCensus,
     StabilizerEntry,
-    compose_ball,
     coupling_violations,
     decompose,
     diagram_aut,
-    identity_factored,
     identity_stabilizer_census,
     left_mult,
     local_permutation,
@@ -89,7 +83,6 @@ __all__ = [
     "apply_m_operation",
     "build_ball",
     "commutation_violations",
-    "compose_ball",
     "count_paths",
     "coupling_violations",
     "decompose",
@@ -100,20 +93,17 @@ __all__ = [
     "enumerate_embedded_cycles",
     "format_word",
     "identity_automorphism",
-    "identity_factored",
     "identity_stabilizer_census",
     "inverse_word",
     "is_alternating",
     "is_essential",
     "is_flexible",
-    "is_reduced",
     "left_mult",
     "local_permutation",
     "local_permutation_field",
     "m_class",
     "m_class_size",
     "m_closure",
-    "map_cycle",
     "multiply",
     "parse_system",
     "parse_word",
@@ -127,6 +117,4 @@ __all__ = [
     "validate_witness",
     "verify_ball_automorphism",
     "verify_essential_characterization",
-    "word_length",
-    "words_equal",
 ]

@@ -2,16 +2,16 @@
 
 Maps of a ball are stored as partial vertex maps with an interior radius:
 the map is defined on every vertex of word length at most that radius.
-Further out, a vertex has its true image when the images of every prefix
-of its canonical word lie in the ball (ball.field_map), and None otherwise,
-even where the true image lies in the ball.  Left multiplications lose one
-unit of interior per letter; diagram automorphisms and the exotic maps are
-total.
+Every map is built by walked_map: a start vertex, the image of e, and a
+label field walked down the BFS tree (ball.field_map).  Beyond the interior
+a vertex has its true image when the images of every prefix of its
+canonical word lie in the ball, and None otherwise, even where the true
+image lies in the ball.  Left multiplications lose one unit of interior per
+letter; diagram automorphisms and the exotic maps are total.
 
 A factored automorphism is a pair (w, d) of a group element and a diagram
-automorphism acting by x -> w * d(x).  These compose by
-(w1, d1)(w2, d2) = (w1 * d1(w2), d1 d2) and invert by
-(w, d)^-1 = (d^-1(w^-1), d^-1).
+automorphism acting by x -> w * d(x): the walk from w with the constant
+field d.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .system import (
     is_label_preserving,
     validate_witness,
 )
-from .words import Word, inverse_word, multiply, reduce_word
+from .words import Word, reduce_word
 
 
 class BallAutomorphism:
@@ -59,23 +59,24 @@ class BallAutomorphism:
         return None not in self.vmap
 
 
+def walked_map(ball: CayleyBall, start: int, field) -> BallAutomorphism:
+    """The map f with f(e) = start and f(x·s) = f(x)·field(x)[s], walked by
+    ball.field_map; every ball map is built here.  Its interior is the radius
+    on a complete ball, else radius - |w|, w the element at start, where
+    field_map defines every image."""
+    interior = ball.radius if ball.complete else ball.radius - ball.length[start]
+    return BallAutomorphism(field_map(ball, start, field), interior)
+
+
 def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
     """x -> w x.  Interior shrinks by the length of w unless the ball is complete."""
     w = reduce_word(ball.system, tuple(word))
     return FactoredAutomorphism(w, identity_automorphism(ball.system)).to_ball(ball)
 
 
-def factored_ball_map(ball: CayleyBall, start: int, d: DiagramAutomorphism) -> BallAutomorphism:
-    """x -> w d(x) for w the element at vertex start, walked along ball edges
-    with no word arithmetic.  Interior shrinks by the length of w unless the
-    ball is complete."""
-    interior = ball.radius if ball.complete else ball.radius - ball.length[start]
-    return BallAutomorphism(field_map(ball, start, lambda x: d.images), interior)
-
-
 def diagram_aut(ball: CayleyBall, d: DiagramAutomorphism) -> BallAutomorphism:
     """x -> d(x) letterwise.  Total: diagram automorphisms preserve word length."""
-    return factored_ball_map(ball, 0, d)
+    return walked_map(ball, 0, lambda x: d.images)
 
 
 class FactoredAutomorphism:
@@ -92,33 +93,18 @@ class FactoredAutomorphism:
             return NotImplemented
         return self.word == other.word and self.diagram == other.diagram
 
-    def act(self, system: CoxeterSystem, x: Word) -> Word:
-        return multiply(system, self.word, self.diagram.apply_word(x))
-
-    def compose(self, system: CoxeterSystem, other: FactoredAutomorphism) -> FactoredAutomorphism:
-        """self after other, by the law (w1, d1)(w2, d2) = (w1 d1(w2), d1 d2)."""
-        return FactoredAutomorphism(
-            multiply(system, self.word, self.diagram.apply_word(other.word)),
-            self.diagram.compose(other.diagram),
-        )
-
-    def inverse(self, system: CoxeterSystem) -> FactoredAutomorphism:
-        dinv = self.diagram.inverse()
-        return FactoredAutomorphism(reduce_word(system, dinv.apply_word(inverse_word(self.word))), dinv)
-
-    def is_identity(self, system: CoxeterSystem) -> bool:
-        return not self.word and self.diagram.is_identity()
-
     def to_ball(self, ball: CayleyBall) -> BallAutomorphism:
-        """The ball map; it loses len(word) of interior unless the ball is complete."""
+        """The ball map, walked from the vertex that word reaches from e; it
+        loses the element's length of interior unless the ball is complete.
+        A proper prefix of a word no longer than the radius spells an element
+        shorter than the radius, whose star lies in the ball, so the walk
+        along word never leaves it."""
         if len(self.word) > ball.radius:
             raise ValueError(f"multiplier length {len(self.word)} exceeds the ball radius {ball.radius}")
-        interior = ball.radius if ball.complete else ball.radius - len(self.word)
-        return BallAutomorphism(field_map(ball, ball.vertex_of(self.word), lambda x: self.diagram.images), interior)
-
-
-def identity_factored(system: CoxeterSystem) -> FactoredAutomorphism:
-    return FactoredAutomorphism((), identity_automorphism(system))
+        adj, rank, start = ball.adj, ball.rank, 0
+        for s in self.word:
+            start = adj[start * rank + s]
+        return walked_map(ball, start, lambda x: self.diagram.images)
 
 
 # -- exotic maps -------------------------------------------------------------
@@ -165,14 +151,14 @@ def validate_psi_n(system: CoxeterSystem, witness: FlexibilityWitness) -> None:
 
 def psi_phi(ball: CayleyBall, witness: FlexibilityWitness, field=None) -> BallAutomorphism:
     """psi, walked from field: pivot_field(ball, witness) unless given."""
-    return BallAutomorphism(field_map(ball, 0, field or pivot_field(ball, witness)), ball.radius)
+    return walked_map(ball, 0, field or pivot_field(ball, witness))
 
 
 def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int, field=None) -> BallAutomorphism:
     """psi_n, walked from field: pivot_field(ball, witness, n) unless given."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return BallAutomorphism(field_map(ball, 0, field or pivot_field(ball, witness, n)), ball.radius)
+    return walked_map(ball, 0, field or pivot_field(ball, witness, n))
 
 
 # -- verification ------------------------------------------------------------
@@ -350,14 +336,7 @@ def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple
     return violations
 
 
-# -- composition and decomposition -------------------------------------------
-
-
-def compose_ball(ball: CayleyBall, outer: BallAutomorphism, inner: BallAutomorphism) -> BallAutomorphism:
-    """outer after inner; the interior radius is recomputed from actual definedness."""
-    vmap = tuple(None if mid is None else outer.vmap[mid] for mid in inner.vmap)
-    undefined = [ball.length[v] - 1 for v, x in enumerate(vmap) if x is None]
-    return BallAutomorphism(vmap, min([ball.radius, *undefined]))
+# -- decomposition -----------------------------------------------------------
 
 
 def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism | None:
@@ -379,7 +358,7 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
     if not is_label_preserving(ball.system, images):
         raise ValueError("the local permutation at the identity does not preserve pair orders")
     d = DiagramAutomorphism(images)
-    expected = factored_ball_map(ball, fe, d).vmap
+    expected = walked_map(ball, fe, lambda x: d.images).vmap
     for v in ball.interior(aut.interior_radius):
         if expected[v] is None or expected[v] != aut.vmap[v]:
             return None

@@ -1,14 +1,13 @@
 """Balls in the Cayley graph with respect to right multiplication.
 
 An element of the ball is its vertex id; its canonical word is spelled down
-the BFS tree, and vertex_of takes any spelling.  x and y are joined by an edge
-labeled s exactly when y = x s (equivalently x = y s).  The ball of radius
-r contains every element of word length at most r.  Vertex ids are assigned
-by breadth-first search from the identity, expanding the frontier in id
-order and the generators in index order, so ids are reproducible and the
-ball of a smaller radius is an id-prefix of the ball of a larger one.  The
-search reads only the diagram and the ball built so far: it never calls
-the word engine.
+the BFS tree.  x and y are joined by an edge labeled s exactly when y = x s
+(equivalently x = y s).  The ball of radius r contains every element of
+word length at most r.  Vertex ids are assigned by breadth-first search
+from the identity, expanding the frontier in id order and the generators in
+index order, so ids are reproducible and the ball of a smaller radius is an
+id-prefix of the ball of a larger one.  The search reads only the diagram
+and the ball built so far: it never calls the word engine.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from collections import deque
 from functools import cached_property
 from itertools import repeat
 
-from .system import CoxeterSystem
-from .words import LimitExceeded, Word, reduce_word
+from .system import CoxeterSystem, LimitExceeded
 
 DEFAULT_MAX_VERTICES = 10**6
 
@@ -42,24 +40,13 @@ class CayleyBall:
     def size(self) -> int:
         return len(self.length)
 
-    def word(self, v: int) -> Word:
+    def word(self, v: int) -> tuple[int, ...]:
         """v's canonical word, spelled by walking BFS parents."""
         letters = []
         while v:
             letters.append(self.last[v])
             v = self.adj[v * self.rank + letters[-1]]
         return tuple(reversed(letters))
-
-    def vertex_of(self, word: Word) -> int | None:
-        """The vertex of the element that word spells, in any spelling (its canonical
-        word walked from the identity); None outside the ball."""
-        canonical = reduce_word(self.system, word)
-        if len(canonical) > self.radius:
-            return None
-        v = 0
-        for s in canonical:
-            v = self.adj[v * self.rank + s]
-        return v
 
     @cached_property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -146,12 +133,6 @@ class CayleyBall:
             p = adj[v * rank + s]
             texts.append(f"{texts[p]} {names[s]}" if p else names[s])
         return texts
-
-    def label(self, u: int, v: int) -> int | None:
-        """The label of the edge between u and v, v's position in u's row; None
-        when they are not adjacent."""
-        row = self.rows[u]
-        return row.index(v) if v in row else None
 
     def to_dot(self) -> str:
         """Graphviz rendering convenience; labels are words and generator names,

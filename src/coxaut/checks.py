@@ -108,13 +108,13 @@ from .automorphisms import (
     VerificationReport,
     coupling_violations,
     diagram_aut,
-    factored_ball_map,
     identity_stabilizer_census,
     psi_n,
     psi_phi,
     pivot_field,
     support_field,
     verify_ball_automorphism,
+    walked_map,
 )
 from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .cycles import verify_essential_characterization
@@ -123,7 +123,6 @@ from .system import (
     CoxeterSystem,
     DiagramAutomorphism,
     diagram_group,
-    identity_automorphism,
     is_flexible,
     is_label_preserving,
 )
@@ -287,9 +286,10 @@ def run_system_checks(
         if radius < 1:
             return "vacuous", "radius too small for left multiplications"
         # the generators, and the words of length 2 once their walks have an interior
-        identity, starts = identity_automorphism(system), ball.interior(2 if radius > 2 else 1)[1:]
+        identity, starts = tuple(system.generators()), ball.interior(2 if radius > 2 else 1)[1:]
+        field = lambda x: identity
         for v in starts:
-            report = verify_ball_automorphism(ball, factored_ball_map(ball, v, identity), lambda x: identity.images)
+            report = verify_ball_automorphism(ball, walked_map(ball, v, field), field)
             if not report.ok:
                 return "fail", f"left_mult({ball.word(v)}) not verified: {report.violations[0]}"
             # no broken edge: every defined edge keeps its label, so the local

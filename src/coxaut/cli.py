@@ -138,17 +138,18 @@ GUARDS = {
 
 
 def _guard(args, flag: str) -> int:
-    """The guard flag's value: the flag if given, else its variable, else its default."""
+    """The guard flag's value: the flag if given, else its variable, else its
+    default.  A value out of range is named by the flag or variable it came from."""
     env_name, default, _ = GUARDS[flag]
-    value = getattr(args, flag[2:].replace("-", "_"))
+    value, source = getattr(args, flag[2:].replace("-", "_")), flag
     if value is None:
-        env = os.environ.get(env_name)
+        env, source = os.environ.get(env_name), env_name
         try:
             value = int(env) if env else default
         except ValueError:
             raise ParseError(f"guard {env_name} must be an integer, got {env!r}") from None
     if value <= 0:
-        raise ParseError(f"guard {env_name} must be positive, got {value}")
+        raise ParseError(f"guard {source} must be positive, got {value}")
     return value
 
 

@@ -53,20 +53,6 @@ class EmbeddedCycle:
     def half_length(self) -> int:
         return len(self.vertices) // 2
 
-    def opposite_pairs(self) -> list[tuple[int, int]]:
-        n = self.half_length
-        return [(self.vertices[i], self.vertices[i + n]) for i in range(n)]
-
-
-def _canonical_cycle(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
-    k = len(vertices)
-    start = vertices.index(min(vertices))
-    rotated = vertices[start:] + vertices[:start]
-    if rotated[-1] < rotated[1]:
-        rotated = [rotated[0]] + rotated[1:][::-1]
-    labels = tuple(ball.label(rotated[i], rotated[(i + 1) % k]) for i in range(k))
-    return EmbeddedCycle(tuple(rotated), labels)
-
 
 def cycle_words(ball: CayleyBall, max_length: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[tuple[int, ...]]:
     """The label words, read from the identity in both directions, of embedded
@@ -156,23 +142,6 @@ def enumerate_embedded_cycles(
                         cycles.append(EmbeddedCycle(tuple(vertices), word))
     cycles.sort(key=lambda c: (len(c), c.vertices))
     return cycles
-
-
-def map_cycle(ball: CayleyBall, vmap, cycle: EmbeddedCycle) -> EmbeddedCycle | None:
-    """Image of a cycle under a vertex map, or None when any image is missing.
-
-    Raises ValueError when the images fail to form an embedded cycle; a
-    verified automorphism never does that.
-    """
-    images = [vmap[v] for v in cycle.vertices]
-    if any(x is None for x in images):
-        return None
-    if len(set(images)) != len(images):
-        raise ValueError("cycle image has repeated vertices")
-    image = _canonical_cycle(ball, images)
-    if None in image.labels:
-        raise ValueError("cycle image is not a cycle")
-    return image
 
 
 class EssentialityReport:

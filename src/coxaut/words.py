@@ -84,11 +84,6 @@ def _adjacent_repeat(word: Word) -> int | None:
     return None
 
 
-def is_reduced(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """True when the word spells an element of its own length."""
-    return len(reduce_word(system, word, max_states=max_states)) == len(word)
-
-
 def m_class(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> set[Word]:
     """The m-closure of a reduced word: all reduced words for its element."""
     word = tuple(word)
@@ -200,14 +195,6 @@ def reduce_by_rewriting(system: CoxeterSystem, word: Word, max_states: int = DEF
             return canonical
         chain.append(cancellable)
         current = cancellable
-
-
-def words_equal(system: CoxeterSystem, a: Word, b: Word, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    return reduce_word(system, a, max_states=max_states) == reduce_word(system, b, max_states=max_states)
-
-
-def word_length(system: CoxeterSystem, word: Word, max_states: int = DEFAULT_MAX_STATES) -> int:
-    return len(reduce_word(system, word, max_states=max_states))
 
 
 def multiply(system: CoxeterSystem, a: Word, b: Word, max_states: int = DEFAULT_MAX_STATES) -> Word:

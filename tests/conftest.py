@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from coxaut.system import CoxeterSystem
+from coxaut.words import reduce_word
 
 DIAGRAMS = sorted((Path(__file__).resolve().parent.parent / "diagrams").glob("*.cox"))
 
@@ -13,6 +14,26 @@ def star(ball, v: int) -> dict[int, int]:
     """{s: v·s} for every generator s whose edge at v lies in the ball, read off the flat adj."""
     rank = ball.rank
     return {s: u for s, u in enumerate(ball.adj[v * rank : (v + 1) * rank]) if u >= 0}
+
+
+def label(ball, u: int, v: int) -> int | None:
+    """The label of the edge between u and v; None when they are not adjacent."""
+    for s, w in star(ball, u).items():
+        if w == v:
+            return s
+    return None
+
+
+def vertex_of(ball, word) -> int | None:
+    """The vertex of the element that word spells, in any spelling: its canonical
+    word walked from the identity; None outside the ball."""
+    canonical = reduce_word(ball.system, word)
+    if len(canonical) > ball.radius:
+        return None
+    v = 0
+    for s in canonical:
+        v = ball.adj[v * ball.rank + s]
+    return v
 
 
 def ball_words(ball) -> list[tuple[int, ...]]:

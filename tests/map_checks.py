@@ -10,20 +10,52 @@ with code that shares none of those tables.
 psi_family_distinctness is the check verify ran as psi-family-distinct
 until its outcome was derived from pivot_field (see coxaut.checks): the
 psi_n are pairwise distinct.
+
+A factored automorphism (w, d) acts by x -> w d(x), pairs compose by
+(w1, d1)(w2, d2) = (w1 d1(w2), d1 d2) and invert by
+(w, d)^-1 = (d^-1(w^-1), d^-1); act, compose, inverse and is_identity do
+this word arithmetic with the word engine, and compose_ball composes two
+ball maps vertex by vertex, so that a test can compare both with the maps
+coxaut walks.
 """
 
 from coxaut.automorphisms import BallAutomorphism, PermutationField, VerificationReport, psi_n
 from coxaut.ball import CayleyBall
-from coxaut.system import FlexibilityWitness, validate_witness
+from coxaut.system import CoxeterSystem, DiagramAutomorphism, FlexibilityWitness, validate_witness
+from coxaut.words import Word, inverse_word, multiply, reduce_word
 
-from conftest import star
+from conftest import label, star
+
+Factored = tuple[Word, DiagramAutomorphism]
 
 
-def label(ball: CayleyBall, u: int, v: int) -> int | None:
-    for s, w in star(ball, u).items():
-        if w == v:
-            return s
-    return None
+def act(system: CoxeterSystem, f: Factored, x: Word) -> Word:
+    w, d = f
+    return multiply(system, w, d.apply_word(x))
+
+
+def compose(system: CoxeterSystem, f: Factored, g: Factored) -> Factored:
+    """f after g."""
+    (w1, d1), (w2, d2) = f, g
+    return multiply(system, w1, d1.apply_word(w2)), d1.compose(d2)
+
+
+def inverse(system: CoxeterSystem, f: Factored) -> Factored:
+    w, d = f
+    dinv = d.inverse()
+    return reduce_word(system, dinv.apply_word(inverse_word(w))), dinv
+
+
+def is_identity(f: Factored) -> bool:
+    w, d = f
+    return not w and d.is_identity()
+
+
+def compose_ball(ball: CayleyBall, outer: BallAutomorphism, inner: BallAutomorphism) -> BallAutomorphism:
+    """outer after inner; the interior radius is recomputed from actual definedness."""
+    vmap = tuple(None if mid is None else outer.vmap[mid] for mid in inner.vmap)
+    undefined = [ball.length[v] - 1 for v, x in enumerate(vmap) if x is None]
+    return BallAutomorphism(vmap, min([ball.radius, *undefined]))
 
 
 def interior(ball: CayleyBall, interior_radius: int) -> list[int]:

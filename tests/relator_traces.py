@@ -7,12 +7,14 @@ functions trace (st)^m from every base vertex instead, as the cycles were
 first found, certify by word length, and run the essentiality test on every
 even cycle, so that a test can compare relator lists and characterization
 reports with code that shares neither the shape test nor the prefix.
+map_cycle carries a cycle through a vertex map, so that a test can check
+that a ball automorphism sends cycles to cycles of the same kind.
 """
 
 from coxaut.ball import CayleyBall
 from coxaut.cycles import CharacterizationReport, EmbeddedCycle, is_essential
 
-from conftest import star
+from conftest import label, star
 
 
 def canonical(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
@@ -22,7 +24,24 @@ def canonical(ball: CayleyBall, vertices: list[int]) -> EmbeddedCycle:
     if rotated[-1] < rotated[1]:
         rotated = [rotated[0]] + rotated[1:][::-1]
     k = len(rotated)
-    return EmbeddedCycle(tuple(rotated), tuple(ball.label(rotated[i], rotated[(i + 1) % k]) for i in range(k)))
+    return EmbeddedCycle(tuple(rotated), tuple(label(ball, rotated[i], rotated[(i + 1) % k]) for i in range(k)))
+
+
+def map_cycle(ball: CayleyBall, vmap, cycle: EmbeddedCycle) -> EmbeddedCycle | None:
+    """Image of a cycle under a vertex map, or None when any image is missing.
+
+    Raises ValueError when the images fail to form an embedded cycle; a
+    verified automorphism never does that.
+    """
+    images = [vmap[v] for v in cycle.vertices]
+    if any(x is None for x in images):
+        return None
+    if len(set(images)) != len(images):
+        raise ValueError("cycle image has repeated vertices")
+    image = canonical(ball, images)
+    if None in image.labels:
+        raise ValueError("cycle image is not a cycle")
+    return image
 
 
 def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from coxaut.automorphisms import (
-    compose_ball,
     coupling_violations,
     decompose,
     diagram_aut,
@@ -30,7 +29,7 @@ from coxaut.system import enumerate_diagram_automorphisms, is_flexible
 from coxaut.words import m_class, multiply, parse_word, reduce_word
 
 import map_checks
-from conftest import ball_words, make_system
+from conftest import ball_words, make_system, vertex_of
 from psi_words import psi_phi_word
 
 
@@ -98,7 +97,7 @@ def test_criterion_03_essential_cycles_are_exactly_relator_cycles(a2, a3, cube, 
     # the commuting-cube hexagon through three distinct labels is a certified
     # non-essential cycle: its opposite corners are joined by six geodesics
     ball = build_ball(cube, 4)
-    word_ids = [ball.vertex_of(parse_word(cube, text)) for text in ["e", "a", "a b", "a b c", "b c", "c"]]
+    word_ids = [vertex_of(ball, parse_word(cube, text)) for text in ["e", "a", "a b", "a b c", "b c", "c"]]
     from coxaut.cycles import enumerate_embedded_cycles
 
     cycle = next(c for c in enumerate_embedded_cycles(ball, 6) if set(c.vertices) == set(word_ids))
@@ -172,7 +171,7 @@ def test_criterion_05_exotic_map_on_flexible_example(branched):
     assert len(set(field.perms)) > 1
     t, u = parse_word(branched, "t")[0], parse_word(branched, "u")[0]
     assert local_permutation(ball, aut, 0)[t] == u
-    pivot_vertex = ball.vertex_of((witness.pivot,))
+    pivot_vertex = vertex_of(ball, (witness.pivot,))
     assert local_permutation(ball, aut, pivot_vertex)[t] == t
 
     assert decompose(ball, aut) is None
@@ -216,28 +215,29 @@ def test_criterion_08_semidirect_law(a3):
     ball = build_ball(a3, 6)
     assert ball.complete
     diagrams = enumerate_diagram_automorphisms(a3)
-    table = [FactoredAutomorphism(w, d) for w in ball_words(ball) for d in diagrams]
+    table = [(w, d) for w in ball_words(ball) for d in diagrams]
     assert len(table) == 48
 
     # the composition law reproduces composition of the induced ball maps
-    short = [f for f in table if len(f.word) <= 3]
+    short = [f for f in table if len(f[0]) <= 3]
     assert len(short) == 30
     for f, g in itertools.product(short, repeat=2):
-        composed = f.compose(a3, g).to_ball(ball)
-        pointwise = compose_ball(ball, f.to_ball(ball), g.to_ball(ball))
+        composed = FactoredAutomorphism(*map_checks.compose(a3, f, g)).to_ball(ball)
+        pointwise = map_checks.compose_ball(ball, FactoredAutomorphism(*f).to_ball(ball), FactoredAutomorphism(*g).to_ball(ball))
         assert composed.vmap == pointwise.vmap
 
     # group axioms on the full table
-    index = {(f.word, f.diagram.images): i for i, f in enumerate(table)}
+    index = {(w, d.images): i for i, (w, d) in enumerate(table)}
     compose_ids = [
-        [index[(h.word, h.diagram.images)] for g in table for h in [f.compose(a3, g)]]
+        [index[(w, d.images)] for g in table for w, d in [map_checks.compose(a3, f, g)]]
         for f in table
     ]
     identity = index[((), tuple(range(3)))]
     for i, f in enumerate(table):
         assert compose_ids[i][identity] == i
         assert compose_ids[identity][i] == i
-        j = index[(f.inverse(a3).word, f.inverse(a3).diagram.images)]
+        w, d = map_checks.inverse(a3, f)
+        j = index[(w, d.images)]
         assert compose_ids[i][j] == identity
         assert compose_ids[j][i] == identity
     for i, j, k in itertools.product(range(48), repeat=3):

@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 from coxaut.automorphisms import (
     BallAutomorphism,
     FactoredAutomorphism,
-    compose_ball,
     coupling_violations,
     decompose,
     diagram_aut,
-    identity_factored,
     identity_stabilizer_census,
     left_mult,
     local_permutation,
@@ -17,6 +15,7 @@ from coxaut.automorphisms import (
     psi_n,
     psi_phi,
     verify_ball_automorphism,
+    walked_map,
 )
 from coxaut.ball import build_ball, field_map
 from coxaut.system import (
@@ -24,18 +23,19 @@ from coxaut.system import (
     DiagramAutomorphism,
     FlexibilityWitness,
     enumerate_diagram_automorphisms,
+    identity_automorphism,
     is_flexible,
     parse_system,
 )
 from coxaut.words import LimitExceeded, parse_word, reduce_by_rewriting, reduce_word
 
 import map_checks
-from conftest import DIAGRAMS, RANK3, ball_words, make_system, star
+from conftest import DIAGRAMS, RANK3, ball_words, make_system, star, vertex_of
 from psi_words import psi_n_word, psi_phi_word
 
 
 def vid(ball, text):
-    return ball.vertex_of(parse_word(ball.system, text))
+    return vertex_of(ball, parse_word(ball.system, text))
 
 
 FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
@@ -112,39 +112,36 @@ class TestDiagramAut:
 
 
 class TestFactored:
+    """The (word, d) pair arithmetic of map_checks, the oracle for to_ball."""
+
     def test_act(self, a3):
-        f = FactoredAutomorphism(parse_word(a3, "a"), DiagramAutomorphism((2, 1, 0)))
-        assert f.act(a3, parse_word(a3, "c")) == ()  # a * rev(c) = a a = e
-        assert f.act(a3, parse_word(a3, "b")) == parse_word(a3, "a b")
+        f = (parse_word(a3, "a"), DiagramAutomorphism((2, 1, 0)))
+        assert map_checks.act(a3, f, parse_word(a3, "c")) == ()  # a * rev(c) = a a = e
+        assert map_checks.act(a3, f, parse_word(a3, "b")) == parse_word(a3, "a b")
 
     def test_identity_element(self, a3):
-        e = identity_factored(a3)
-        assert e.is_identity(a3)
+        e = ((), identity_automorphism(a3))
+        assert map_checks.is_identity(e)
         w = parse_word(a3, "a b c")
-        assert e.act(a3, w) == reduce_word(a3, w)
+        assert map_checks.act(a3, e, w) == reduce_word(a3, w)
 
     def test_composition_law(self, branched):
         swap = DiagramAutomorphism((0, 2, 1))
-        ident = identity_factored(branched).diagram
-        f = FactoredAutomorphism(parse_word(branched, "s"), swap)
-        g = FactoredAutomorphism(parse_word(branched, "t"), ident)
-        fg = f.compose(branched, g)
-        assert fg.word == parse_word(branched, "s u")  # s * swap(t)
-        assert fg.diagram == swap
-        gf = g.compose(branched, f)
-        assert gf.word == parse_word(branched, "t s")
-        assert gf.diagram == swap
+        f = (parse_word(branched, "s"), swap)
+        g = (parse_word(branched, "t"), identity_automorphism(branched))
+        assert map_checks.compose(branched, f, g) == (parse_word(branched, "s u"), swap)  # s * swap(t)
+        assert map_checks.compose(branched, g, f) == (parse_word(branched, "t s"), swap)
 
     def test_word_only_composition_multiplies(self, a2):
-        ident = identity_factored(a2).diagram
-        f = FactoredAutomorphism(parse_word(a2, "a"), ident)
-        g = FactoredAutomorphism(parse_word(a2, "b a"), ident)
-        assert f.compose(a2, g).word == parse_word(a2, "a b a")
+        ident = identity_automorphism(a2)
+        f = (parse_word(a2, "a"), ident)
+        g = (parse_word(a2, "b a"), ident)
+        assert map_checks.compose(a2, f, g)[0] == parse_word(a2, "a b a")
 
     def test_inverse(self, a3):
-        f = FactoredAutomorphism(parse_word(a3, "a b"), DiagramAutomorphism((2, 1, 0)))
-        assert f.compose(a3, f.inverse(a3)).is_identity(a3)
-        assert f.inverse(a3).compose(a3, f).is_identity(a3)
+        f = (parse_word(a3, "a b"), DiagramAutomorphism((2, 1, 0)))
+        assert map_checks.is_identity(map_checks.compose(a3, f, map_checks.inverse(a3, f)))
+        assert map_checks.is_identity(map_checks.compose(a3, map_checks.inverse(a3, f), f))
 
     @pytest.mark.parametrize("radius", [4, 6, "no-cartan"])
     @pytest.mark.parametrize("constructor", ["left_mult", "diagram_aut", "psi_phi", "psi_n", "to_ball"])
@@ -354,12 +351,12 @@ class TestFieldWalk:
         ball = build_ball(system, data.draw(st.integers(0, 4)))
         w = tuple(data.draw(st.lists(st.integers(0, system.rank - 1), max_size=ball.radius)))
         d = data.draw(st.sampled_from(enumerate_diagram_automorphisms(system)))
-        shrink = 0 if ball.complete else len(w)
+        # to_ball walks w as spelled, so it loses the length of its element, not of w
+        shrink = 0 if ball.complete else len(reduce_by_rewriting(system, w))
         to_ball = FactoredAutomorphism(w, d).to_ball(ball)
         total = ball.complete
         assert_matches_rewriting(ball, to_ball, lambda x: w + d.apply_word(x), ball.radius - shrink, total)
         assert_matches_rewriting(ball, diagram_aut(ball, d), d.apply_word, ball.radius)
-        shrink = 0 if ball.complete else len(reduce_by_rewriting(system, w))
         assert_matches_rewriting(ball, left_mult(ball, w), lambda x: w + x, ball.radius - shrink, total)
 
     @given(st.data())
@@ -601,6 +598,21 @@ def shipped_maps(ball):
     return maps
 
 
+def assert_walked_maps_match_to_ball(ball):
+    """walked_map from every start in interior(2), with each diagram
+    automorphism d as its constant field: the interior is radius - |start|, or
+    the radius on a complete ball; the map breaks no edge of its field; and
+    to_ball of start's canonical word with d gives the same map."""
+    for d in enumerate_diagram_automorphisms(ball.system):
+        field = lambda x: d.images
+        for start in ball.interior(2):
+            aut = walked_map(ball, start, field)
+            assert aut.interior_radius == (ball.radius if ball.complete else ball.radius - ball.length[start])
+            report = verify_ball_automorphism(ball, aut, field)
+            assert report.ok and report.broken == []
+            assert FactoredAutomorphism(ball.word(start), d).to_ball(ball) == aut
+
+
 class TestChecksMatchOracle:
     """The checks on the per-ball tables against map_checks, which scans adj."""
 
@@ -611,6 +623,7 @@ class TestChecksMatchOracle:
             ball = build_ball(system, radius)
             for aut, field in shipped_maps(ball):
                 assert_checks_match_oracle(ball, aut, field)
+            assert_walked_maps_match_to_ball(ball)
 
     @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
     def test_corrupted_maps(self, path):
@@ -664,13 +677,13 @@ class TestComposeAndDecompose:
         ball = build_ball(a3, 6)
         la = left_mult(ball, parse_word(a3, "a"))
         lb = left_mult(ball, parse_word(a3, "b"))
-        assert compose_ball(ball, la, lb).vmap == left_mult(ball, parse_word(a3, "a b")).vmap
+        assert map_checks.compose_ball(ball, la, lb).vmap == left_mult(ball, parse_word(a3, "a b")).vmap
 
     def test_compose_interior_from_definedness(self, branched):
         ball = build_ball(branched, 4)
         ls = left_mult(ball, parse_word(branched, "s"))
         lt = left_mult(ball, parse_word(branched, "t"))
-        composed = compose_ball(ball, ls, lt)
+        composed = map_checks.compose_ball(ball, ls, lt)
         assert composed.interior_radius == 2
         assert verify_ball_automorphism(ball, composed).ok
 
@@ -703,7 +716,7 @@ class TestComposeAndDecompose:
         system = make_system("a b c", (0, 1, 3))
         ball = build_ball(system, 2)
         sigma = {0: 2, 1: 1, 2: 0}
-        vmap = tuple(ball.vertex_of(tuple(sigma[x] for x in w)) for w in ball_words(ball))
+        vmap = tuple(vertex_of(ball, tuple(sigma[x] for x in w)) for w in ball_words(ball))
         aut = BallAutomorphism(vmap, 2)
         assert verify_ball_automorphism(ball, aut).ok
         with pytest.raises(ValueError):

@@ -12,14 +12,14 @@ from coxaut.cycles import enumerate_embedded_cycles
 from coxaut.system import parse_system
 from coxaut.words import LimitExceeded, format_word, parse_word, reduce_by_rewriting, reduce_word
 
-from conftest import DIAGRAMS, RANK3, ball_words, make_system, random_systems, star
+from conftest import DIAGRAMS, RANK3, ball_words, make_system, random_systems, star, vertex_of
 from payloads import ball_payload, run_json
 
 FRONTIER = sorted((Path(__file__).resolve().parent.parent / "diagrams" / "frontier").glob("*.cox"))
 
 
 def vid(ball, text):
-    return ball.vertex_of(parse_word(ball.system, text))
+    return vertex_of(ball, parse_word(ball.system, text))
 
 
 def invariant_balls():
@@ -82,8 +82,8 @@ class TestBuild:
         words = {ball.system.names[x] for w in ball_words(ball) for x in w}
         assert ball.size == 9  # e, s, t, u, st, su, ts, us, tu (=ut)
         assert words == {"s", "t", "u"}
-        # any spelling finds the vertex of the canonical word
-        assert ball.vertex_of((2, 1)) == ball.vertex_of((1, 2)) == ball_words(ball).index((1, 2))
+        # t u = u t: both spellings, walked from e, reach the vertex of the canonical word
+        assert star(ball, star(ball, 0)[2])[1] == star(ball, star(ball, 0)[1])[2] == ball_words(ball).index((1, 2))
 
     def test_deterministic_prefix(self, a3):
         small, large = build_ball(a3, 2), build_ball(a3, 4)
@@ -139,8 +139,6 @@ class TestBuild:
         for u, v, s in ball.edges:
             assert star(ball, u)[s] == v
             assert star(ball, v)[s] == u
-            assert ball.label(u, v) == s
-        assert ball.label(0, ball.size - 1) is None
 
 
 class TestQueries:
@@ -227,7 +225,7 @@ class TestExports:
 
 
 def assert_tables_match_definitions(ball):
-    """label, interior, star_interior, letter_counts and neighbors against their definitions, read off adj and words."""
+    """interior, star_interior, letter_counts and neighbors against their definitions, read off adj and words."""
     n, rank = ball.size, ball.system.rank
     words = ball_words(ball)
     length = [len(w) for w in words]
@@ -235,9 +233,6 @@ def assert_tables_match_definitions(ball):
         assert ball.letter_counts(s) == [w.count(s) for w in words]
         assert ball.letter_counts(s) is ball.letter_counts(s)  # memoized
     for u in range(n):
-        for v in range(n):
-            edge = [s for s, w in star(ball, u).items() if w == v]
-            assert ball.label(u, v) == (edge[0] if edge else None)
         assert ball.neighbors[u] == sorted(star(ball, u).values())
     for r in range(-1, ball.radius + 2):
         assert list(ball.interior(r)) == [v for v in range(n) if length[v] <= r]
@@ -273,7 +268,7 @@ class TestTables:
 
     def test_json_export_builds_no_label_table(self, atilde2, monkeypatch):
         # ball --format json must not pay for a per-vertex table or the whole
-        # edge list; label reads rows
+        # edge list
         balls = []
         monkeypatch.setattr(cli, "build_ball", lambda *args, **kwargs: balls.append(build_ball(*args, **kwargs)) or balls[-1])
         assert run_json(atilde2, ["ball", "--radius", "4"])[0] == 0
@@ -281,5 +276,3 @@ class TestTables:
         assert "rows" not in vars(ball) and "neighbors" not in vars(ball) and "edges" not in vars(ball)
         ball.to_dot()
         assert "rows" not in vars(ball) and "neighbors" not in vars(ball)
-        assert ball.label(0, 1) == 0
-        assert "labels" not in vars(ball)

@@ -26,11 +26,12 @@ from coxaut.automorphisms import (
 from coxaut.ball import build_ball
 import coxaut.checks
 from coxaut.checks import default_probe_radius, run_system_checks
-from coxaut.cycles import is_essential, map_cycle, verify_essential_characterization
+from coxaut.cycles import is_essential, verify_essential_characterization
 from coxaut.system import enumerate_diagram_automorphisms, is_flexible, is_label_preserving, parse_system
 from coxaut.words import LimitExceeded
 
 import map_checks
+import relator_traces
 from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, star
 
 FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
@@ -250,7 +251,7 @@ def test_census_entries_and_psi_map_essential_cycles_onto_essential_cycles(syste
     for aut in maps:
         assert verify_ball_automorphism(ball, aut).ok
         for cycle in essential:
-            image = map_cycle(ball, aut.vmap, cycle)
+            image = relator_traces.map_cycle(ball, aut.vmap, cycle)
             if image is None:  # the cycle leaves the entry's probe sub-ball
                 continue
             essentiality = is_essential(ball, image)
@@ -364,7 +365,7 @@ def test_diagram_generators_are_read_when_diagram_fields_fail(monkeypatch):
     assert census_coupling_reads(mixed, 3, 3) == ("pass", "fail", ["exotic"])
     assert census_coupling_reads(a3, 4) == ("pass", "pass", [])
     # diagram_aut walked with the identity field breaks every field it is checked against
-    identity = coxaut.checks.identity_automorphism(mixed)
-    monkeypatch.setattr(coxaut.checks, "diagram_aut", lambda ball, d: coxaut.checks.factored_ball_map(ball, 0, identity))
+    identity = tuple(mixed.generators())
+    monkeypatch.setattr(coxaut.checks, "diagram_aut", lambda ball, d: coxaut.checks.walked_map(ball, 0, lambda x: identity))
     assert census_coupling_reads(mixed, 3, 3) == ("fail", "fail", ["diagram", "exotic"])
     assert census_coupling_reads(a3, 4) == ("fail", "pass", ["diagram"])

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 
 import coxaut.automorphisms
 import coxaut.checks
-from coxaut.automorphisms import BallAutomorphism, factored_ball_map, verify_ball_automorphism
+from coxaut.automorphisms import BallAutomorphism, verify_ball_automorphism, walked_map
 from coxaut.ball import CayleyBall, build_ball
 from coxaut.checks import (
     commutation_violations,
     default_probe_radius,
     run_system_checks,
 )
-from coxaut.system import DiagramAutomorphism, identity_automorphism, is_flexible, is_label_preserving, parse_system
+from coxaut.system import DiagramAutomorphism, is_flexible, is_label_preserving, parse_system
 from coxaut.words import parse_word
 
 import map_checks
-from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system
+from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system, vertex_of
 from payloads import report_payload
 
 
@@ -167,7 +167,7 @@ class TestRunChecks:
         def one_sided_ball(system, radius, max_vertices):
             ball = build_ball(system, radius, max_vertices=max_vertices)
             # a b a = b a b: the b-edge from b a stays, its entry at a b a goes
-            ball.adj[ball.vertex_of(parse_word(system, "a b a")) * ball.rank + parse_word(system, "b")[0]] = -1
+            ball.adj[vertex_of(ball, parse_word(system, "a b a")) * ball.rank + parse_word(system, "b")[0]] = -1
             return ball
 
         monkeypatch.setattr(coxaut.checks, "build_ball", one_sided_ball)
@@ -264,7 +264,7 @@ class TestMapCheckDetails:
             vmap[1], vmap[2] = vmap[2], vmap[1]
             return BallAutomorphism(tuple(vmap), aut.interior_radius)
 
-        checks = checks_with(monkeypatch, "factored_ball_map", swapped, a2, 4)
+        checks = checks_with(monkeypatch, "walked_map", swapped, a2, 4)
         assert checks["left-mult-identity-field"] == (
             "fail",
             "left_mult((0,)) not verified: edge (1, 3) labeled b maps to non-adjacent pair (3, 2)",
@@ -316,9 +316,9 @@ def edge_swaps(ball: CayleyBall, rng: random.Random, count: int):
 
 def left_mult_fails(ball: CayleyBall, starts) -> bool:
     """Whether a left multiplication walked from a vertex of starts fails its check."""
-    identity = identity_automorphism(ball.system)
+    identity = tuple(ball.system.generators())
     for v in starts:
-        report = verify_ball_automorphism(ball, factored_ball_map(ball, v, identity), lambda x: identity.images)
+        report = verify_ball_automorphism(ball, walked_map(ball, v, lambda x: identity), lambda x: identity)
         if not report.ok or report.broken:
             return True
     return False
@@ -358,7 +358,7 @@ def test_a_length_two_walk_can_fail_alone(monkeypatch):
     # no check but left-mult fails
     system = make_system("a b c", (0, 1, 2), (0, 2, 3), (1, 2, 3))
     ball = build_ball(system, 3)
-    a, b, ac, bc = (ball.vertex_of(parse_word(system, w)) for w in ("a", "b", "a c", "b c"))
+    a, b, ac, bc = (vertex_of(ball, parse_word(system, w)) for w in ("a", "b", "a c", "b c"))
     adj = list(ball.adj)
     adj[a * 3 + 2], adj[bc * 3 + 2], adj[b * 3 + 2], adj[ac * 3 + 2] = bc, a, ac, b
     bad = CayleyBall(system, 3, adj, ball.last, ball.length)

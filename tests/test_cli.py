@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -354,7 +356,7 @@ class TestVerifyCommand:
         # every left multiplication is built as the diagram swap, an automorphism whose
         # field is not the identity: the census still decides, but a failed check is no evidence
         swap = DiagramAutomorphism((1, 0))
-        monkeypatch.setattr(coxaut.checks, "factored_ball_map", lambda ball, v, d: diagram_aut(ball, swap))
+        monkeypatch.setattr(coxaut.checks, "walked_map", lambda ball, v, field: diagram_aut(ball, swap))
         assert main(["verify", a2_file, "--radius", "4"]) == 1
         out = capsys.readouterr().out
         assert "[         FAIL] left-mult-identity-field: left_mult((0,)) field is not the constant identity\n" in out
@@ -436,6 +438,16 @@ class TestErrorsAndGuards:
 
     def test_nonpositive_guard_rejected(self, a2_file, capsys):
         assert main(["ball", a2_file, "--max-vertices", "0"]) == 2
+
+    @pytest.mark.parametrize("command,flag", [(command, flag) for command, flags in READS.items() for flag in flags])
+    def test_nonpositive_guard_names_its_source(self, command, flag, capsys, monkeypatch):
+        # the variable when the value came from it, the flag when the flag was given
+        variable = cli.GUARDS[flag][0]
+        monkeypatch.setenv(variable, "-3")
+        assert main(guard_free_argv(command)) == 2
+        assert capsys.readouterr() == ("", f"error: guard {variable} must be positive, got -3\n")
+        assert main([*guard_free_argv(command), flag, "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: guard {flag} must be positive, got 0\n")
 
     def test_census_guard_exit_code(self, branched_file, capsys):
         assert main(["stabilizer", branched_file, "--radius", "4", "--probe", "3", "--max-nodes", "1"]) == 3
@@ -596,6 +608,27 @@ class TestDispatch:
         assert code == 2
         assert captured.err.startswith("usage: coxaut ball ")
         assert captured.err.endswith("\ncoxaut ball: error: unrecognized arguments: --bogus\n")
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracing.py looks these up with getattr and no default, so a
+    # name that moves out of coxaut breaks every --trace 1 run
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracing
+
+    names = [f"{module}.{fn}" for module, functions in tracing.SPANS.items() for fn in functions]
+    names += ["automorphisms.FactoredAutomorphism.to_ball", "checks.CheckResult", "words.LimitExceeded"]
+    names += ["automorphisms.DEFAULT_MAX_NODES"]
+
+    def resolves(name):
+        module, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"coxaut.{module}"))
+        except AttributeError:
+            return False
+        return True
+
+    assert [name for name in names if not resolves(name)] == []
 
 
 def test_benchmark_tracer_runs_verify(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from coxaut.cycles import (
     enumerate_embedded_cycles,
     is_alternating,
     is_essential,
-    map_cycle,
     relator_cycles,
     verify_essential_characterization,
 )
@@ -17,7 +16,7 @@ from coxaut.system import parse_system
 from coxaut.words import m_class_size, parse_word
 
 import relator_traces
-from conftest import DIAGRAMS, RANK3, make_system, random_systems
+from conftest import DIAGRAMS, RANK3, make_system, random_systems, vertex_of
 
 FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
 
@@ -58,7 +57,7 @@ def reference_is_essential(ball, cycle):
     if len(cycle) % 2 != 0:
         return EssentialityReport(False, certified, None)
     n = cycle.half_length
-    for u, v in cycle.opposite_pairs():
+    for u, v in zip(cycle.vertices, cycle.vertices[n:]):
         dist_to_v = distances_within(ball, v, n)
         d = dist_to_v.get(u, -1)
         if d != n:
@@ -103,7 +102,7 @@ def differential_cases(path):
 
 
 def find_cycle(ball, texts):
-    ids = {ball.vertex_of(parse_word(ball.system, t)) for t in texts}
+    ids = {vertex_of(ball, parse_word(ball.system, t)) for t in texts}
     for cycle in enumerate_embedded_cycles(ball, len(texts)):
         if set(cycle.vertices) == ids:
             return cycle
@@ -266,7 +265,7 @@ class TestEssentiality:
         assert not report.essential
         assert report.certified  # the ball is the whole group
         u, v, dist, paths = report.failure
-        assert {u, v} == {0, ball.vertex_of(parse_word(cube, "a b c"))}
+        assert {u, v} == {0, vertex_of(ball, parse_word(cube, "a b c"))}
         assert dist == 3
         assert paths == 6
 
@@ -346,13 +345,13 @@ class TestMapCycle:
     def test_identity_map(self, a2):
         ball = build_ball(a2, 3)
         cycle = enumerate_embedded_cycles(ball, 6)[0]
-        assert map_cycle(ball, tuple(range(ball.size)), cycle) == cycle
+        assert relator_traces.map_cycle(ball, tuple(range(ball.size)), cycle) == cycle
 
     def test_partial_map_returns_none(self, a2):
         ball = build_ball(a2, 3)
         cycle = enumerate_embedded_cycles(ball, 6)[0]
         vmap = [None] * ball.size
-        assert map_cycle(ball, vmap, cycle) is None
+        assert relator_traces.map_cycle(ball, vmap, cycle) is None
 
     def test_non_cycle_image_raises(self, a2):
         ball = build_ball(a2, 3)
@@ -360,4 +359,4 @@ class TestMapCycle:
         vmap = list(range(ball.size))
         vmap[1], vmap[2] = 0, 0  # collapse two vertices
         with pytest.raises(ValueError):
-            map_cycle(ball, vmap, cycle)
+            relator_traces.map_cycle(ball, vmap, cycle)

@@ -24,7 +24,7 @@ from coxaut.words import (
     reduce_word,
 )
 
-from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, random_systems, star
+from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, random_systems, star, vertex_of
 
 FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
 
@@ -67,13 +67,13 @@ def assert_same_ball(system, radius):
     words, adj = rewriting_ball(system, radius)
     assert ball_words(ball) == words
     assert [star(ball, v) for v in range(ball.size)] == adj
-    assert [ball.vertex_of(w) for w in words] == list(range(len(words)))
+    assert [vertex_of(ball, w) for w in words] == list(range(len(words)))
 
 
 def assert_vertex_of_matches_rewriting(ball, word):
     canonical = reduce_by_rewriting(ball.system, word)
     expected = ball_words(ball).index(canonical) if len(canonical) <= ball.radius else None
-    assert ball.vertex_of(word) == expected
+    assert vertex_of(ball, word) == expected
 
 
 class TestReduce:
@@ -210,8 +210,8 @@ class TestVertexOf:
         v = data.draw(st.integers(0, ball.size - 1))
         s = data.draw(letters)
         for word in sorted(m_class(system, ball.word(v))):
-            assert ball.vertex_of(word) == v
-            assert ball.vertex_of(word[:1] + (s, s) + word[1:]) == v
+            assert vertex_of(ball, word) == v
+            assert vertex_of(ball, word[:1] + (s, s) + word[1:]) == v
 
     def test_fallback_keys_are_words(self):
         system = make_system("a b", (0, 1, 5))
