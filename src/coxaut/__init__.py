@@ -13,13 +13,11 @@ discipline, so truncation can never smuggle in a false claim.
 
 from .system import (
     CoxeterSystem,
-    DiagramAutomorphism,
     FlexibilityWitness,
     LimitExceeded,
     ParseError,
     diagram_group,
     enumerate_diagram_automorphisms,
-    identity_automorphism,
     is_flexible,
     parse_system,
     validate_witness,
@@ -70,7 +68,6 @@ __all__ = [
     "CayleyBall",
     "CheckResult",
     "CoxeterSystem",
-    "DiagramAutomorphism",
     "EmbeddedCycle",
     "FactoredAutomorphism",
     "FlexibilityWitness",
@@ -92,7 +89,6 @@ __all__ = [
     "enumerate_diagram_automorphisms",
     "enumerate_embedded_cycles",
     "format_word",
-    "identity_automorphism",
     "identity_stabilizer_census",
     "inverse_word",
     "is_alternating",

@@ -26,11 +26,9 @@ from .ball import CayleyBall, field_map
 from .system import (
     DEFAULT_MAX_NODES,
     CoxeterSystem,
-    DiagramAutomorphism,
     FlexibilityWitness,
     LimitExceeded,
     diagram_group,
-    identity_automorphism,
     is_label_preserving,
     validate_witness,
 )
@@ -51,13 +49,6 @@ class BallAutomorphism:
             return NotImplemented
         return self.vmap == other.vmap and self.interior_radius == other.interior_radius
 
-    def image(self, v: int) -> int | None:
-        return self.vmap[v]
-
-    @property
-    def is_total(self) -> bool:
-        return None not in self.vmap
-
 
 def walked_map(ball: CayleyBall, start: int, field) -> BallAutomorphism:
     """The map f with f(e) = start and f(x·s) = f(x)·field(x)[s], walked by
@@ -71,20 +62,20 @@ def walked_map(ball: CayleyBall, start: int, field) -> BallAutomorphism:
 def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
     """x -> w x.  Interior shrinks by the length of w unless the ball is complete."""
     w = reduce_word(ball.system, tuple(word))
-    return FactoredAutomorphism(w, identity_automorphism(ball.system)).to_ball(ball)
+    return FactoredAutomorphism(w, tuple(ball.system.generators())).to_ball(ball)
 
 
-def diagram_aut(ball: CayleyBall, d: DiagramAutomorphism) -> BallAutomorphism:
-    """x -> d(x) letterwise.  Total: diagram automorphisms preserve word length."""
-    return walked_map(ball, 0, lambda x: d.images)
+def diagram_aut(ball: CayleyBall, d: tuple[int, ...]) -> BallAutomorphism:
+    """x -> d(x) letterwise, d an image tuple.  Total: diagram automorphisms preserve word length."""
+    return walked_map(ball, 0, lambda x: d)
 
 
 class FactoredAutomorphism:
-    """The pair (word, diagram) acting as x -> word * diagram(x)."""
+    """The pair (word, diagram) acting as x -> word * diagram(x), diagram an image tuple."""
 
     __slots__ = ("word", "diagram")
 
-    def __init__(self, word: Word, diagram: DiagramAutomorphism):
+    def __init__(self, word: Word, diagram: tuple[int, ...]):
         self.word = word
         self.diagram = diagram
 
@@ -104,7 +95,7 @@ class FactoredAutomorphism:
         adj, rank, start = ball.adj, ball.rank, 0
         for s in self.word:
             start = adj[start * rank + s]
-        return walked_map(ball, start, lambda x: self.diagram.images)
+        return walked_map(ball, start, lambda x: self.diagram)
 
 
 # -- exotic maps -------------------------------------------------------------
@@ -121,7 +112,7 @@ def pivot_field(ball: CayleyBall, witness: FlexibilityWitness, n: int | None = N
     """
     system = ball.system
     validate_witness(system, witness)
-    phi = witness.phi.images
+    phi = witness.phi
     identity = tuple(system.generators())
     if n is not None:
         validate_psi_n(system, witness)
@@ -169,11 +160,10 @@ class VerificationReport:
     it was walked from, when given; else field is its own PermutationField,
     or None with field_error saying why."""
 
-    __slots__ = ("ok", "total", "violations", "field", "field_error", "broken")
+    __slots__ = ("ok", "violations", "field", "field_error", "broken")
 
-    def __init__(self, ok: bool, total: bool, violations: tuple[str, ...], field=None, field_error=None, broken=None):
+    def __init__(self, ok: bool, violations: tuple[str, ...], field=None, field_error=None, broken=None):
         self.ok = ok
-        self.total = total
         self.violations = violations
         self.field = field
         self.field_error = field_error
@@ -182,7 +172,7 @@ class VerificationReport:
     def __eq__(self, other):
         if type(other) is not VerificationReport:
             return NotImplemented
-        return (self.ok, self.total, self.violations) == (other.ok, other.total, other.violations)
+        return (self.ok, self.violations) == (other.ok, other.violations)
 
 
 def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None) -> VerificationReport:
@@ -236,7 +226,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None
         fu, fv = vmap[u], vmap[v]
         if fu is not None and fv is not None and fv not in rows[fu]:
             violations.append(f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})")
-    return VerificationReport(not violations, None not in values, tuple(violations), own, field_error, broken)
+    return VerificationReport(not violations, tuple(violations), own, field_error, broken)
 
 
 def _picked(items, ids) -> tuple:
@@ -357,12 +347,11 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
     images = tuple(pi[s] for s in ball.system.generators())
     if not is_label_preserving(ball.system, images):
         raise ValueError("the local permutation at the identity does not preserve pair orders")
-    d = DiagramAutomorphism(images)
-    expected = walked_map(ball, fe, lambda x: d.images).vmap
+    expected = walked_map(ball, fe, lambda x: images).vmap
     for v in ball.interior(aut.interior_radius):
         if expected[v] is None or expected[v] != aut.vmap[v]:
             return None
-    return FactoredAutomorphism(ball.word(fe), d)
+    return FactoredAutomorphism(ball.word(fe), images)
 
 
 # -- identity-stabilizer census ----------------------------------------------
@@ -370,11 +359,12 @@ def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism |
 
 class StabilizerEntry:
     """One automorphism class, keyed by its restriction images to the probe
-    sub-ball; support lists the probe ids it moves."""
+    sub-ball; diagram is the image tuple of a diagram entry's label
+    permutation, None for an exotic one; support lists the probe ids it moves."""
 
     __slots__ = ("images", "verdict", "diagram", "support")
 
-    def __init__(self, images: tuple[int, ...], verdict: str, diagram: DiagramAutomorphism | None, support: tuple[int, ...]):
+    def __init__(self, images: tuple[int, ...], verdict: str, diagram: tuple[int, ...] | None, support: tuple[int, ...]):
         self.images = images
         self.verdict = verdict
         self.diagram = diagram
@@ -449,13 +439,13 @@ class StabilizerCensus:
         system, adj, last, rank = ball.system, ball.adj, ball.last, ball.rank
         star, identity = adj[:rank], tuple(system.generators())
         tree = [(v, adj[v * rank + last[v]], last[v]) for v in range(1, n)]
-        diagram_of = {}  # d, or None when d breaks a pair order
+        diagram_of = {}  # perm, or None when perm breaks a pair order
         entries = []
         for start, images in restrictions:
             support = tuple([v for v in range(start, n) if images[v] != v])
             perm = tuple([star.index(images[u]) for u in star]) if n > 1 else identity
             if perm not in diagram_of:
-                diagram_of[perm] = DiagramAutomorphism(perm) if is_label_preserving(system, perm) else None
+                diagram_of[perm] = perm if is_label_preserving(system, perm) else None
             d = diagram_of[perm]
             if perm == identity:  # diagram_aut(d) is the identity map
                 exotic = bool(support)

@@ -54,8 +54,15 @@ diagram m(a, b) = 2, m(a, c) = m(b, c) = 3 at r = 3, with the c-edges at a
 and b swapped (a joined to b c, b to a c), the walks from a c and b c break
 an edge of lengths 2 and 3 while every other kept check passes.
 
-Two tests inside the psi checks go by the same rule:
+Three tests inside the psi checks go by the same rule:
 
+- totality: psi and psi_n are walked from e, so f(p) is no longer than p
+  for each vertex p, and the parent of a vertex is shorter than r.  So f(p)
+  has length < r, its star lies in the ball (build_ball expands every
+  vertex of length < r on every generator), and field_map never reads -1.
+  A hole would fail verification anyway: a walk from e has the whole ball
+  as its interior, where verify_ball_automorphism reports every undefined
+  vertex.
 - word length: psi and psi_n are walked from e, so they fix it, and a
   total, injective, edge-preserving map of a finite graph is an
   automorphism (it is a bijection and, being injective on the edges, onto
@@ -121,7 +128,6 @@ from .cycles import verify_essential_characterization
 from .system import (
     DEFAULT_MAX_NODES,
     CoxeterSystem,
-    DiagramAutomorphism,
     diagram_group,
     is_flexible,
     is_label_preserving,
@@ -161,8 +167,8 @@ class SystemReport:
         return not self.failures and not self.indeterminate
 
 
-def commutation_violations(system: CoxeterSystem, phi: DiagramAutomorphism) -> list[str]:
-    """Exact test: every m-operation commutes with letterwise phi.
+def commutation_violations(system: CoxeterSystem, phi: tuple[int, ...]) -> list[str]:
+    """Exact test: every m-operation commutes with letterwise phi, an image tuple.
 
     For each finite pair (u, v) and each orientation, the m-operation turns
     the alternating word u v u ... of length m(u, v) into v u v ...; phi of
@@ -177,9 +183,9 @@ def commutation_violations(system: CoxeterSystem, phi: DiagramAutomorphism) -> l
     for s, t, m in system.finite_pairs():
         for u, v in ((s, t), (t, s)):
             word = tuple((u, v)[i % 2] for i in range(m))
-            via_op = phi.apply_word(apply_m_operation(system, word, 0, u, v))
+            via_op = tuple(phi[x] for x in apply_m_operation(system, word, 0, u, v))
             try:
-                via_phi = apply_m_operation(system, phi.apply_word(word), 0, phi(u), phi(v))
+                via_phi = apply_m_operation(system, tuple(phi[x] for x in word), 0, phi[u], phi[v])
             except ValueError:
                 violations.append(f"m-operation on pair ({u},{v}): no image move")
                 continue
@@ -202,13 +208,6 @@ def resolve_probe_radius(system: CoxeterSystem, radius: int, probe_radius: int |
     if not 0 <= probe_radius <= radius:
         raise ValueError("probe radius must lie between 0 and the ball radius")
     return probe_radius
-
-
-def _exotic_map_problem(report: VerificationReport, name: str) -> str | None:
-    """Why a field_map from e is not verified and total; None if it is (it then keeps word length)."""
-    if not report.ok:
-        return f"{name} not verified: {report.violations[0]}"
-    return None if report.total else f"{name} vertex map is not total"
 
 
 def run_system_checks(
@@ -304,11 +303,11 @@ def run_system_checks(
         if not strong_generators:
             return "vacuous", "the diagram group is trivial"
         for d in strong_generators:
-            report = verify_ball_automorphism(ball, diagram_aut(ball, d), lambda x: d.images)
+            report = verify_ball_automorphism(ball, diagram_aut(ball, d), lambda x: d)
             if not report.ok:
-                return "fail", f"diagram_aut({d.images}) not verified: {report.violations[0]}"
+                return "fail", f"diagram_aut({d}) not verified: {report.violations[0]}"
             if report.broken:
-                return "fail", f"diagram_aut({d.images}) field is not constantly d"
+                return "fail", f"diagram_aut({d}) field is not constantly d"
         if ball.size == 1:
             return "vacuous", "no edges; fields are empty"
         return "pass", f"{len(strong_generators)} strong generator(s) of the order-{group_order} diagram group verified, fields constant"
@@ -380,9 +379,8 @@ def run_system_checks(
             return "vacuous", "diagram is not flexible"
         if radius < 2:
             return "vacuous", "radius too small for the exotic map"
-        problem = _exotic_map_problem(psi(), "psi")
-        if problem:
-            return "fail", problem
+        if not psi().ok:
+            return "fail", f"psi not verified: {psi().violations[0]}"
         return "pass", "psi verified total, length-preserving, identity-fixing, and non-factorable"
 
     add("psi-verified", psi_checks)
@@ -409,9 +407,9 @@ def run_system_checks(
                 field = pivot_field(ball, witness, n)
             except ValueError as exc:  # an odd-order neighbour of the pivot
                 return "vacuous", str(exc)
-            problem = _exotic_map_problem(verify_ball_automorphism(ball, psi_n(ball, witness, n, field), field), f"psi_{n}")
-            if problem:
-                return "fail", problem
+            report = verify_ball_automorphism(ball, psi_n(ball, witness, n, field), field)
+            if not report.ok:
+                return "fail", f"psi_{n} not verified: {report.violations[0]}"
         return "pass", f"psi_1 .. psi_{min(radius, 5)} verified, identity-fixing, length-preserving"
 
     add("psi-n-verified", psi_n_checks)

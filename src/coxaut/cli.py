@@ -32,7 +32,7 @@ from .automorphisms import (
 from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .checks import resolve_probe_radius, run_system_checks
 from .cycles import enumerate_embedded_cycles, is_alternating, is_essential
-from .system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, ParseError, is_flexible, parse_system
+from .system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, ParseError, cycle_notation, is_flexible, parse_system
 from .words import DEFAULT_MAX_STATES, format_word, m_class_size, parse_word, reduce_word
 
 EXIT_OK = 0
@@ -162,11 +162,11 @@ def cmd_check_flexible(args) -> int:
                 "system": system.to_json_dict(),
                 "flexible": witness is not None,
                 "pivot": system.name_of(witness.pivot) if witness else None,
-                "phi": witness.phi.cycle_notation(system.names) if witness else None,
+                "phi": cycle_notation(witness.phi, system.names) if witness else None,
             }
         )
     elif witness is not None:
-        print(f"FLEXIBLE pivot={system.name_of(witness.pivot)} phi={witness.phi.cycle_notation(system.names)}")
+        print(f"FLEXIBLE pivot={system.name_of(witness.pivot)} phi={cycle_notation(witness.phi, system.names)}")
     else:
         print("NOT FLEXIBLE")
     return EXIT_OK
@@ -276,7 +276,7 @@ def cmd_exotic(args) -> int:
     report = verify_ball_automorphism(ball, aut)
     field, texts, vmap = report.field, ball.texts, aut.vmap
     distinct = None if field is None else set(field.perms)
-    pivot, phi = system.name_of(witness.pivot), witness.phi.cycle_notation(system.names)
+    pivot, phi = system.name_of(witness.pivot), cycle_notation(witness.phi, system.names)
     if args.format == "json":
         quoted = list(map(encode_basestring_ascii, texts))
 
@@ -320,7 +320,7 @@ def cmd_stabilizer(args) -> int:
             return _array([quoted[v], quoted[image]], pair_newline)
 
         def cells(entry):
-            diagram = encode_basestring_ascii(entry.diagram.cycle_notation(system.names)) if entry.diagram else "null"
+            diagram = "null" if entry.diagram is None else encode_basestring_ascii(cycle_notation(entry.diagram, system.names))
             images = _array(list(map(int.__repr__, entry.images)), _CELL)
             return diagram, images, _array(list(map(pair, ids, entry.images)), _CELL), encode_basestring_ascii(entry.verdict)
 
@@ -333,7 +333,7 @@ def cmd_stabilizer(args) -> int:
             f"({census.diagram_count} diagram, {census.exotic_count} exotic)"
         )
         for entry in entries:
-            tag = entry.diagram.cycle_notation(system.names) if entry.diagram else "exotic"
+            tag = "exotic" if entry.diagram is None else cycle_notation(entry.diagram, system.names)
             moved = [f"{texts[v]}->{texts[entry.images[v]]}" for v in entry.support]
             print(f"  [{tag}] {' '.join(moved) if moved else 'identity'}")
     return EXIT_OK

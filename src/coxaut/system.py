@@ -3,7 +3,9 @@
 A system is given by a finite ordered generator set S and the symmetric
 order function m(s, t) in {2, 3, ...} or infinity for distinct s, t.
 Generators are handled as dense integer ids in declaration order; only
-finite orders are stored, every unlisted pair is infinite.
+finite orders are stored, every unlisted pair is infinite.  A diagram
+automorphism, a label-preserving permutation of S, is its image tuple: the
+image of generator s at position s.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class CoxeterSystem:
         # Memo of canonical forms for the rewriting engine, keyed by word
         # tuple; systems with a Cartan matrix never fill it.
         self._reduce_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._diagram_group: tuple[int, tuple[DiagramAutomorphism, ...]] | None = None
+        self._diagram_group: tuple[int, tuple[tuple[int, ...], ...]] | None = None
         self._order_table: tuple[list[list], list[list[int]]] | None = None
 
     @property
@@ -184,59 +186,24 @@ def parse_system(text: str) -> CoxeterSystem:
     return CoxeterSystem(names, orders)
 
 
-class DiagramAutomorphism:
-    """A permutation of the generators preserving every pair order."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        self.images = images
-
-    def __eq__(self, other):
-        if type(other) is not DiagramAutomorphism:
-            return NotImplemented
-        return self.images == other.images
-
-    def __call__(self, s: int) -> int:
-        return self.images[s]
-
-    def apply_word(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.images[x] for x in word)
-
-    def compose(self, other: DiagramAutomorphism) -> DiagramAutomorphism:
-        """self after other: (self.compose(other))(s) == self(other(s))."""
-        return DiagramAutomorphism(tuple(self.images[x] for x in other.images))
-
-    def inverse(self) -> DiagramAutomorphism:
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return DiagramAutomorphism(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
-    def cycle_notation(self, names) -> str:
-        """Display as disjoint cycles over generator names, 'id' when trivial."""
-        seen = set()
-        cycles = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
-                seen.add(start)
-                continue
-            cycle = [start]
+def cycle_notation(images: tuple[int, ...], names) -> str:
+    """A permutation of the generators, given by its image tuple, as disjoint
+    cycles over generator names; 'id' when trivial."""
+    seen = set()
+    cycles = []
+    for start in range(len(images)):
+        if start in seen or images[start] == start:
             seen.add(start)
-            x = self.images[start]
-            while x != start:
-                cycle.append(x)
-                seen.add(x)
-                x = self.images[x]
-            cycles.append("(" + " ".join(names[i] for i in cycle) + ")")
-        return "".join(cycles) if cycles else "id"
-
-
-def identity_automorphism(system: CoxeterSystem) -> DiagramAutomorphism:
-    return DiagramAutomorphism(tuple(system.generators()))
+            continue
+        cycle = [start]
+        seen.add(start)
+        x = images[start]
+        while x != start:
+            cycle.append(x)
+            seen.add(x)
+            x = images[x]
+        cycles.append("(" + " ".join(names[i] for i in cycle) + ")")
+    return "".join(cycles) if cycles else "id"
 
 
 def is_label_preserving(system: CoxeterSystem, images: tuple[int, ...]) -> bool:
@@ -309,17 +276,17 @@ def _label_preserving_images(system: CoxeterSystem, prescribed: dict[int, int]):
             images.pop()
 
 
-def enumerate_diagram_automorphisms(system: CoxeterSystem) -> list[DiagramAutomorphism]:
-    """All label-preserving permutations of S, in image-sequence order.
+def enumerate_diagram_automorphisms(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """All label-preserving permutations of S, as image tuples in lexicographic order.
 
     The identity comes first (it is lexicographically least).  The result is
     closed under composition and inverse: it is the diagram automorphism group.
     Raises LimitExceeded when the search passes DEFAULT_MAX_NODES nodes.
     """
-    return [DiagramAutomorphism(images) for images in _label_preserving_images(system, {})]
+    return list(_label_preserving_images(system, {}))
 
 
-def diagram_group(system: CoxeterSystem) -> tuple[int, tuple[DiagramAutomorphism, ...]]:
+def diagram_group(system: CoxeterSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The diagram automorphism group as (order, strong generators), unlisted.
 
     Base: the generators in order.  The automorphisms fixing 0 .. i-1 move i to
@@ -335,7 +302,7 @@ def diagram_group(system: CoxeterSystem) -> tuple[int, tuple[DiagramAutomorphism
         for i in system.generators():
             fixed = {s: s for s in range(i)}
             found = [next(_label_preserving_images(system, {**fixed, i: c}), None) for c in range(i + 1, system.rank)]
-            representatives = [DiagramAutomorphism(images) for images in found if images is not None]
+            representatives = [images for images in found if images is not None]
             strong_generators += representatives
             order *= 1 + len(representatives)
         system._diagram_group = order, tuple(strong_generators)
@@ -343,11 +310,12 @@ def diagram_group(system: CoxeterSystem) -> tuple[int, tuple[DiagramAutomorphism
 
 
 class FlexibilityWitness:
-    """A pivot generator and a nontrivial automorphism fixing it and all its neighbors."""
+    """A pivot generator and a nontrivial diagram automorphism phi, an image
+    tuple, fixing it and all its neighbors."""
 
     __slots__ = ("pivot", "phi")
 
-    def __init__(self, pivot: int, phi: DiagramAutomorphism):
+    def __init__(self, pivot: int, phi: tuple[int, ...]):
         self.pivot = pivot
         self.phi = phi
 
@@ -355,16 +323,16 @@ class FlexibilityWitness:
 def validate_witness(system: CoxeterSystem, witness: FlexibilityWitness) -> None:
     """Raise ValueError unless the witness satisfies the flexibility conditions."""
     phi = witness.phi
-    if len(phi.images) != system.rank:
+    if len(phi) != system.rank:
         raise ValueError("witness permutation has the wrong rank")
-    if not is_label_preserving(system, phi.images):
+    if not is_label_preserving(system, phi):
         raise ValueError("witness permutation does not preserve pair orders")
-    if phi.is_identity():
+    if phi == tuple(system.generators()):
         raise ValueError("witness permutation is trivial")
-    if phi(witness.pivot) != witness.pivot:
+    if phi[witness.pivot] != witness.pivot:
         raise ValueError("witness permutation moves the pivot")
     for t in system.neighbors(witness.pivot):
-        if phi(t) != t:
+        if phi[t] != t:
             raise ValueError(f"witness permutation moves {system.name_of(t)}, a neighbor of the pivot")
 
 
@@ -378,5 +346,5 @@ def is_flexible(system: CoxeterSystem) -> FlexibilityWitness | None:
         found = _label_preserving_images(system, {t: t for t in [pivot, *system.neighbors(pivot)]})
         next(found)  # the identity
         for images in found:
-            return FlexibilityWitness(pivot, DiagramAutomorphism(images))
+            return FlexibilityWitness(pivot, images)
     return None

@@ -20,7 +20,7 @@ from coxaut import cli
 from coxaut.automorphisms import local_permutation_field, verify_ball_automorphism
 from coxaut.ball import CayleyBall
 from coxaut.cycles import enumerate_embedded_cycles, is_alternating, is_essential
-from coxaut.system import CoxeterSystem
+from coxaut.system import CoxeterSystem, cycle_notation
 from coxaut.words import format_word
 
 from test_golden import GUARD_VARS
@@ -71,7 +71,7 @@ def exotic_payload(ball: CayleyBall, witness, aut, n: int | None) -> dict:
     texts = words(ball)
     return {
         "pivot": system.name_of(witness.pivot),
-        "phi": witness.phi.cycle_notation(system.names),
+        "phi": cycle_notation(witness.phi, system.names),
         "n": n,
         "verified": report.ok,
         "violations": list(report.violations),
@@ -93,7 +93,7 @@ def stabilizer_payload(ball: CayleyBall, census) -> dict:
             "images": list(entry.images),
             "map": [[texts[v], texts[image]] for v, image in enumerate(entry.images)],
             "verdict": entry.verdict,
-            "diagram": entry.diagram.cycle_notation(ball.system.names) if entry.diagram else None,
+            "diagram": None if entry.diagram is None else cycle_notation(entry.diagram, ball.system.names),
         }
         for entry in census.entries
     ]

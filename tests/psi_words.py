@@ -21,8 +21,8 @@ def psi_phi_word(system: CoxeterSystem, witness: FlexibilityWitness, word: Word)
     try:
         cut = word.index(witness.pivot)
     except ValueError:
-        return witness.phi.apply_word(word)
-    return witness.phi.apply_word(word[:cut]) + word[cut:]
+        return tuple(witness.phi[x] for x in word)
+    return tuple(witness.phi[x] for x in word[:cut]) + word[cut:]
 
 
 def psi_n_word(system: CoxeterSystem, witness: FlexibilityWitness, n: int, word: Word) -> Word:
@@ -35,4 +35,4 @@ def psi_n_word(system: CoxeterSystem, witness: FlexibilityWitness, n: int, word:
     if len(positions) < n:
         return word
     cut = positions[n - 1]
-    return word[: cut + 1] + witness.phi.apply_word(word[cut + 1 :])
+    return word[: cut + 1] + tuple(witness.phi[x] for x in word[cut + 1 :])

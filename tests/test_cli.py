@@ -18,7 +18,7 @@ import coxaut.system
 from coxaut import cli
 from coxaut.automorphisms import diagram_aut
 from coxaut.cli import EXIT_INDETERMINATE, EXIT_INTERNAL, main
-from coxaut.system import DiagramAutomorphism, ParseError, parse_system
+from coxaut.system import ParseError, parse_system
 
 from conftest import random_systems
 
@@ -355,7 +355,7 @@ class TestVerifyCommand:
     def test_failing_check_gives_inconclusive_verdict(self, a2_file, capsys, monkeypatch):
         # every left multiplication is built as the diagram swap, an automorphism whose
         # field is not the identity: the census still decides, but a failed check is no evidence
-        swap = DiagramAutomorphism((1, 0))
+        swap = (1, 0)
         monkeypatch.setattr(coxaut.checks, "walked_map", lambda ball, v, field: diagram_aut(ball, swap))
         assert main(["verify", a2_file, "--radius", "4"]) == 1
         out = capsys.readouterr().out
