@@ -186,17 +186,18 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None
     sending edges to edges sends non-edges to non-edges, so these checks
     suffice for total maps to certify a genuine graph automorphism.
 
-    With field (as given to field_map), an edge (u, v, s) of the cached edge
-    list, u the shorter end, is broken when aut(v) is not the
+    With field, aut must have been walked from it (walked_map, field_map).  An
+    edge (u, v, s), u the shorter end, is broken when aut(v) is not the
     field(u)[s]-neighbour of aut(u); only broken edges can join a non-adjacent
-    pair.  Every reduced word of v is one of such a u followed by s, so, by
-    induction on length, no broken edge means aut's image does not depend on
-    the reduced word.  Without it, aut's field is read
-    (local_permutation_field), checking every edge with an end in the star
-    interior; the edges beyond come from the list, which a total map with the
-    whole ball as interior never needs.
+    pair.  field_map set aut(v) from aut(u) across every tree edge, so only
+    ball.non_tree_edges are read.  Every reduced word of v is one of such a u
+    followed by s, so, by induction on length, no broken edge means aut's
+    image does not depend on the reduced word.  Without field, aut's field is
+    read (local_permutation_field), checking every edge with an end in the
+    star interior; the edges beyond come from the cached edge list, which a
+    total map with the whole ball as interior never needs.
     """
-    vmap, rows = aut.vmap, ball.rows
+    vmap, adj, rank = aut.vmap, ball.adj, ball.rank
     values = set(vmap)
     holes = None in values
     interior = ball.interior(aut.interior_radius) if holes else ()
@@ -209,10 +210,9 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None
                 violations.append(f"not injective: vertices {u} and {v} both map to {x}")
     own = field_error = broken = None
     if field is not None:
-        adj, rank = ball.adj, ball.rank
         edges = broken = [
             (u, v, s)
-            for u, v, s in ball.edges
+            for u, v, s in ball.non_tree_edges
             if (fu := vmap[u]) is not None and (fv := vmap[v]) is not None and adj[fu * rank + field(u)[s]] != fv
         ]
     else:
@@ -224,7 +224,7 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None
         edges = ball.edges[bisect_left(ball.edges, (low,)) :] if low < len(ball.interior(ball.radius - 1)) else ()
     for u, v, s in edges:
         fu, fv = vmap[u], vmap[v]
-        if fu is not None and fv is not None and fv not in rows[fu]:
+        if fu is not None and fv is not None and fv not in adj[fu * rank : fu * rank + rank]:
             violations.append(f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})")
     return VerificationReport(not violations, tuple(violations), own, field_error, broken)
 
@@ -510,7 +510,7 @@ def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: i
     shape = [length * (ball.rank + 1) + len(ids) for length, ids in zip(ball.length, neighbors)]
     # a vertex's smallest neighbour (at most its BFS parent) is assigned before it
     first_anchor = [0] + [ids[0] for ids in neighbors[1:]]
-    other_anchors = [[u for u in neighbors[v][1:] if u < v] for v in range(size)]
+    other_anchors = [[u for u in neighbors[v][1:] if u < v] or () for v in range(size)]  # () shared when empty
 
     assignment, used = [-1] * size, [False] * size
     transversals, nodes = [], 0

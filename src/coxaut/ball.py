@@ -35,6 +35,7 @@ class CayleyBall:
         # star_interior results by radius, letter_counts results by letter
         self._stars: dict[int, tuple[int, ...]] = {}
         self._letter_counts: dict[int, list[int]] = {}
+        self._counts = [1]  # reduced_word_counts_below's id prefix
 
     @property
     def size(self) -> int:
@@ -59,6 +60,18 @@ class CayleyBall:
         rank, adj, ids = self.rank, self.adj, range(start, stop)
         columns = [zip(ids, adj[start * rank + s : stop * rank : rank], repeat(s)) for s in range(rank)]
         return sorted([e for column in columns for e in column if e[0] < e[1]])
+
+    @cached_property
+    def non_tree_edges(self) -> list[tuple[int, int, int]]:
+        """The edges (u, v, label), u < v, off the BFS tree, sorted: those whose
+        label is not last[v], the letter of v's edge to its parent.  field_map
+        walks only tree edges, so a map it walks can break its field only here."""
+        adj, last, rank = self.adj, self.last, self.rank
+        edges = []
+        for s in range(rank):
+            edges += [(u, v, s) for u, v in enumerate(adj[s::rank]) if u < v and last[v] != s]
+        edges.sort()
+        return edges
 
     @cached_property
     def complete(self) -> bool:
@@ -106,18 +119,23 @@ class CayleyBall:
 
     @cached_property
     def neighbors(self) -> list[list[int]]:
-        """neighbors[v] = the neighbors of v in increasing id order; built on first use."""
-        return [sorted(row)[row.count(-1) :] for row in self.rows]
+        """neighbors[v] = the neighbors of v in increasing id order; built on first
+        use, from adj row by row without keeping rows."""
+        return [sorted(row)[row.count(-1) :] for row in zip(*[iter(self.adj)] * self.rank)]
 
     @cached_property
     def reduced_word_counts(self) -> list[int]:
         """reduced_word_counts[v] = the number of reduced words of v, i.e. of geodesics
-        from the identity to v; built on first use, in id order: 1 at the identity,
-        and otherwise the sum of the counts at v·s over v's right descents s (a
-        reduced word of v is one of v·s followed by s)."""
-        adj, length, rank = self.adj, self.length, self.rank
-        counts = [1]
-        for v in range(1, self.size):
+        from the identity to v, for every vertex: reduced_word_counts_below(size)."""
+        return self.reduced_word_counts_below(self.size)
+
+    def reduced_word_counts_below(self, stop: int) -> list[int]:
+        """The reduced-word counts of at least the ids below stop, filled in id
+        order and kept: 1 at the identity, and otherwise the sum of the counts at
+        v·s over v's right descents s (a reduced word of v is one of v·s followed
+        by s), which have smaller ids."""
+        adj, length, rank, counts = self.adj, self.length, self.rank, self._counts
+        for v in range(len(counts), stop):
             below = length[v] - 1
             counts.append(sum(counts[u] for u in adj[v * rank : v * rank + rank] if u >= 0 and length[u] == below))
         return counts

@@ -79,7 +79,28 @@ psi-m-class-well-defined (psi-verified reads the same psi report) and
 psi-n-verified give verify_ball_automorphism the field their map was
 walked from.  Only an edge that breaks that field can join a non-adjacent
 pair, so psi-n-verified lists the violations that reading psi_n's own field
-would, in the same order.
+would, in the same order.  A tree edge cannot break the field its map was
+walked from: field_map sets f(v), for v's edge (p, v, s) to its BFS parent,
+to the field(p)[s]-neighbour of f(p), which is the test itself.  So
+verify_ball_automorphism reads only ball.non_tree_edges (none on a tree).
+
+essential-census reads each cycle word w of length 2n <= min(2 max m, 2r)
+once, on its cycle C through e, where it used to classify every certified
+translate g C.  No translate walk can fail where that reading passes.  A
+certified translate has every vertex of length at most r - n, so n <= r and
+w is read.  Each of its opposite pairs u, v has |u| + |v| + n <= 2r, so
+is_essential walks the half of w between them from e and reads length and
+reduced_word_counts there: the reading's verdict for w, pair by pair; and
+alternation reads the labels alone.  So a translate whose verdict and
+alternation disagree has a word whose verdict and alternation disagree, and
+the reading fails on every such read word, certified or not.  Certification
+only decides what counts toward pass: a word counts when C is certified,
+which holds once r >= 2n (each vertex of C is at most n from e along C).  On
+a ball that build_ball makes, a read word's verdict is the group's (the
+reduced words of an x with |x| <= n <= r stay in the ball), so a word fails
+only where the characterization is false in the group; and pass and vacuous
+are as before, since the cycle through e of a relator, the coset <s, t>, has
+the least longest word length, m, among its translates.
 
 census-diagram-consistency fails on a rigid diagram exactly when the
 census has an exotic entry.  The diagram restrictions form a subgroup of
@@ -132,7 +153,7 @@ from .system import (
     is_flexible,
     is_label_preserving,
 )
-from .words import LimitExceeded, apply_m_operation
+from .words import LimitExceeded, apply_m_operation, format_word
 
 
 class CheckResult:
@@ -263,18 +284,19 @@ def run_system_checks(
     # -- cycles ----------------------------------------------------------
 
     def essential_census() -> tuple[str, str]:
-        characterization = verify_essential_characterization(ball, max_vertices=max_vertices)
+        characterization = verify_essential_characterization(ball)
         if not characterization.ok:
             extra = characterization.essential_not_relator or characterization.relator_not_essential
             return "fail", (
                 f"{len(characterization.essential_not_relator)} essential non-relator, "
-                f"{len(characterization.relator_not_essential)} relator non-essential; e.g. {extra[0].vertices}"
+                f"{len(characterization.relator_not_essential)} relator non-essential cycle words; "
+                f"e.g. {format_word(system, extra[0])}"
             )
         if characterization.certified_essential == 0:
             return "vacuous", "no certified cycles at this radius"
         return "pass", (
             f"{characterization.certified_essential} certified essential = "
-            f"{characterization.certified_relator} certified relator cycles"
+            f"{characterization.certified_relator} certified relator cycle words"
         )
 
     add("essential-census", essential_census)

@@ -14,7 +14,9 @@ Left multiplication keeps edge labels, and a ball is an induced subgraph,
 so an embedded cycle with smallest vertex g is g·C0 for the cycle C0 =
 g^-1·C through the identity, with the same label word: the enumeration
 finds the label words of the cycles through the identity once and walks
-each word from every vertex.  A path of n edges between vertices n apart
+each word from every vertex, while the characterization reads each word
+once, on its cycle through the identity, which is how every certified
+translate of it reads too.  A path of n edges between vertices n apart
 is a geodesic, and a geodesic is simple, so when opposite vertices u, v are
 n apart the simple n-paths that essentiality counts are their shortest
 paths: when the ball holds all of them (on every pair of a certified cycle)
@@ -207,6 +209,17 @@ def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
     return EssentialityReport(True, certified, None)
 
 
+def _walk(ball: CayleyBall, letters) -> int:
+    """The vertex that letters lead to from the identity along adj; -1 once a
+    step leaves the ball."""
+    adj, rank, x = ball.adj, ball.rank, 0
+    for s in letters:
+        x = adj[x * rank + s]
+        if x < 0:
+            break
+    return x
+
+
 def _shortest_paths(ball: CayleyBall, source: int, target: int, bound: int) -> tuple[int, int]:
     """(distance, number of shortest paths) from source to target inside the ball,
     by one layered BFS that stops at the target's layer; (-1, 0) beyond bound."""
@@ -246,40 +259,22 @@ def relator_cycles(ball: CayleyBall) -> list[EmbeddedCycle]:
 
 
 class CharacterizationReport:
-    """Certified-essential vs certified-relator comparison on one ball."""
+    """Certified-essential vs certified-relator comparison on one ball, by cycle
+    word: the label word, read from the identity, of an embedded cycle through it."""
 
-    __slots__ = ("cycles_examined", "essential", "certified_relator", "essential_not_relator", "relator_not_essential")
+    __slots__ = ("essential", "certified_relator", "essential_not_relator", "relator_not_essential")
 
     def __init__(
         self,
-        cycles_examined: int,
-        essential: tuple[EmbeddedCycle, ...],
+        essential: tuple[tuple[int, ...], ...],
         certified_relator: int,
-        essential_not_relator: tuple[EmbeddedCycle, ...],
-        relator_not_essential: tuple[EmbeddedCycle, ...],
+        essential_not_relator: tuple[tuple[int, ...], ...],
+        relator_not_essential: tuple[tuple[int, ...], ...],
     ):
-        self.cycles_examined = cycles_examined
-        self.essential = essential  # the certified essential cycles, in the order they were examined
+        self.essential = essential  # the certified essential words, in the order they were read
         self.certified_relator = certified_relator
         self.essential_not_relator = essential_not_relator
         self.relator_not_essential = relator_not_essential
-
-    def __eq__(self, other):
-        if type(other) is not CharacterizationReport:
-            return NotImplemented
-        return (
-            self.cycles_examined,
-            self.essential,
-            self.certified_relator,
-            self.essential_not_relator,
-            self.relator_not_essential,
-        ) == (
-            other.cycles_examined,
-            other.essential,
-            other.certified_relator,
-            other.essential_not_relator,
-            other.relator_not_essential,
-        )
 
     @property
     def certified_essential(self) -> int:
@@ -290,35 +285,37 @@ class CharacterizationReport:
         return not self.essential_not_relator and not self.relator_not_essential
 
 
-def verify_essential_characterization(
-    ball: CayleyBall, cycles: list[EmbeddedCycle] | None = None, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> CharacterizationReport:
-    """Check that certified essential cycles and certified relator cycles agree.
+def verify_essential_characterization(ball: CayleyBall) -> CharacterizationReport:
+    """Check that essential and relator cycles agree, reading each cycle word of
+    length 2n <= min(2 * max m, 2 * radius) once, on its cycle C through the
+    identity; cycle_words then reads the ball itself.
 
-    cycles must hold every embedded cycle up to twice the largest finite order
-    (enumerated here when omitted, under max_vertices), hence every relator cycle, which is found
-    by alternation; each even certified cycle is tested once.
-    Only certified cycles participate on either side: an uncertified relator
-    cycle near the boundary may fail the distance test purely because the
-    ball cuts off its second arc's competitors.
+    A word's verdict is what is_essential gives every certified cycle with its
+    labels: walking each half w[i:i + n] from the identity reaches x, of length
+    n with two reduced words.  Those x have length at most n, so only that id
+    prefix of the reduced-word table is filled.  A word is a relator when it
+    alternates two letters.  A word whose verdict and alternation disagree is
+    a mismatch; a word counts toward the certified totals when certifies' rule
+    holds on C (the ball is complete, or every vertex of C has word length at
+    most radius - n).
     """
-    if cycles is None:
-        m = ball.system.max_finite_order()
-        cycles = enumerate_embedded_cycles(ball, 2 * m if m is not None else 4, max_vertices)
-    even = [c for c in cycles if len(c) % 2 == 0]
-    essentials: dict[tuple[int, ...], EmbeddedCycle] = {}
-    relators: dict[tuple[int, ...], EmbeddedCycle] = {}
-    for cycle in even:
-        if not certifies(ball, cycle):
-            continue
-        if is_alternating(cycle):
-            relators[cycle.vertices] = cycle
-        if is_essential(ball, cycle).essential:
-            essentials[cycle.vertices] = cycle
-    return CharacterizationReport(
-        cycles_examined=len(even),
-        essential=tuple(essentials.values()),
-        certified_relator=len(relators),
-        essential_not_relator=tuple(c for key, c in sorted(essentials.items()) if key not in relators),
-        relator_not_essential=tuple(c for key, c in sorted(relators.items()) if key not in essentials),
-    )
+    m = ball.system.max_finite_order()
+    words = [w for w in cycle_words(ball, min(2 * m, 2 * ball.radius)) if len(w) % 2 == 0] if m is not None else []
+    adj, length, rank = ball.adj, ball.length, ball.rank
+    counts = ball.reduced_word_counts_below(len(ball.interior(max(map(len, words), default=0) // 2)))
+    essential, relators, essential_not_relator, relator_not_essential = [], 0, [], []
+    for word in words:
+        n = len(word) // 2
+        alternating = word == word[:2] * n and word[0] != word[1]
+        verdict = all(0 <= (x := _walk(ball, word[i : i + n])) and length[x] == n and counts[x] == 2 for i in range(n))
+        if verdict != alternating:
+            (essential_not_relator if verdict else relator_not_essential).append(word)
+        top, v = 0, 0
+        for s in word:
+            v = adj[v * rank + s]
+            top = max(top, v)
+        if ball.complete or top < len(ball.interior(ball.radius - n)):
+            relators += alternating
+            if verdict:
+                essential.append(word)
+    return CharacterizationReport(tuple(essential), relators, tuple(essential_not_relator), tuple(relator_not_essential))

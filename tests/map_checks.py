@@ -204,3 +204,23 @@ def psi_family_distinctness(ball: CayleyBall, witness: FlexibilityWitness, n_max
         if rows[a] == rows[b]
     ]
     return PsiFamilyReport(tuple(rows), problems)
+
+
+def erring_field(ball: CayleyBall, field):
+    """field, except at the first vertex u > 0 with a non-tree edge (u, v, s) up:
+    there s trades images with the last letter of u's canonical word, a label
+    down from u.  field_map reads neither at u, so a map walked from the erring
+    field is the map walked from field, and it breaks the erring field on
+    (u, v, s) when it keeps field there."""
+    u, _, s = next(e for e in ball.non_tree_edges if e[0])
+    t = ball.last[u]
+
+    def at(x):
+        perm = field(x)
+        if x != u:
+            return perm
+        perm = list(perm)
+        perm[s], perm[t] = perm[t], perm[s]
+        return tuple(perm)
+
+    return at

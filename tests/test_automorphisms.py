@@ -17,7 +17,7 @@ from coxaut.automorphisms import (
     verify_ball_automorphism,
     walked_map,
 )
-from coxaut.ball import build_ball, field_map
+from coxaut.ball import build_ball
 from coxaut.system import (
     CoxeterSystem,
     FlexibilityWitness,
@@ -386,9 +386,14 @@ class TestFieldViolations:
         identity = tuple(branched.generators())
         assert verify_ball_automorphism(ball, left_mult(ball, (0, 1)), lambda x: identity).broken == []
         assert verify_ball_automorphism(ball, diagram_aut(ball, swap), lambda x: swap).broken == []
-        # the swap's field is not the identity's: its edges break it, and keep adjacency
-        report = verify_ball_automorphism(ball, diagram_aut(ball, swap), lambda x: identity)
-        assert report.ok and report.broken
+        # a field that errs where the walk does not read it walks the same map, which
+        # keeps adjacency and breaks that field on one edge off the BFS tree
+        for d in (identity, swap):
+            field = map_checks.erring_field(ball, lambda x, d=d: d)
+            aut = walked_map(ball, 0, field)
+            assert aut == diagram_aut(ball, d)
+            report = verify_ball_automorphism(ball, aut, field)
+            assert report.ok and report.broken == [next(e for e in ball.non_tree_edges if e[0])]
 
     def test_fails_on_a_rule_that_is_no_witness(self):
         # phi swaps the pivot t with u: validate_witness rejects it, and the
@@ -401,7 +406,7 @@ class TestFieldViolations:
         def field(x):  # pivot_field's rule for psi_phi
             return identity if bad.pivot in ball.word(x) else bad.phi
 
-        aut = BallAutomorphism(field_map(ball, 0, field), ball.radius)
+        aut = walked_map(ball, 0, field)
         assert verify_ball_automorphism(ball, aut, field).broken
         with pytest.raises(ValueError):
             pivot_field(ball, bad)
@@ -539,7 +544,9 @@ def outcome(check, *args):
 def assert_checks_match_oracle(ball, aut, field=None):
     """The one-pass report and field, and the coupling list, equal map_checks'
     on aut; so does the report against field, the one aut was walked from,
-    with its broken edges."""
+    with its broken edges.  A map changed after its walk is checked without
+    field: the report against a field reads only non-tree edges, which every
+    map walked from that field keeps."""
     oracle = map_checks.verify_ball_automorphism(ball, aut)
     report = verify_ball_automorphism(ball, aut)
     assert report == oracle  # ok, and violations in order
@@ -632,7 +639,7 @@ class TestChecksMatchOracle:
                     report = verify_ball_automorphism(ball, corrupted)
                     assert not report.ok
                     assert report.violations[0] == map_checks.verify_ball_automorphism(ball, corrupted).violations[0]
-                assert_checks_match_oracle(ball, corrupted, field)
+                assert_checks_match_oracle(ball, corrupted)
 
     def test_exotic_maps_and_their_corruptions(self):
         # psi and psi_n on flexible at every r <= 7, sound and corrupted: the
@@ -646,13 +653,13 @@ class TestChecksMatchOracle:
                 field = pivot_field(ball, witness, n)
                 assert_checks_match_oracle(ball, aut, field)
                 for _, corrupted in corrupted_maps(ball, aut) if radius >= 2 else ():
-                    assert_checks_match_oracle(ball, corrupted, field)
+                    assert_checks_match_oracle(ball, corrupted)
                     assert not verify_ball_automorphism(ball, corrupted).ok
                 if radius >= 3:  # broken on the outer sphere, with the field at e intact
                     vmap, a = list(aut.vmap), len(ball.interior(radius - 1))
                     vmap[a], vmap[-1] = vmap[-1], vmap[a]
                     corrupted = BallAutomorphism(tuple(vmap), 1)
-                    assert_checks_match_oracle(ball, corrupted, field)
+                    assert_checks_match_oracle(ball, corrupted)
                     report = verify_ball_automorphism(ball, corrupted)
                     assert not report.ok and report.field is not None
 

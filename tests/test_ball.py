@@ -245,7 +245,32 @@ def assert_tables_match_definitions(ball):
         assert ball.star_interior(r) is ball.star_interior(r)  # memoized
 
 
+def assert_non_tree_edges_match(ball):
+    """non_tree_edges is the edge list less each vertex's edge to its BFS parent,
+    the neighbour one layer down along the last letter of its canonical word."""
+    tree = set()
+    for v in range(1, ball.size):
+        s = ball.word(v)[-1]
+        tree.add((star(ball, v)[s], v, s))
+    assert ball.non_tree_edges == [e for e in ball.edges if e not in tree]
+    assert len(ball.non_tree_edges) == len(ball.edges) - (ball.size - 1)
+
+
 class TestTables:
+    @pytest.mark.parametrize("path", DIAGRAMS + FRONTIER, ids=lambda p: p.stem)
+    def test_non_tree_edges(self, path):
+        system = parse_system(path.read_text())
+        for radius in range(4 if path.stem == "free10" else 7):
+            ball = build_ball(system, radius)
+            assert_non_tree_edges_match(ball)
+            if system.max_finite_order() is None:  # the Cayley graph is a tree
+                assert ball.non_tree_edges == []
+
+    @given(random_systems(finite_orders=(2, 3, 4, 5, 6)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_non_tree_edges_on_random_diagrams(self, system):
+        assert_non_tree_edges_match(build_ball(system, 4))
+
     @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
     def test_edges_from_id_ranges(self, path):
         # every edge once with u < v, sorted; cut into id ranges at any step
@@ -276,3 +301,7 @@ class TestTables:
         assert "rows" not in vars(ball) and "neighbors" not in vars(ball) and "edges" not in vars(ball)
         ball.to_dot()
         assert "rows" not in vars(ball) and "neighbors" not in vars(ball)
+
+    def test_neighbors_keep_no_rows(self, atilde2):
+        ball = build_ball(atilde2, 4)
+        assert ball.neighbors and "rows" not in vars(ball)

@@ -26,7 +26,7 @@ from coxaut.automorphisms import (
 from coxaut.ball import build_ball
 import coxaut.checks
 from coxaut.checks import default_probe_radius, run_system_checks
-from coxaut.cycles import is_essential, verify_essential_characterization
+from coxaut.cycles import is_essential
 from coxaut.system import enumerate_diagram_automorphisms, is_flexible, is_label_preserving, parse_system
 from coxaut.words import LimitExceeded
 
@@ -240,7 +240,7 @@ def test_census_entries_and_psi_map_essential_cycles_onto_essential_cycles(syste
     # verify re-checks none of this per entry: each entry restricts a ball
     # automorphism that keeps word length, and psi is one once psi-verified passes
     ball = build_ball(system, radius)
-    essential = verify_essential_characterization(ball).essential
+    essential = relator_traces.verify_essential_characterization(ball).essential
     if not essential:
         return
     probe = default_probe_radius(system, radius)

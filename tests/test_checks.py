@@ -6,19 +6,30 @@ from hypothesis import given, settings
 
 import coxaut.automorphisms
 import coxaut.checks
-from coxaut.automorphisms import BallAutomorphism, verify_ball_automorphism, walked_map
+from coxaut.automorphisms import (
+    diagram_aut,
+    pivot_field,
+    psi_n,
+    psi_phi,
+    verify_ball_automorphism,
+    walked_map,
+)
 from coxaut.ball import CayleyBall, build_ball
 from coxaut.checks import (
     commutation_violations,
     default_probe_radius,
     run_system_checks,
 )
-from coxaut.system import is_flexible, is_label_preserving, parse_system
+from coxaut.cycles import EmbeddedCycle, verify_essential_characterization
+from coxaut.system import diagram_group, is_flexible, is_label_preserving, parse_system
 from coxaut.words import parse_word
 
 import map_checks
+import relator_traces
 from conftest import DIAGRAMS, RANK3, crystallographic_systems, make_system, vertex_of
 from payloads import report_payload
+
+FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
 
 
 class TestCommutation:
@@ -154,14 +165,15 @@ class TestRunChecks:
         assert len(report.checks) == 1
         assert report.checks[0].name == "build-ball"
 
-    def test_word_ball_guard_gives_indeterminate_census(self):
-        # at r = 5 the cycle words up to 2 * 8 come from a ball of radius 8 (716 vertices)
+    def test_essential_census_builds_no_ball_of_its_own(self):
+        # at r = 5 the cycle words up to 2 * 5 lie in the ball itself (93 vertices),
+        # so a guard at its size leaves every check decided
         system = parse_system((DIAGRAMS[0].parent / "frontier" / "triangle578.cox").read_text())
-        report = run_system_checks(system, radius=5, max_vertices=715)
+        assert build_ball(system, 5).size == 93
+        report = run_system_checks(system, radius=5, max_vertices=93)
         census = {c.name: c for c in report.checks}["essential-census"]
-        assert (census.status, census.detail) == ("indeterminate", "ball exceeded 715 vertices")
-        assert census in report.indeterminate and not report.ok  # verify exits 3
-        assert report.verdict == "INDETERMINATE"  # though the census decides
+        assert (census.status, census.detail) == ("vacuous", "no certified cycles at this radius")
+        assert report.ok  # nothing undecided; at probe radius 0 the verdict is INCONCLUSIVE
 
     def test_bipartite_edges_reads_both_ends_of_every_edge(self, a2, monkeypatch):
         def one_sided_ball(system, radius, max_vertices):
@@ -256,35 +268,32 @@ def checks_with(monkeypatch, constructor: str, corrupt, system, radius: int) -> 
 
 
 class TestMapCheckDetails:
-    """Each map check's failure detail, with the constructor it calls corrupted."""
+    """Each map check's failure detail, with a fault that a run reaches: a ball
+    with two edges swapped, or a constructor that coxaut.checks calls corrupted."""
 
-    def test_left_mult_with_two_images_swapped(self, a2, monkeypatch):
-        def swapped(ball, aut):
-            vmap = list(aut.vmap)
-            vmap[1], vmap[2] = vmap[2], vmap[1]
-            return BallAutomorphism(tuple(vmap), aut.interior_radius)
-
-        checks = checks_with(monkeypatch, "walked_map", swapped, a2, 4)
-        assert checks["left-mult-identity-field"] == (
-            "fail",
-            "left_mult((0,)) not verified: edge (1, 3) labeled b maps to non-adjacent pair (3, 2)",
+    def test_left_mult_on_a_ball_with_two_edges_swapped(self, atilde2, monkeypatch):
+        # the c-edges at c a and c b, to a c a and b c b, swapped
+        bad = swapped_edges(build_ball(atilde2, 3), "c", ("c a", "a c a"), ("c b", "b c b"))
+        assert failed_checks(monkeypatch, bad)["left-mult-identity-field"] == (
+            "left_mult((0,)) not verified: edge (9, 12) labeled c maps to non-adjacent pair (13, 8)"
         )
 
-    def test_diagram_aut_as_the_identity_map(self, monkeypatch):
-        def identity(ball, aut):
-            return BallAutomorphism(tuple(range(ball.size)), ball.radius)
+    def test_diagram_aut_of_a_permutation_that_breaks_a_pair_order(self, a3, monkeypatch):
+        # a strong generator swapping a and b sends m(b, c) = 3 to m(a, c) = 2
+        monkeypatch.setattr(coxaut.checks, "diagram_group", lambda system: (2, ((1, 0, 2),)))
+        report = run_system_checks(a3, 4)
+        assert report.verdict == "INCONCLUSIVE"
+        assert {c.name: c.detail for c in report.failures} == {
+            "diagram-aut-field": "diagram_aut((1, 0, 2)) not verified: not injective: vertices 7 and 8 both map to 5"
+        }
 
-        checks = checks_with(monkeypatch, "diagram_aut", identity, load("c2cubed.cox"), 4)
-        assert checks["diagram-aut-field"] == ("fail", "diagram_aut((1, 0, 2)) field is not constantly d")
-
-    def test_psi_as_the_identity_map(self, monkeypatch):
-        # an automorphism, so psi-verified passes; only its field is broken
-        def identity(ball, aut):
-            return BallAutomorphism(tuple(range(ball.size)), ball.radius)
-
-        checks = checks_with(monkeypatch, "psi_phi", identity, load("flexible.cox"), 5)
-        assert checks["psi-verified"][0] == "pass"
-        assert checks["psi-m-class-well-defined"] == ("fail", "psi breaks its field on edge (0, 2) labeled t")
+    def test_psi_walked_from_a_field_that_errs_off_its_walk(self, monkeypatch):
+        # pivot_field trades, at the vertex u, the images of t (up from u, off the BFS
+        # tree) and u (down): psi is walked from that field and is still psi, an
+        # automorphism, so psi-verified and psi-n-verified pass; only the field breaks
+        checks = checks_with(monkeypatch, "pivot_field", map_checks.erring_field, load("flexible.cox"), 5)
+        assert checks["psi-verified"][0] == checks["psi-n-verified"][0] == "pass"
+        assert checks["psi-m-class-well-defined"] == ("fail", "psi breaks its field on edge (3, 7) labeled t")
 
 
 # -- the map walks verify does not run ------------------------------------------
@@ -305,6 +314,17 @@ def edge_swaps(ball: CayleyBall, rng: random.Random, count: int):
         adj = list(ball.adj)
         adj[a * rank + s], adj[d * rank + s], adj[c * rank + s], adj[b * rank + s] = d, a, b, c
         yield CayleyBall(ball.system, ball.radius, adj, ball.last, ball.length)
+
+
+def swapped_edges(ball: CayleyBall, label: str, first: tuple[str, str], second: tuple[str, str]) -> CayleyBall:
+    """ball with the label-edges first = (a, b) and second = (c, d), given as
+    words, replaced by (a, d) and (c, b)."""
+    system, rank = ball.system, ball.rank
+    (a, b), (c, d) = [[vertex_of(ball, parse_word(system, w)) for w in pair] for pair in (first, second)]
+    s = system.names.index(label)
+    adj = list(ball.adj)
+    adj[a * rank + s], adj[d * rank + s], adj[c * rank + s], adj[b * rank + s] = d, a, b, c
+    return CayleyBall(system, ball.radius, adj, ball.last, ball.length)
 
 
 def left_mult_fails(ball: CayleyBall, starts) -> bool:
@@ -351,12 +371,91 @@ def test_a_length_two_walk_can_fail_alone(monkeypatch):
     # no check but left-mult fails
     system = make_system("a b c", (0, 1, 2), (0, 2, 3), (1, 2, 3))
     ball = build_ball(system, 3)
-    a, b, ac, bc = (vertex_of(ball, parse_word(system, w)) for w in ("a", "b", "a c", "b c"))
-    adj = list(ball.adj)
-    adj[a * 3 + 2], adj[bc * 3 + 2], adj[b * 3 + 2], adj[ac * 3 + 2] = bc, a, ac, b
-    bad = CayleyBall(system, 3, adj, ball.last, ball.length)
+    ac, bc = (vertex_of(ball, parse_word(system, w)) for w in ("a c", "b c"))
+    bad = swapped_edges(ball, "c", ("a", "a c"), ("b", "b c"))
     assert not left_mult_fails(bad, bad.interior(1))
     assert left_mult_fails(bad, [ac]) and left_mult_fails(bad, [bc])
     assert failed_checks(monkeypatch, bad) == {
         "left-mult-identity-field": "left_mult((1, 2)) not verified: edge (8, 13) labeled c maps to non-adjacent pair (0, 14)"
     }
+
+
+# -- what the field test and the census of cycle words read ---------------------
+
+
+def verify_walks(ball: CayleyBall):
+    """(map, field) for every map run_system_checks walks on ball, with the field
+    it is walked from: the left multiplications, the diagram group's strong
+    generators, and on a flexible diagram psi and each psi_n it defines."""
+    system = ball.system
+    identity = tuple(system.generators())
+    walks = [(walked_map(ball, v, lambda x: identity), lambda x: identity) for v in ball.interior(2)[1:]]
+    walks += [(diagram_aut(ball, d), lambda x, d=d: d) for d in diagram_group(system)[1]]
+    witness = is_flexible(system)
+    if witness is not None and ball.radius >= 2:
+        field = pivot_field(ball, witness)
+        walks.append((psi_phi(ball, witness, field), field))
+        for n in range(1, min(ball.radius, 5) + 1):
+            try:
+                field = pivot_field(ball, witness, n)
+            except ValueError:  # an odd-order neighbour of the pivot
+                break
+            walks.append((psi_n(ball, witness, n, field), field))
+    return walks
+
+
+def assert_walks_match_oracle(ball: CayleyBall) -> int:
+    """The report against each walked map's field, read on the non-tree edges,
+    against map_checks' scan of every edge; the number of failed reports."""
+    failed = 0
+    for aut, field in verify_walks(ball):
+        report = verify_ball_automorphism(ball, aut, field)
+        assert report == map_checks.verify_ball_automorphism(ball, aut)
+        assert report.broken == map_checks.broken_edges(ball, aut, field)
+        failed += not report.ok or bool(report.broken)
+    return failed
+
+
+@pytest.mark.parametrize("path", DIAGRAMS + FRONTIER, ids=lambda p: p.stem)
+def test_walked_maps_read_on_non_tree_edges_match_the_oracle(path):
+    system = parse_system(path.read_text())
+    for radius in range(4 if path.stem == "free10" else 7):
+        assert assert_walks_match_oracle(build_ball(system, radius)) == 0
+
+
+def test_walked_maps_on_edge_swapped_balls_match_the_oracle():
+    # a swapped edge is a tree edge or not; either way the walks read it as verify does
+    rng, failed = random.Random(31), 0
+    for path in DIAGRAMS + FRONTIER:
+        system = parse_system(path.read_text())
+        for radius in range(3, 4 if path.stem == "free10" else 6):
+            for bad in edge_swaps(build_ball(system, radius), rng, 8):
+                failed += assert_walks_match_oracle(bad)
+    assert failed > 0
+
+
+def test_translate_walk_fails_only_with_the_word_reading():
+    # essential-census reads each cycle word once (see coxaut.checks): on seeded edge
+    # swaps of the shipped and frontier balls at r = 3 .. 6, wherever the walk of every
+    # word from every vertex fails, the reading of each word once fails too
+    rng, caught = random.Random(11), 0
+    for path in DIAGRAMS + FRONTIER:
+        system = parse_system(path.read_text())
+        if system.max_finite_order() is None:
+            continue
+        for radius in range(3, 4 if path.stem == "free10" else 7):
+            for bad in edge_swaps(build_ball(system, radius), rng, 40):
+                if not relator_traces.translate_walk(bad).ok:
+                    assert not verify_essential_characterization(bad).ok, (path.stem, radius)
+                    caught += 1
+    assert caught > 0
+
+
+def test_verify_builds_no_embedded_cycle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run_system_checks built an EmbeddedCycle")
+
+    monkeypatch.setattr(EmbeddedCycle, "__init__", refuse)
+    for name, radius in (("atilde2.cox", 6), ("flexible.cox", 6), ("frontier/triangle237.cox", 14)):
+        report = run_system_checks(load(name), radius)
+        assert {c.name: c.status for c in report.checks}["essential-census"] == "pass"

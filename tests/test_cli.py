@@ -342,12 +342,12 @@ class TestVerifyCommand:
         assert checks["psi-verified"]["status"] == "pass"
 
     def test_indeterminate_check_gives_indeterminate_verdict(self, capsys):
-        # the census decides, but essential-census needs the r = 8 ball of its cycle words
-        argv = ["verify", str(ROOT / "diagrams" / "frontier" / "triangle578.cox"), "--radius", "5", "--max-vertices", "715"]
+        # every other check decides, but the census trips its node guard
+        argv = ["verify", str(ROOT / "diagrams" / "frontier" / "triangle578.cox"), "--radius", "9", "--max-nodes", "10"]
         assert main(argv) == EXIT_INDETERMINATE
         out = capsys.readouterr().out
-        assert "[INDETERMINATE] essential-census: ball exceeded 715 vertices\n" in out
-        assert "[         PASS] census-verified" in out
+        assert "[INDETERMINATE] census-verified: stabilizer search exceeded 10 nodes\n" in out
+        assert "[         PASS] bipartite-edges" in out
         assert out.endswith("verdict: INDETERMINATE\n")
         assert main([*argv, "--format", "json"]) == EXIT_INDETERMINATE
         assert json.loads(capsys.readouterr().out)["verdict"] == "INDETERMINATE"

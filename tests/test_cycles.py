@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import coxaut.cycles
 from coxaut.ball import build_ball, count_paths_to, distances_within
 from coxaut.cycles import (
     EmbeddedCycle,
@@ -241,8 +242,8 @@ class TestRelatorCycles:
         assert relator_cycles(ball) == relator_traces.relator_cycles(ball)
         m = system.max_finite_order()
         cycles = enumerate_embedded_cycles(ball, 2 * m + 1 if m is not None else 7)
-        assert verify_essential_characterization(ball, cycles) == relator_traces.verify_essential_characterization(
-            ball, cycles
+        assert relator_traces.status(verify_essential_characterization(ball)) == relator_traces.status(
+            relator_traces.verify_essential_characterization(ball, cycles)
         )
 
 
@@ -330,15 +331,46 @@ class TestCharacterization:
         assert report.ok, (report.essential_not_relator, report.relator_not_essential)
 
     def test_a2_radius4_counts(self, a2):
+        # one hexagon through e, read in both directions
         report = verify_essential_characterization(build_ball(a2, 4))
-        assert report.certified_essential == 1
-        assert report.certified_relator == 1
+        assert report.essential == ((0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0))
+        assert report.certified_relator == 2
 
     def test_cube_radius3_only_squares(self, cube):
+        # the three faces at e, each read in both directions; the hexagons through e are read too
         ball = build_ball(cube, 3)
         report = verify_essential_characterization(ball)
         assert report.ok
-        assert report.certified_essential == 6  # the six faces
+        assert sorted(report.essential) == [(0, 1, 0, 1), (0, 2, 0, 2), (1, 0, 1, 0), (1, 2, 1, 2), (2, 0, 2, 0), (2, 1, 2, 1)]
+
+    def test_statuses_match_the_translate_oracle(self):
+        # the cycle words read once against every certified translate: every shipped,
+        # frontier and rank-3 diagram at r <= 8, on balls of at most 20 000 vertices
+        cases = 0
+        for system in [parse_system(p.read_text()) for p in DIAGRAMS + FRONTIER] + RANK3:
+            for radius in range(9):
+                ball = build_ball(system, radius)
+                if ball.size > 20000:
+                    break
+                report = verify_essential_characterization(ball)
+                assert relator_traces.status(report) == relator_traces.status(
+                    relator_traces.verify_essential_characterization(ball)
+                ), (system.names, system.finite_pairs(), radius)
+                cases += 1
+        assert cases >= 625
+
+    def test_reads_the_callers_ball(self, monkeypatch):
+        # words of length <= 2 r lie in the ball: triangle578 at r = 5 reads words up
+        # to 10 (none certified below r = 10), where the cycles command reads up to 16
+        # from a ball of radius 8
+        ball = build_ball(parse_system((DIAGRAMS[0].parent / "frontier" / "triangle578.cox").read_text()), 5)
+        monkeypatch.setattr(coxaut.cycles, "build_ball", None)
+        assert relator_traces.status(verify_essential_characterization(ball)) == "vacuous"
+
+    def test_reads_the_count_table_below_the_half_length(self, atilde2):
+        ball = build_ball(atilde2, 6)
+        verify_essential_characterization(ball)
+        assert len(ball.reduced_word_counts_below(0)) == len(ball.interior(3)) < ball.size
 
 
 class TestMapCycle:
