@@ -3,11 +3,11 @@
 Maps of a ball are stored as partial vertex maps with an interior radius:
 the map is defined on every vertex of word length at most that radius.
 Every map is built by walked_map: a start vertex, the image of e, and a
-label field walked down the BFS tree (ball.field_map).  Beyond the interior
-a vertex has its true image when the images of every prefix of its
-canonical word lie in the ball, and None otherwise, even where the true
-image lies in the ball.  Left multiplications lose one unit of interior per
-letter; diagram automorphisms and the exotic maps are total.
+label field walked down the BFS tree (ball.field_map), which the map keeps.
+Beyond the interior a vertex has its true image when the images of every
+prefix of its canonical word lie in the ball, and None otherwise, even
+where the true image lies in the ball.  Left multiplications lose one unit
+of interior per letter; diagram automorphisms and the exotic maps are total.
 
 A factored automorphism is a pair (w, d) of a group element and a diagram
 automorphism acting by x -> w * d(x): the walk from w with the constant
@@ -17,7 +17,6 @@ field d.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
@@ -36,13 +35,15 @@ from .words import Word, reduce_word
 
 
 class BallAutomorphism:
-    """A partial vertex map, defined at least on word lengths <= interior_radius."""
+    """A partial vertex map, defined at least on word lengths <= interior_radius,
+    and field, the label field it was walked from."""
 
-    __slots__ = ("vmap", "interior_radius")
+    __slots__ = ("vmap", "interior_radius", "field")
 
-    def __init__(self, vmap: tuple[int | None, ...], interior_radius: int):
+    def __init__(self, vmap: tuple[int | None, ...], interior_radius: int, field):
         self.vmap = vmap
         self.interior_radius = interior_radius
+        self.field = field
 
     def __eq__(self, other):
         if type(other) is not BallAutomorphism:
@@ -56,7 +57,7 @@ def walked_map(ball: CayleyBall, start: int, field) -> BallAutomorphism:
     on a complete ball, else radius - |w|, w the element at start, where
     field_map defines every image."""
     interior = ball.radius if ball.complete else ball.radius - ball.length[start]
-    return BallAutomorphism(field_map(ball, start, field), interior)
+    return BallAutomorphism(field_map(ball, start, field), interior, field)
 
 
 def left_mult(ball: CayleyBall, word: Word) -> BallAutomorphism:
@@ -140,33 +141,30 @@ def validate_psi_n(system: CoxeterSystem, witness: FlexibilityWitness) -> None:
             )
 
 
-def psi_phi(ball: CayleyBall, witness: FlexibilityWitness, field=None) -> BallAutomorphism:
-    """psi, walked from field: pivot_field(ball, witness) unless given."""
-    return walked_map(ball, 0, field or pivot_field(ball, witness))
+def psi_phi(ball: CayleyBall, witness: FlexibilityWitness) -> BallAutomorphism:
+    """psi, walked from pivot_field(ball, witness)."""
+    return walked_map(ball, 0, pivot_field(ball, witness))
 
 
-def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int, field=None) -> BallAutomorphism:
-    """psi_n, walked from field: pivot_field(ball, witness, n) unless given."""
+def psi_n(ball: CayleyBall, witness: FlexibilityWitness, n: int) -> BallAutomorphism:
+    """psi_n, walked from pivot_field(ball, witness, n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return walked_map(ball, 0, field or pivot_field(ball, witness, n))
+    return walked_map(ball, 0, pivot_field(ball, witness, n))
 
 
 # -- verification ------------------------------------------------------------
 
 
 class VerificationReport:
-    """The checks of a ball map.  broken lists the edges that break the field
-    it was walked from, when given; else field is its own PermutationField,
-    or None with field_error saying why."""
+    """The checks of a ball map; broken lists the edges that break the field
+    it was walked from."""
 
-    __slots__ = ("ok", "violations", "field", "field_error", "broken")
+    __slots__ = ("ok", "violations", "broken")
 
-    def __init__(self, ok: bool, violations: tuple[str, ...], field=None, field_error=None, broken=None):
+    def __init__(self, ok: bool, violations: tuple[str, ...], broken=None):
         self.ok = ok
         self.violations = violations
-        self.field = field
-        self.field_error = field_error
         self.broken = broken
 
     def __eq__(self, other):
@@ -175,58 +173,46 @@ class VerificationReport:
         return (self.ok, self.violations) == (other.ok, other.violations)
 
 
-def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism, field=None) -> VerificationReport:
-    """Definedness on the interior, injectivity, and edge preservation, in one
-    pass with the field aut was walked from, else with aut's own field.
+def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> VerificationReport:
+    """Injectivity and edge preservation of aut, a map walked from aut.field
+    (walked_map, field_map), in one pass.
 
     Edges are checked wherever both endpoint images exist, not only in the
     interior: every constructor in this module restricts a map of the full
     Cayley graph, so any defined pair must respect adjacency.  A total
     injective map on a finite vertex set is a bijection, and a bijection
     sending edges to edges sends non-edges to non-edges, so these checks
-    suffice for total maps to certify a genuine graph automorphism.
+    suffice for total maps to certify a genuine graph automorphism.  A walk
+    is defined on its whole interior (see coxaut.checks), so no vertex there
+    is tested for an image.
 
-    With field, aut must have been walked from it (walked_map, field_map).  An
-    edge (u, v, s), u the shorter end, is broken when aut(v) is not the
+    An edge (u, v, s), u the shorter end, is broken when aut(v) is not the
     field(u)[s]-neighbour of aut(u); only broken edges can join a non-adjacent
     pair.  field_map set aut(v) from aut(u) across every tree edge, so only
     ball.non_tree_edges are read.  Every reduced word of v is one of such a u
     followed by s, so, by induction on length, no broken edge means aut's
-    image does not depend on the reduced word.  Without field, aut's field is
-    read (local_permutation_field), checking every edge with an end in the
-    star interior; the edges beyond come from the cached edge list, which a
-    total map with the whole ball as interior never needs.
+    image does not depend on the reduced word.
     """
-    vmap, adj, rank = aut.vmap, ball.adj, ball.rank
+    vmap, adj, rank, field = aut.vmap, ball.adj, ball.rank, aut.field
+    violations = []
     values = set(vmap)
     holes = None in values
-    interior = ball.interior(aut.interior_radius) if holes else ()
-    violations = [f"undefined at interior vertex {v} (length {ball.length[v]})" for v in interior if vmap[v] is None]
     if len(values) - holes < len(vmap) - (vmap.count(None) if holes else 0):  # not injective
         first: dict[int, int] = {}
         for v, x in enumerate(vmap):
             u = v if x is None else first.setdefault(x, v)
             if u != v:
                 violations.append(f"not injective: vertices {u} and {v} both map to {x}")
-    own = field_error = broken = None
-    if field is not None:
-        edges = broken = [
-            (u, v, s)
-            for u, v, s in ball.non_tree_edges
-            if (fu := vmap[u]) is not None and (fv := vmap[v]) is not None and adj[fu * rank + field(u)[s]] != fv
-        ]
-    else:
-        try:
-            own = local_permutation_field(ball, aut)
-        except ValueError as exc:
-            field_error = str(exc)
-        low = 0 if own is None else len(own.vertices)  # edges with an end below low are checked
-        edges = ball.edges[bisect_left(ball.edges, (low,)) :] if low < len(ball.interior(ball.radius - 1)) else ()
-    for u, v, s in edges:
+    broken = [
+        (u, v, s)
+        for u, v, s in ball.non_tree_edges
+        if (fu := vmap[u]) is not None and (fv := vmap[v]) is not None and adj[fu * rank + field(u)[s]] != fv
+    ]
+    for u, v, s in broken:
         fu, fv = vmap[u], vmap[v]
-        if fu is not None and fv is not None and fv not in adj[fu * rank : fu * rank + rank]:
+        if fv not in adj[fu * rank : fu * rank + rank]:
             violations.append(f"edge ({u}, {v}) labeled {ball.system.name_of(s)} maps to non-adjacent pair ({fu}, {fv})")
-    return VerificationReport(not violations, tuple(violations), own, field_error, broken)
+    return VerificationReport(not violations, tuple(violations), broken)
 
 
 def _picked(items, ids) -> tuple:

@@ -244,7 +244,7 @@ def field_map(ball: CayleyBall, start: int, field) -> tuple[int | None, ...]:
     field(x) a label permutation as an image tuple, walked along ball edges down the
     BFS tree: a vertex v is p·s for its parent p = v·s, s the last letter of
     its canonical word, so f(v) is the field(p)[s]-neighbour of f(p).  Only
-    tree edges are read; verify_ball_automorphism, given field, checks the rest.
+    tree edges are read; verify_ball_automorphism checks the rest against field.
 
     f(v) is given exactly when the images of v and of every prefix of its
     canonical word lie in the ball, and is None otherwise.  That includes

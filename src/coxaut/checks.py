@@ -56,13 +56,8 @@ an edge of lengths 2 and 3 while every other kept check passes.
 
 Three tests inside the psi checks go by the same rule:
 
-- totality: psi and psi_n are walked from e, so f(p) is no longer than p
-  for each vertex p, and the parent of a vertex is shorter than r.  So f(p)
-  has length < r, its star lies in the ball (build_ball expands every
-  vertex of length < r on every generator), and field_map never reads -1.
-  A hole would fail verification anyway: a walk from e has the whole ball
-  as its interior, where verify_ball_automorphism reports every undefined
-  vertex.
+- totality: psi and psi_n are walked from e, so their interior is the
+  whole ball, and a walk is defined on its interior (below).
 - word length: psi and psi_n are walked from e, so they fix it, and a
   total, injective, edge-preserving map of a finite graph is an
   automorphism (it is a bijection and, being injective on the edges, onto
@@ -73,16 +68,25 @@ Three tests inside the psi checks go by the same rule:
   at r >= 2; diagram_aut(phi) sends it to p phi(t), and psi to p t, so psi
   never factors.
 
-Each map is verified once, and built once, from the field it is checked
-against: left-mult-identity-field, diagram-aut-field,
+Each map is built once and verified once, against the field it was walked
+from, which it carries: left-mult-identity-field, diagram-aut-field,
 psi-m-class-well-defined (psi-verified reads the same psi report) and
-psi-n-verified give verify_ball_automorphism the field their map was
-walked from.  Only an edge that breaks that field can join a non-adjacent
-pair, so psi-n-verified lists the violations that reading psi_n's own field
-would, in the same order.  A tree edge cannot break the field its map was
-walked from: field_map sets f(v), for v's edge (p, v, s) to its BFS parent,
-to the field(p)[s]-neighbour of f(p), which is the test itself.  So
-verify_ball_automorphism reads only ball.non_tree_edges (none on a tree).
+psi-n-verified.  Only an edge that breaks that field can join a
+non-adjacent pair, so psi-n-verified lists the violations that reading
+psi_n's own field would, in the same order.  A tree edge cannot break the
+field its map was walked from: field_map sets f(v), for v's edge (p, v, s)
+to its BFS parent, to the field(p)[s]-neighbour of f(p), which is the test
+itself.  So verify_ball_automorphism reads only ball.non_tree_edges (none
+on a tree).
+
+verify_ball_automorphism tests no vertex of a map's interior for an image:
+a walk is defined there.  Let w be its start and v a vertex of length at
+most r - |w|, its interior on a proper ball.  Each proper prefix p of v's
+canonical word is walked to a vertex |p| edges from w, and an edge joins
+consecutive lengths, so its length is at most |w| + |p| < r; its star lies
+in the ball, as build_ball expands every vertex shorter than r on every
+generator.  So field_map never reads -1 on the way to v.  A complete ball
+has no -1 entry at all.  This is the argument that dropped interior-degree.
 
 essential-census reads each cycle word w of length 2n <= min(2 max m, 2r)
 once, on its cycle C through e, where it used to classify every certified
@@ -139,7 +143,6 @@ from .automorphisms import (
     identity_stabilizer_census,
     psi_n,
     psi_phi,
-    pivot_field,
     support_field,
     verify_ball_automorphism,
     walked_map,
@@ -310,7 +313,7 @@ def run_system_checks(
         identity, starts = tuple(system.generators()), ball.interior(2 if radius > 2 else 1)[1:]
         field = lambda x: identity
         for v in starts:
-            report = verify_ball_automorphism(ball, walked_map(ball, v, field), field)
+            report = verify_ball_automorphism(ball, walked_map(ball, v, field))
             if not report.ok:
                 return "fail", f"left_mult({ball.word(v)}) not verified: {report.violations[0]}"
             # no broken edge: every defined edge keeps its label, so the local
@@ -325,7 +328,7 @@ def run_system_checks(
         if not strong_generators:
             return "vacuous", "the diagram group is trivial"
         for d in strong_generators:
-            report = verify_ball_automorphism(ball, diagram_aut(ball, d), lambda x: d)
+            report = verify_ball_automorphism(ball, diagram_aut(ball, d))
             if not report.ok:
                 return "fail", f"diagram_aut({d}) not verified: {report.violations[0]}"
             if report.broken:
@@ -391,8 +394,7 @@ def run_system_checks(
 
     @cache
     def psi() -> VerificationReport:  # read by psi-verified and psi-m-class-well-defined
-        field = pivot_field(ball, witness)
-        return verify_ball_automorphism(ball, psi_phi(ball, witness, field), field)
+        return verify_ball_automorphism(ball, psi_phi(ball, witness))
 
     # -- exotic automorphisms (flexible diagrams only) ---------------------
 
@@ -426,10 +428,10 @@ def run_system_checks(
             return "vacuous", "radius too small"
         for n in range(1, min(radius, 5) + 1):
             try:
-                field = pivot_field(ball, witness, n)
+                aut = psi_n(ball, witness, n)
             except ValueError as exc:  # an odd-order neighbour of the pivot
                 return "vacuous", str(exc)
-            report = verify_ball_automorphism(ball, psi_n(ball, witness, n, field), field)
+            report = verify_ball_automorphism(ball, aut)
             if not report.ok:
                 return "fail", f"psi_{n} not verified: {report.violations[0]}"
         return "pass", f"psi_1 .. psi_{min(radius, 5)} verified, identity-fixing, length-preserving"

@@ -274,8 +274,9 @@ def cmd_exotic(args) -> int:
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     aut = psi_phi(ball, witness) if args.n is None else psi_n(ball, witness, args.n)
     report = verify_ball_automorphism(ball, aut)
-    field, texts, vmap = report.field, ball.texts, aut.vmap
-    distinct = None if field is None else set(field.perms)
+    texts, vmap = ball.texts, aut.vmap
+    stars = ball.star_interior(aut.interior_radius)
+    distinct = set(map(aut.field, stars))
     pivot, phi = system.name_of(witness.pivot), cycle_notation(witness.phi, system.names)
     if args.format == "json":
         quoted = list(map(encode_basestring_ascii, texts))
@@ -284,9 +285,7 @@ def cmd_exotic(args) -> int:
             ids = list(compress(range(a, b), map(is_not, vmap[a:b], repeat(None))))
             return [list(map(quoted.__getitem__, ids)), list(map(quoted.__getitem__, map(vmap.__getitem__, ids)))]
 
-        stats = None  # an undefined field
-        if field is not None:
-            stats = {"stars": len(field.perms), "constant": len(distinct) <= 1, "distinct_permutations": len(distinct)}
+        stats = {"stars": len(stars), "constant": len(distinct) <= 1, "distinct_permutations": len(distinct)}
         violations = list(report.violations)
         payload = {"pivot": pivot, "phi": phi, "n": args.n, "verified": report.ok, "violations": violations, "field": stats}
         _emit_json(payload, map=(None, ball.size, pairs))
@@ -294,10 +293,7 @@ def cmd_exotic(args) -> int:
         name = "psi" if args.n is None else f"psi_{args.n}"
         print(f"{name} pivot={pivot} phi={phi}")
         print(f"verified: {'yes' if report.ok else 'no'}")
-        if field is None:
-            print(f"field: undefined: {report.field_error}")
-        else:
-            print(f"field: {'constant' if len(distinct) <= 1 else 'non-constant'} over {len(field.perms)} stars")
+        print(f"field: {'constant' if len(distinct) <= 1 else 'non-constant'} over {len(stars)} stars")
         for v, image in enumerate(vmap):
             if image is not None:
                 print(f"  {texts[v]} -> {texts[image]}")

@@ -5,7 +5,10 @@ coxaut.automorphisms checks a map with the per-ball tables of CayleyBall
 (the label table, the interior prefix, the memoized star interior); these
 functions scan ball.adj and ball.length instead, as the checks were first
 written, so that a test can compare reports, fields and violation lists
-with code that shares none of those tables.
+with code that shares none of those tables.  coxaut's
+verify_ball_automorphism reads a map's non-tree edges against aut.field,
+the field it was walked from; the one here scans every edge of any map, so
+a map that a test builds by hand and no field walks is checked here.
 
 psi_family_distinctness is the check verify ran as psi-family-distinct
 until its outcome was derived from pivot_field (see coxaut.checks): the
@@ -52,10 +55,17 @@ def is_identity(f: Factored) -> bool:
 
 
 def compose_ball(ball: CayleyBall, outer: BallAutomorphism, inner: BallAutomorphism) -> BallAutomorphism:
-    """outer after inner; the interior radius is recomputed from actual definedness."""
+    """outer after inner; the interior radius is recomputed from actual
+    definedness.  Its field at x is inner's at x followed by outer's at
+    inner(x), the field a walk of the composition reads."""
     vmap = tuple(None if mid is None else outer.vmap[mid] for mid in inner.vmap)
     undefined = [ball.length[v] - 1 for v, x in enumerate(vmap) if x is None]
-    return BallAutomorphism(vmap, min([ball.radius, *undefined]))
+
+    def field(x):
+        outer_perm = outer.field(inner.vmap[x])
+        return tuple(outer_perm[t] for t in inner.field(x))
+
+    return BallAutomorphism(vmap, min([ball.radius, *undefined]), field)
 
 
 def interior(ball: CayleyBall, interior_radius: int) -> list[int]:
@@ -142,8 +152,9 @@ def local_permutation_field(
 
 
 def entry_map(ball: CayleyBall, entry, probe_radius: int) -> BallAutomorphism:
-    """A census entry as a ball map: its probe images, undefined beyond them."""
-    return BallAutomorphism(entry.images + (None,) * (ball.size - len(entry.images)), probe_radius)
+    """A census entry as a ball map: its probe images, undefined beyond them.
+    No field walks it, so verify_ball_automorphism here checks it."""
+    return BallAutomorphism(entry.images + (None,) * (ball.size - len(entry.images)), probe_radius, None)
 
 
 def coupling_violations(

@@ -17,12 +17,12 @@ import io
 import pytest
 
 from coxaut import cli
-from coxaut.automorphisms import local_permutation_field, verify_ball_automorphism
 from coxaut.ball import CayleyBall
 from coxaut.cycles import enumerate_embedded_cycles, is_alternating, is_essential
 from coxaut.system import CoxeterSystem, cycle_notation
 from coxaut.words import format_word
 
+import map_checks
 from test_golden import GUARD_VARS
 
 
@@ -62,12 +62,12 @@ def cycles_payload(ball: CayleyBall, radius: int, max_length: int, max_vertices:
 
 
 def exotic_payload(ball: CayleyBall, witness, aut, n: int | None) -> dict:
+    """verified and violations from map_checks' scan of every edge; the field is
+    the one aut was walked from, read at map_checks' star interior."""
     system = ball.system
-    report = verify_ball_automorphism(ball, aut)
-    try:
-        field = local_permutation_field(ball, aut)
-    except ValueError:  # an edge sent to a non-edge, or a star-interior vertex without its star's images
-        field = None
+    report = map_checks.verify_ball_automorphism(ball, aut)
+    stars = map_checks.star_interior(ball, aut.interior_radius)
+    perms = set(map(aut.field, stars))
     texts = words(ball)
     return {
         "pivot": system.name_of(witness.pivot),
@@ -76,13 +76,7 @@ def exotic_payload(ball: CayleyBall, witness, aut, n: int | None) -> dict:
         "verified": report.ok,
         "violations": list(report.violations),
         "map": [[texts[v], texts[image]] for v, image in enumerate(aut.vmap) if image is not None],
-        "field": None
-        if field is None
-        else {
-            "stars": len(field.perms),
-            "constant": len(set(field.perms)) <= 1,
-            "distinct_permutations": len(set(field.perms)),
-        },
+        "field": {"stars": len(stars), "constant": len(perms) <= 1, "distinct_permutations": len(perms)},
     }
 
 

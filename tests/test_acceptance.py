@@ -269,5 +269,5 @@ def test_criterion_10_local_permutation_laws(a3, branched):
         census = identity_stabilizer_census(ball, probe)
         for entry in census.entries:
             aut = map_checks.entry_map(ball, entry, probe)
-            assert verify_ball_automorphism(ball, aut).ok
+            assert map_checks.verify_ball_automorphism(ball, aut).ok  # walked from no field
             assert coupling_violations(ball, local_permutation_field(ball, aut)) == []

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -367,7 +369,7 @@ class TestFieldWalk:
         psi = psi_phi(ball, witness)
         assert_matches_rewriting(ball, psi, lambda x: psi_phi_word(system, witness, x), ball.radius)
         # psi_phi's image does not depend on the reduced word: every edge follows its field
-        assert verify_ball_automorphism(ball, psi, pivot_field(ball, witness)).broken == []
+        assert verify_ball_automorphism(ball, psi).broken == []
         odd = [t for t in system.neighbors(witness.pivot) if system.order(witness.pivot, t) % 2]
         if odd:
             with pytest.raises(ValueError, match=f"odd order {system.order(witness.pivot, odd[0])} with"):
@@ -376,7 +378,7 @@ class TestFieldWalk:
         psi_k = psi_n(ball, witness, n)
         assert_matches_rewriting(ball, psi_k, lambda x: psi_n_word(system, witness, n, x), ball.radius)
         # so does psi_n's, when every neighbour of the pivot has even order with it
-        assert verify_ball_automorphism(ball, psi_k, pivot_field(ball, witness, n)).broken == []
+        assert verify_ball_automorphism(ball, psi_k).broken == []
 
 
 class TestFieldViolations:
@@ -384,15 +386,15 @@ class TestFieldViolations:
         ball = build_ball(branched, 4)
         swap = (0, 2, 1)
         identity = tuple(branched.generators())
-        assert verify_ball_automorphism(ball, left_mult(ball, (0, 1)), lambda x: identity).broken == []
-        assert verify_ball_automorphism(ball, diagram_aut(ball, swap), lambda x: swap).broken == []
+        assert verify_ball_automorphism(ball, left_mult(ball, (0, 1))).broken == []
+        assert verify_ball_automorphism(ball, diagram_aut(ball, swap)).broken == []
         # a field that errs where the walk does not read it walks the same map, which
         # keeps adjacency and breaks that field on one edge off the BFS tree
         for d in (identity, swap):
             field = map_checks.erring_field(ball, lambda x, d=d: d)
             aut = walked_map(ball, 0, field)
             assert aut == diagram_aut(ball, d)
-            report = verify_ball_automorphism(ball, aut, field)
+            report = verify_ball_automorphism(ball, aut)
             assert report.ok and report.broken == [next(e for e in ball.non_tree_edges if e[0])]
 
     def test_fails_on_a_rule_that_is_no_witness(self):
@@ -407,33 +409,41 @@ class TestFieldViolations:
             return identity if bad.pivot in ball.word(x) else bad.phi
 
         aut = walked_map(ball, 0, field)
-        assert verify_ball_automorphism(ball, aut, field).broken
+        assert verify_ball_automorphism(ball, aut).broken
         with pytest.raises(ValueError):
             pivot_field(ball, bad)
 
 
 class TestVerification:
     def test_flags_broken_edge(self, a2):
+        # a field that swaps the letters at a walks a b to e and a b a to a: the
+        # edge (b a, a b a) off the BFS tree then maps to (b a, a), not adjacent
         ball = build_ball(a2, 3)
-        vmap = list(range(ball.size))
-        va, vab = vid(ball, "a"), vid(ball, "a b")
-        vmap[va], vmap[vab] = vab, va
-        report = verify_ball_automorphism(ball, BallAutomorphism(tuple(vmap), 3))
+        va = vid(ball, "a")
+        aut = walked_map(ball, 0, lambda x: (1, 0) if x == va else (0, 1))
+        assert aut.vmap[vid(ball, "a b")] == 0 and aut.vmap[vid(ball, "a b a")] == va
+        report = verify_ball_automorphism(ball, aut)
         assert not report.ok
         assert any("non-adjacent" in msg for msg in report.violations)
+        assert report == map_checks.verify_ball_automorphism(ball, aut)
 
-    def test_flags_undefined_interior(self, a2):
-        ball = build_ball(a2, 3)
-        vmap = [None] * ball.size
-        vmap[0] = 0
-        report = verify_ball_automorphism(ball, BallAutomorphism(tuple(vmap), 1))
-        assert not report.ok
-        assert any("undefined" in msg for msg in report.violations)
+    @pytest.mark.parametrize("path", DIAGRAMS + FRONTIER, ids=lambda p: p.stem)
+    def test_walk_is_defined_on_its_interior(self, path):
+        # why verify_ball_automorphism tests no vertex for an image (see coxaut.checks):
+        # a walk from any start of length <= 2, with any per-vertex field, is defined
+        # at every vertex of its interior
+        system, rng = parse_system(path.read_text()), random.Random(33)
+        for radius in range(3 if path.stem == "free10" else 6):
+            ball = build_ball(system, radius)
+            for start in ball.interior(2):
+                perms = [tuple(rng.sample(range(system.rank), system.rank)) for _ in range(ball.size)]
+                aut = walked_map(ball, start, perms.__getitem__)
+                assert None not in aut.vmap[: len(ball.interior(aut.interior_radius))], (radius, start)
 
     def test_flags_non_injective(self, a2):
         ball = build_ball(a2, 2)
         vmap = [0] * ball.size
-        report = verify_ball_automorphism(ball, BallAutomorphism(tuple(vmap), 0))
+        report = verify_ball_automorphism(ball, BallAutomorphism(tuple(vmap), 0, lambda x: (0, 1)))
         assert any("not injective" in msg for msg in report.violations)
 
 
@@ -499,7 +509,7 @@ class TestLocalPermutations:
 
     def test_undefined_vertex_raises(self, a2):
         ball = build_ball(a2, 3)
-        aut = BallAutomorphism((0,) + (None,) * (ball.size - 1), 0)
+        aut = BallAutomorphism((0,) + (None,) * (ball.size - 1), 0, None)
         with pytest.raises(ValueError):
             local_permutation(ball, aut, 1)
 
@@ -523,9 +533,10 @@ class TestCoupling:
         system = make_system("a b c", (0, 1, 3))
         ball = build_ball(system, 2)
         vmap = list(range(ball.size))
-        ab, ac = vid(ball, "a b"), vid(ball, "a c")
+        a, ab, ac = vid(ball, "a"), vid(ball, "a b"), vid(ball, "a c")
         vmap[ab], vmap[ac] = ac, ab
-        aut = BallAutomorphism(tuple(vmap), 2)
+        aut = walked_map(ball, 0, lambda x: (0, 2, 1) if x == a else (0, 1, 2))  # the swap, walked
+        assert aut.vmap == tuple(vmap)
         assert verify_ball_automorphism(ball, aut).ok
         violations = coupling_violations(ball, local_permutation_field(ball, aut))
         assert violations
@@ -541,21 +552,20 @@ def outcome(check, *args):
         return f"ValueError: {exc}"
 
 
-def assert_checks_match_oracle(ball, aut, field=None):
-    """The one-pass report and field, and the coupling list, equal map_checks'
-    on aut; so does the report against field, the one aut was walked from,
-    with its broken edges.  A map changed after its walk is checked without
-    field: the report against a field reads only non-tree edges, which every
-    map walked from that field keeps."""
-    oracle = map_checks.verify_ball_automorphism(ball, aut)
+def assert_checks_match_oracle(ball, aut):
+    """aut was walked from aut.field: the report, read on the non-tree edges,
+    equals map_checks' scan of every edge, with its broken edges; and
+    assert_field_matches_oracle."""
     report = verify_ball_automorphism(ball, aut)
-    assert report == oracle  # ok, and violations in order
-    if field is not None:
-        walked = verify_ball_automorphism(ball, aut, field)
-        assert walked == oracle
-        assert walked.broken == map_checks.broken_edges(ball, aut, field)
+    assert report == map_checks.verify_ball_automorphism(ball, aut)  # ok, and violations in order
+    assert report.broken == map_checks.broken_edges(ball, aut, aut.field)
+    assert_field_matches_oracle(ball, aut)
+
+
+def assert_field_matches_oracle(ball, aut):
+    """aut's own field read off its images, or the error, and the coupling list
+    equal map_checks'; this reading takes any map, walked or not."""
     own = outcome(map_checks.local_permutation_field, ball, aut)
-    assert (report.field or f"ValueError: {report.field_error}") == own
     assert outcome(local_permutation_field, ball, aut) == own
     if not isinstance(own, str):
         assert coupling_violations(ball, own) == map_checks.coupling_violations(ball, aut)
@@ -564,16 +574,17 @@ def assert_checks_match_oracle(ball, aut, field=None):
 def corrupted_maps(ball, aut):
     """(kind, map) for aut with two images swapped (an adjacent pair and a far
     pair), with an interior image set to None, and with an image moved to a
-    vertex adjacent to none of the images of its star."""
+    vertex adjacent to none of the images of its star; each keeps aut's field,
+    which no longer walks it."""
     vmap = list(aut.vmap)
     for u, v in [(1, min(2, ball.size - 1)), (0, ball.size - 1), (1, ball.neighbors[1][-1])]:
         swapped = vmap.copy()
         swapped[u], swapped[v] = swapped[v], swapped[u]
-        yield "swapped", BallAutomorphism(tuple(swapped), aut.interior_radius)
+        yield "swapped", BallAutomorphism(tuple(swapped), aut.interior_radius, aut.field)
     for v in (0, 1, len(ball.interior(1)) - 1):
         holed = vmap.copy()
         holed[v] = None
-        yield "holed", BallAutomorphism(tuple(holed), aut.interior_radius)
+        yield "holed", BallAutomorphism(tuple(holed), aut.interior_radius, aut.field)
     for v in (1, len(ball.interior(1)) - 1):
         if vmap[v] is None:
             continue
@@ -582,24 +593,26 @@ def corrupted_maps(ball, aut):
         if far:
             moved = vmap.copy()
             moved[v] = far[-1]
-            yield "moved", BallAutomorphism(tuple(moved), aut.interior_radius)
+            yield "moved", BallAutomorphism(tuple(moved), aut.interior_radius, aut.field)
 
 
 def shipped_maps(ball):
-    """(map, the field it was walked from or None) for every map verify builds
-    on this ball: left multiplications by words of length <= 2, diagram maps,
-    psi_phi and psi_1..psi_3, census entries (None)."""
+    """Every map verify walks on this ball: left multiplications by words of
+    length <= 2, diagram maps, psi_phi and psi_1..psi_3."""
     system = ball.system
-    identity = tuple(system.generators())
-    maps = [(left_mult(ball, w), lambda x: identity) for w in ball_words(ball) if len(w) <= min(2, ball.radius)]
-    maps += [(diagram_aut(ball, d), lambda x, d=d: d) for d in enumerate_diagram_automorphisms(system)]
+    maps = [left_mult(ball, w) for w in ball_words(ball) if len(w) <= min(2, ball.radius)]
+    maps += [diagram_aut(ball, d) for d in enumerate_diagram_automorphisms(system)]
     witness = is_flexible(system)
     if witness is not None:
-        maps.append((psi_phi(ball, witness), pivot_field(ball, witness)))
-        maps += [(psi_n(ball, witness, n), pivot_field(ball, witness, n)) for n in (1, 2, 3)]
-    probe = max(ball.radius - (system.max_finite_order() or 1), 0)
-    maps += [(map_checks.entry_map(ball, e, probe), None) for e in identity_stabilizer_census(ball, probe).entries]
+        maps.append(psi_phi(ball, witness))
+        maps += [psi_n(ball, witness, n) for n in (1, 2, 3)]
     return maps
+
+
+def entry_maps(ball):
+    """The census entries at the default probe radius, as maps walked from no field."""
+    probe = max(ball.radius - (ball.system.max_finite_order() or 1), 0)
+    return [map_checks.entry_map(ball, e, probe) for e in identity_stabilizer_census(ball, probe).entries]
 
 
 def assert_walked_maps_match_to_ball(ball):
@@ -612,7 +625,7 @@ def assert_walked_maps_match_to_ball(ball):
         for start in ball.interior(2):
             aut = walked_map(ball, start, field)
             assert aut.interior_radius == (ball.radius if ball.complete else ball.radius - ball.length[start])
-            report = verify_ball_automorphism(ball, aut, field)
+            report = verify_ball_automorphism(ball, aut)
             assert report.ok and report.broken == []
             assert FactoredAutomorphism(ball.word(start), d).to_ball(ball) == aut
 
@@ -625,54 +638,50 @@ class TestChecksMatchOracle:
         system = parse_system(path.read_text())
         for radius in range(6):
             ball = build_ball(system, radius)
-            for aut, field in shipped_maps(ball):
-                assert_checks_match_oracle(ball, aut, field)
+            for aut in shipped_maps(ball):
+                assert_checks_match_oracle(ball, aut)
+            for aut in entry_maps(ball):
+                assert map_checks.verify_ball_automorphism(ball, aut).ok
+                assert_field_matches_oracle(ball, aut)
             assert_walked_maps_match_to_ball(ball)
 
     @pytest.mark.parametrize("path", DIAGRAMS, ids=lambda p: p.stem)
     def test_corrupted_maps(self, path):
+        # a corrupted map is walked from no field, so only its own field is read
         system = parse_system(path.read_text())
         ball = build_ball(system, 4)
-        for aut, field in shipped_maps(ball):
-            for kind, corrupted in corrupted_maps(ball, aut):
-                if kind == "moved":
-                    report = verify_ball_automorphism(ball, corrupted)
-                    assert not report.ok
-                    assert report.violations[0] == map_checks.verify_ball_automorphism(ball, corrupted).violations[0]
-                assert_checks_match_oracle(ball, corrupted)
+        for aut in shipped_maps(ball) + entry_maps(ball):
+            for _, corrupted in corrupted_maps(ball, aut):
+                assert_field_matches_oracle(ball, corrupted)
 
     def test_exotic_maps_and_their_corruptions(self):
-        # psi and psi_n on flexible at every r <= 7, sound and corrupted: the
-        # one pass gives the oracle's report, violation order, and field or error
+        # psi and psi_n on flexible at every r <= 7: the one pass gives the oracle's
+        # report and violation order; sound and corrupted, the own field or error
         flexible = parse_system((DIAGRAMS[0].parent / "flexible.cox").read_text())
         witness = is_flexible(flexible)
         for radius in range(8):
             ball = build_ball(flexible, radius)
             for n in (None, 1, 2, 3):
                 aut = psi_phi(ball, witness) if n is None else psi_n(ball, witness, n)
-                field = pivot_field(ball, witness, n)
-                assert_checks_match_oracle(ball, aut, field)
+                assert_checks_match_oracle(ball, aut)
                 for _, corrupted in corrupted_maps(ball, aut) if radius >= 2 else ():
-                    assert_checks_match_oracle(ball, corrupted)
-                    assert not verify_ball_automorphism(ball, corrupted).ok
+                    assert_field_matches_oracle(ball, corrupted)
                 if radius >= 3:  # broken on the outer sphere, with the field at e intact
                     vmap, a = list(aut.vmap), len(ball.interior(radius - 1))
                     vmap[a], vmap[-1] = vmap[-1], vmap[a]
-                    corrupted = BallAutomorphism(tuple(vmap), 1)
-                    assert_checks_match_oracle(ball, corrupted)
-                    report = verify_ball_automorphism(ball, corrupted)
-                    assert not report.ok and report.field is not None
+                    corrupted = BallAutomorphism(tuple(vmap), 1, aut.field)
+                    assert_field_matches_oracle(ball, corrupted)
+                    assert local_permutation_field(ball, corrupted).vertices == (0,)
 
     def test_exotic_maps_verified_without_the_edge_list(self):
-        # psi and psi_n are total with the whole ball as interior: reading their
-        # own field checks every edge, and the ball's edge list is never built
+        # psi and psi_n are read on the non-tree edges alone: the ball's edge list is never built
         flexible = parse_system((DIAGRAMS[0].parent / "flexible.cox").read_text())
         witness = is_flexible(flexible)
         for radius in (3, 4, 7):
             ball = build_ball(flexible, radius)
             for aut in [psi_phi(ball, witness)] + [psi_n(ball, witness, n) for n in (1, 2, 3)]:
                 report = verify_ball_automorphism(ball, aut)
-                assert report.ok and report.field is not None and report.broken is None
+                assert report.ok and report.broken == []
             assert "edges" not in vars(ball)
 
 
@@ -721,7 +730,8 @@ class TestComposeAndDecompose:
         ball = build_ball(system, 2)
         sigma = {0: 2, 1: 1, 2: 0}
         vmap = tuple(vertex_of(ball, tuple(sigma[x] for x in w)) for w in ball_words(ball))
-        aut = BallAutomorphism(vmap, 2)
+        aut = walked_map(ball, 0, lambda x: (2, 1, 0))
+        assert aut.vmap == vmap
         assert verify_ball_automorphism(ball, aut).ok
         with pytest.raises(ValueError):
             decompose(ball, aut)
@@ -730,7 +740,7 @@ class TestComposeAndDecompose:
         ball = build_ball(a2, 2)
         vmap = (0,) + (None,) * (ball.size - 1)
         with pytest.raises(ValueError):
-            decompose(ball, BallAutomorphism(vmap, 0))
+            decompose(ball, BallAutomorphism(vmap, 0, None))
 
 
 class TestCensus:
@@ -758,7 +768,7 @@ class TestCensus:
         for entry in census.entries:
             assert entry.images[0] == 0
             assert len(entry.images) == census.probe_count
-            assert verify_ball_automorphism(ball, map_checks.entry_map(ball, entry, 3)).ok
+            assert map_checks.verify_ball_automorphism(ball, map_checks.entry_map(ball, entry, 3)).ok
 
     def test_single_generator(self):
         system = make_system("c")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coxaut.automorphisms import (
+    BallAutomorphism,
     StabilizerEntry,
     coupling_violations,
     diagram_aut,
@@ -21,7 +22,6 @@ from coxaut.automorphisms import (
     local_permutation_field,
     psi_phi,
     support_field,
-    verify_ball_automorphism,
 )
 from coxaut.ball import build_ball
 import coxaut.checks
@@ -249,7 +249,7 @@ def test_census_entries_and_psi_map_essential_cycles_onto_essential_cycles(syste
     if witness is not None:
         maps.append(psi_phi(ball, witness))
     for aut in maps:
-        assert verify_ball_automorphism(ball, aut).ok
+        assert map_checks.verify_ball_automorphism(ball, aut).ok  # an entry map is walked from no field
         for cycle in essential:
             image = relator_traces.map_cycle(ball, aut.vmap, cycle)
             if image is None:  # the cycle leaves the entry's probe sub-ball
@@ -364,8 +364,12 @@ def test_diagram_generators_are_read_when_diagram_fields_fail(monkeypatch):
     monkeypatch.setattr(coxaut.checks, "support_field", spy)
     assert census_coupling_reads(mixed, 3, 3) == ("pass", "fail", ["exotic"])
     assert census_coupling_reads(a3, 4) == ("pass", "pass", [])
-    # diagram_aut walked with the identity field breaks every field it is checked against
+    # diagram_aut built as the identity map, still with d's field: it breaks that field
     identity = tuple(mixed.generators())
-    monkeypatch.setattr(coxaut.checks, "diagram_aut", lambda ball, d: coxaut.checks.walked_map(ball, 0, lambda x: identity))
+
+    def unmoved(ball, d):
+        return BallAutomorphism(coxaut.checks.walked_map(ball, 0, lambda x: identity).vmap, ball.radius, lambda x: d)
+
+    monkeypatch.setattr(coxaut.checks, "diagram_aut", unmoved)
     assert census_coupling_reads(mixed, 3, 3) == ("fail", "fail", ["diagram", "exotic"])
     assert census_coupling_reads(a3, 4) == ("fail", "pass", ["diagram"])

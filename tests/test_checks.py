@@ -8,7 +8,6 @@ import coxaut.automorphisms
 import coxaut.checks
 from coxaut.automorphisms import (
     diagram_aut,
-    pivot_field,
     psi_n,
     psi_phi,
     verify_ball_automorphism,
@@ -244,12 +243,11 @@ def test_each_psi_map_and_field_is_built_once(monkeypatch):
         built.append(("pivot_field", n))
         return real_field(ball, witness, n)
 
-    def psi_n(ball, witness, n, field=None):
+    def psi_n(ball, witness, n):
         built.append(("psi_n", n))
-        return real_psi_n(ball, witness, n, field)
+        return real_psi_n(ball, witness, n)
 
-    for module in (coxaut.automorphisms, coxaut.checks):
-        monkeypatch.setattr(module, "pivot_field", pivot_field)
+    monkeypatch.setattr(coxaut.automorphisms, "pivot_field", pivot_field)
     monkeypatch.setattr(coxaut.checks, "psi_n", psi_n)
     assert run_system_checks(load("flexible.cox"), 12).ok
     assert sorted(built, key=lambda x: (x[0], x[1] or 0)) == [("pivot_field", n) for n in (None, 1, 2, 3, 4, 5)] + [
@@ -258,10 +256,10 @@ def test_each_psi_map_and_field_is_built_once(monkeypatch):
 
 
 def checks_with(monkeypatch, constructor: str, corrupt, system, radius: int) -> dict:
-    """run_system_checks(system, radius) by name, with each map that coxaut.checks
-    builds by constructor replaced by corrupt(ball, its map)."""
-    real = getattr(coxaut.checks, constructor)
-    monkeypatch.setattr(coxaut.checks, constructor, lambda ball, *args: corrupt(ball, real(ball, *args)))
+    """run_system_checks(system, radius) by name, with each map or field that
+    coxaut.automorphisms builds by constructor replaced by corrupt(ball, it)."""
+    real = getattr(coxaut.automorphisms, constructor)
+    monkeypatch.setattr(coxaut.automorphisms, constructor, lambda ball, *args: corrupt(ball, real(ball, *args)))
     report = run_system_checks(system, radius)
     assert report.verdict == "INCONCLUSIVE"  # a failed check is no evidence
     return {c.name: (c.status, c.detail) for c in report.checks}
@@ -331,7 +329,7 @@ def left_mult_fails(ball: CayleyBall, starts) -> bool:
     """Whether a left multiplication walked from a vertex of starts fails its check."""
     identity = tuple(ball.system.generators())
     for v in starts:
-        report = verify_ball_automorphism(ball, walked_map(ball, v, lambda x: identity), lambda x: identity)
+        report = verify_ball_automorphism(ball, walked_map(ball, v, lambda x: identity))
         if not report.ok or report.broken:
             return True
     return False
@@ -384,23 +382,21 @@ def test_a_length_two_walk_can_fail_alone(monkeypatch):
 
 
 def verify_walks(ball: CayleyBall):
-    """(map, field) for every map run_system_checks walks on ball, with the field
-    it is walked from: the left multiplications, the diagram group's strong
-    generators, and on a flexible diagram psi and each psi_n it defines."""
+    """Every map run_system_checks walks on ball: the left multiplications, the
+    diagram group's strong generators, and on a flexible diagram psi and each
+    psi_n it defines."""
     system = ball.system
     identity = tuple(system.generators())
-    walks = [(walked_map(ball, v, lambda x: identity), lambda x: identity) for v in ball.interior(2)[1:]]
-    walks += [(diagram_aut(ball, d), lambda x, d=d: d) for d in diagram_group(system)[1]]
+    walks = [walked_map(ball, v, lambda x: identity) for v in ball.interior(2)[1:]]
+    walks += [diagram_aut(ball, d) for d in diagram_group(system)[1]]
     witness = is_flexible(system)
     if witness is not None and ball.radius >= 2:
-        field = pivot_field(ball, witness)
-        walks.append((psi_phi(ball, witness, field), field))
+        walks.append(psi_phi(ball, witness))
         for n in range(1, min(ball.radius, 5) + 1):
             try:
-                field = pivot_field(ball, witness, n)
+                walks.append(psi_n(ball, witness, n))
             except ValueError:  # an odd-order neighbour of the pivot
                 break
-            walks.append((psi_n(ball, witness, n, field), field))
     return walks
 
 
@@ -408,10 +404,10 @@ def assert_walks_match_oracle(ball: CayleyBall) -> int:
     """The report against each walked map's field, read on the non-tree edges,
     against map_checks' scan of every edge; the number of failed reports."""
     failed = 0
-    for aut, field in verify_walks(ball):
-        report = verify_ball_automorphism(ball, aut, field)
+    for aut in verify_walks(ball):
+        report = verify_ball_automorphism(ball, aut)
         assert report == map_checks.verify_ball_automorphism(ball, aut)
-        assert report.broken == map_checks.broken_edges(ball, aut, field)
+        assert report.broken == map_checks.broken_edges(ball, aut, aut.field)
         failed += not report.ok or bool(report.broken)
     return failed
 

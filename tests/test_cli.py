@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import coxaut.checks
 import coxaut.system
 from coxaut import cli
-from coxaut.automorphisms import diagram_aut
+from coxaut.automorphisms import BallAutomorphism, diagram_aut
 from coxaut.cli import EXIT_INDETERMINATE, EXIT_INTERNAL, main
 from coxaut.system import ParseError, parse_system
 
@@ -353,10 +353,15 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().out)["verdict"] == "INDETERMINATE"
 
     def test_failing_check_gives_inconclusive_verdict(self, a2_file, capsys, monkeypatch):
-        # every left multiplication is built as the diagram swap, an automorphism whose
-        # field is not the identity: the census still decides, but a failed check is no evidence
+        # every left multiplication is built as the diagram swap, an automorphism that
+        # breaks the identity field it was asked to walk: the census still decides, but
+        # a failed check is no evidence
         swap = (1, 0)
-        monkeypatch.setattr(coxaut.checks, "walked_map", lambda ball, v, field: diagram_aut(ball, swap))
+
+        def swapped(ball, v, field):
+            return BallAutomorphism(diagram_aut(ball, swap).vmap, ball.radius, field)
+
+        monkeypatch.setattr(coxaut.checks, "walked_map", swapped)
         assert main(["verify", a2_file, "--radius", "4"]) == 1
         out = capsys.readouterr().out
         assert "[         FAIL] left-mult-identity-field: left_mult((0,)) field is not the constant identity\n" in out

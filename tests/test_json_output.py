@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coxaut import cli
-from coxaut.automorphisms import BallAutomorphism, identity_stabilizer_census
+from coxaut.automorphisms import BallAutomorphism, identity_stabilizer_census, psi_n, psi_phi, walked_map
 from coxaut.ball import DEFAULT_MAX_VERTICES, build_ball
 from coxaut.checks import default_probe_radius, run_system_checks
 from coxaut.system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, is_flexible, parse_system
 
-from conftest import make_system, random_systems
+import map_checks
+from conftest import DIAGRAMS, make_system, random_systems
 from payloads import ball_payload, cycles_payload, exotic_payload, report_payload, run_json, stabilizer_payload
 from test_golden import COMMANDS, FALLBACK, ROOT
 
@@ -223,9 +224,10 @@ def test_exotic_with_violations(monkeypatch):
     psi_phi = cli.psi_phi
 
     def merged(ball, witness):
-        vmap = list(psi_phi(ball, witness).vmap)
+        aut = psi_phi(ball, witness)
+        vmap = list(aut.vmap)
         vmap[-1] = vmap[-2]
-        return BallAutomorphism(tuple(vmap), ball.radius)
+        return BallAutomorphism(tuple(vmap), ball.radius, aut.field)
 
     monkeypatch.setattr(cli, "psi_phi", merged)
     system = make_system("s t u", (1, 2, 2))
@@ -236,32 +238,25 @@ def test_exotic_with_violations(monkeypatch):
 
 
 def test_exotic_with_a_broken_edge(monkeypatch, capsys):
-    # the images of vertices 1 and 2 swapped: edges go to non-edges, which is a
-    # violation (exit 1) with no local-permutation field, not an input error
-    psi_phi = cli.psi_phi
-
-    def swapped(ball, witness):
-        vmap = list(psi_phi(ball, witness).vmap)
-        vmap[1], vmap[2] = vmap[2], vmap[1]
-        return BallAutomorphism(tuple(vmap), ball.radius)
-
-    monkeypatch.setattr(cli, "psi_phi", swapped)
+    # psi walked from the letterwise swap of s and t, which sends the order-2 pair
+    # (t, u) to the free pair (s, u): edges go to non-edges, which is a violation
+    # (exit 1) reported with the field the map was walked from, not an input error
+    monkeypatch.setattr(cli, "psi_phi", lambda ball, witness: walked_map(ball, 0, lambda x: (1, 0, 2)))
     system = make_system("s t u", (1, 2, 2))
     code, out = run_json(system, ["exotic", "--radius", "3"])
     payload = json.loads(out)
     assert code == cli.EXIT_VIOLATION
-    assert (payload["verified"], payload["field"]) == (False, None)
-    assert payload["violations"] == [
-        "edge (1, 4) labeled t maps to non-adjacent pair (3, 4)",
-        "edge (1, 5) labeled u maps to non-adjacent pair (3, 5)",
-        "edge (2, 6) labeled s maps to non-adjacent pair (1, 8)",
-        "edge (2, 7) labeled u maps to non-adjacent pair (1, 7)",
+    assert payload["verified"] is False
+    assert payload["field"] == {"stars": 9, "constant": True, "distinct_permutations": 1}
+    assert [v for v in payload["violations"] if v.startswith("edge")] == [
+        "edge (3, 7) labeled t maps to non-adjacent pair (3, 5)",
+        "edge (5, 10) labeled t maps to non-adjacent pair (7, 13)",
     ]
     assert_matches_oracle(system, ["exotic", "--radius", "3"])
     monkeypatch.setattr(cli, "_load_system", lambda path: system)
     assert cli.main(["exotic", "diagram.cox", "--radius", "3"]) == cli.EXIT_VIOLATION
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1:3] == ["verified: no", "field: undefined: edge (1, 4) maps to non-adjacent pair (3, 4)"]
+    assert lines[1:3] == ["verified: no", "field: constant over 9 stars"]
 
 
 def test_exotic_map_leaves_out_undefined_vertices(monkeypatch):
@@ -269,14 +264,42 @@ def test_exotic_map_leaves_out_undefined_vertices(monkeypatch):
     psi_phi = cli.psi_phi
 
     def partial(ball, witness):
-        return BallAutomorphism(psi_phi(ball, witness).vmap[:-1] + (None,), 1)
+        aut = psi_phi(ball, witness)
+        return BallAutomorphism(aut.vmap[:-1] + (None,), 1, aut.field)
 
     monkeypatch.setattr(cli, "psi_phi", partial)
     system = make_system("s t u", (1, 2, 2))
     code, out = run_json(system, ["exotic", "--radius", "3"])
     assert code == cli.EXIT_OK
     assert len(json.loads(out)["map"]) == build_ball(system, 3).size - 1
+    assert json.loads(out)["field"] == {"stars": 1, "constant": True, "distinct_permutations": 1}
     assert_matches_oracle(system, ["exotic", "--radius", "3"])
+
+
+FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
+FLEXIBLE_PATHS = [p for p in DIAGRAMS + FRONTIER if is_flexible(parse_system(p.read_text()))]
+
+
+@pytest.mark.parametrize("path", FLEXIBLE_PATHS, ids=lambda p: p.stem)
+def test_exotic_field_is_the_maps_own_field(path):
+    # exotic reads the field psi and psi_n were walked from; at every star-interior
+    # vertex it is the map's own local permutation, as map_checks reads it off the images
+    system = parse_system(path.read_text())
+    witness = is_flexible(system)
+    for radius in range(4 if path.stem == "free10" else 9):  # free10's r-sphere has 10 * 9^(r-1) vertices
+        ball = build_ball(system, radius)
+        for n in (None, *range(1, radius + 1)):
+            code, out = run_json(system, ["exotic", "--radius", str(radius)] + ([] if n is None else ["--n", str(n)]))
+            if code == cli.EXIT_INPUT:  # psi_n is undefined at an odd-order pivot
+                with pytest.raises(ValueError):
+                    psi_n(ball, witness, n)
+                break
+            assert code == cli.EXIT_OK
+            aut = psi_phi(ball, witness) if n is None else psi_n(ball, witness, n)
+            perms = set(map_checks.local_permutation_field(ball, aut).perms)
+            stars = len(map_checks.star_interior(ball, radius))
+            expected = {"stars": stars, "constant": len(perms) <= 1, "distinct_permutations": len(perms)}
+            assert json.loads(out)["field"] == expected, (radius, n)
 
 
 def test_every_golden_payload_matches_stdlib(tmp_path):
