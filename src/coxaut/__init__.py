@@ -53,8 +53,8 @@ from .automorphisms import (
     diagram_aut,
     identity_stabilizer_census,
     left_mult,
-    local_permutation,
     local_permutation_field,
+    local_permutations,
     pivot_field,
     psi_n,
     psi_phi,
@@ -95,8 +95,8 @@ __all__ = [
     "is_essential",
     "is_flexible",
     "left_mult",
-    "local_permutation",
     "local_permutation_field",
+    "local_permutations",
     "m_class",
     "m_class_size",
     "m_closure",

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 
 from .ball import CayleyBall, field_map
 from .system import (
@@ -215,95 +214,63 @@ def verify_ball_automorphism(ball: CayleyBall, aut: BallAutomorphism) -> Verific
     return VerificationReport(not violations, tuple(violations), broken)
 
 
-def _picked(items, ids) -> tuple:
-    """(items[i] for i in ids) as a tuple, taken by one itemgetter call."""
-    return itemgetter(*ids)(items) if len(ids) > 1 else tuple(map(items.__getitem__, ids))
-
-
 # -- local permutations ------------------------------------------------------
 
 
-def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[int, int]:
-    """The label permutation induced at v: s -> label of the image of edge (v, vs).
+def local_permutations(ball: CayleyBall, images, vertices) -> dict[int, tuple[int, ...]]:
+    """v -> the label permutation that the map with these images induces at v
+    (s -> the label of the edge from images[v] to the image of v·s), for each v
+    of vertices, in their order: the only reader of a label field off images.
 
-    Partial when some neighbor image is missing; raises ValueError when the
-    map sends an edge to a non-edge (it is then no automorphism at all).
-    """
-    fv = aut.vmap[v]
-    if fv is None:
-        raise ValueError(f"vertex {v} has no image")
-    image_star = ball.rows[fv]
-    result: dict[int, int] = {}
-    for s, u in enumerate(ball.rows[v]):
-        fu = aut.vmap[u] if u >= 0 else None
-        if fu is None:
-            continue
-        if fu not in image_star:
-            raise ValueError(f"edge ({v}, {u}) maps to non-adjacent pair ({fv}, {fu})")
-        result[s] = image_star.index(fu)
-    return result
-
-
-class PermutationField:
-    """Local permutations at vertices listed in id order."""
-
-    __slots__ = ("vertices", "perms")
-
-    def __init__(self, vertices: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
-        self.vertices = vertices
-        self.perms = perms
-
-    def __eq__(self, other):
-        if type(other) is not PermutationField:
-            return NotImplemented
-        return (self.vertices, self.perms) == (other.vertices, other.perms)
-
-
-def _perms(ball: CayleyBall, image_rows, neighbour_images) -> tuple[tuple[int, ...], ...]:
-    """The local permutations at the vertices whose image rows are given, read
-    label by label: each row rank times, against the images of the vertex's
-    neighbours, rank per vertex in label order."""
-    rank = ball.rank
-    labels = map(tuple.index, chain.from_iterable(zip(*[image_rows] * rank)), neighbour_images)
-    return tuple(zip(*[labels] * rank)) if rank else ((),) * len(image_rows)
-
-
-def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> PermutationField:
-    """Total local permutations at every star-interior vertex, read label by
-    label: each neighbour's image is found in the row of the vertex's image,
-    which checks every edge with an end there.  ValueError, from
-    local_permutation, at the first vertex where that fails.
+    Each neighbour's image is found by position in the row of adj at v's
+    image, which checks every edge at v.  ValueError at the first vertex
+    without a full star in the ball or without an image, or where an edge
+    goes to a non-edge or a neighbour has no image.
 
     A left multiplication produces the identity at every vertex; a diagram
     automorphism produces its own permutation at every vertex; a non-constant
     field is the signature of an exotic map.
     """
-    vmap, rank, stars = aut.vmap, ball.rank, ball.star_interior(aut.interior_radius)
-    try:
-        perms = _perms(ball, _picked(ball.rows, vmap[: len(stars)]), _picked(vmap, ball.adj[: len(stars) * rank]))
-    except (TypeError, ValueError):  # an image is None, or an edge goes to a non-edge
-        for v in stars:
-            if len(local_permutation(ball, aut, v)) < rank:
-                raise ValueError(f"local permutation at star-interior vertex {v} is not total") from None
-    return PermutationField(stars, perms)
+    adj, rank = ball.adj, ball.rank
+    field = {}
+    for v in vertices:
+        row = adj[v * rank : v * rank + rank]
+        if -1 in row:
+            raise ValueError(f"vertex {v} has no full star in the ball")
+        fv = images[v]
+        if fv is None:
+            raise ValueError(f"vertex {v} has no image")
+        image_row = adj[fv * rank : fv * rank + rank]
+        try:
+            field[v] = tuple(map(image_row.index, map(images.__getitem__, row)))
+        except ValueError:  # a neighbour image is None, or an edge goes to a non-edge
+            for u in row:
+                if images[u] is not None and images[u] not in image_row:
+                    raise ValueError(f"edge ({v}, {u}) maps to non-adjacent pair ({fv}, {images[u]})") from None
+            raise ValueError(f"local permutation at star-interior vertex {v} is not total") from None
+    return field
 
 
-def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple[int, int, int, int]]:
+def local_permutation_field(ball: CayleyBall, aut: BallAutomorphism) -> dict[int, tuple[int, ...]]:
+    """aut's local permutations at every star-interior vertex, in id order."""
+    return local_permutations(ball, aut.vmap, ball.star_interior(aut.interior_radius))
+
+
+def coupling_violations(ball: CayleyBall, field: dict[int, tuple[int, ...]]) -> list[tuple[int, int, int, int]]:
     """Adjacent-vertex coupling: across an s-edge (v, vs), the local permutations
     at v and vs agree on s and on every generator at finite order with s.
 
-    Returns (v, u, s, x) tuples naming each violation, v in the field's vertex
-    order; empty means the law holds throughout the field's vertices.  A
-    census entry's support_field gives the same list as its whole star
-    interior's field.
+    field maps vertices, in id order, to their local permutations.  Returns
+    (v, u, s, x) tuples naming each violation, v in the field's order; empty
+    means the law holds throughout the field's vertices.  A census entry's
+    support_field gives the same list as its whole star interior's field.
     """
-    perm_of = dict(zip(field.vertices, field.perms))
     fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
     violations: list[tuple[int, int, int, int]] = []
-    rows = ball.rows
-    for v, pv in perm_of.items():
-        for s, u in enumerate(rows[v]):
-            pu = perm_of.get(u)
+    adj, rank = ball.adj, ball.rank
+    for v, pv in field.items():
+        for s, u in enumerate(adj[v * rank : v * rank + rank]):
+            pu = field.get(u)
             if pu is None or pu == pv:
                 continue
             for x in fixed_sets[s]:
@@ -318,19 +285,14 @@ def coupling_violations(ball: CayleyBall, field: PermutationField) -> list[tuple
 def decompose(ball: CayleyBall, aut: BallAutomorphism) -> FactoredAutomorphism | None:
     """Recover (w, d) with aut(x) = w * d(x) on the interior, if that form exists.
 
-    w is the image of the identity and d the local permutation there.  Raises
-    ValueError when that permutation does not preserve the pair orders (no
-    factored form can exist, not even in spirit); returns None when the
+    w is the image of the identity and d the local permutation there, read by
+    local_permutations, which raises ValueError unless e's star is mapped.
+    Raises ValueError when that permutation does not preserve the pair orders
+    (no factored form can exist, not even in spirit); returns None when the
     factored candidate disagrees with the map somewhere on the interior, the
     signature of an exotic map.
     """
-    fe = aut.vmap[0]
-    if fe is None:
-        raise ValueError("the identity vertex has no image")
-    pi = local_permutation(ball, aut, 0)
-    if len(pi) != ball.system.rank:
-        raise ValueError("the identity star is not fully mapped; decomposition needs interior radius >= 1")
-    images = tuple(pi[s] for s in ball.system.generators())
+    fe, images = aut.vmap[0], local_permutations(ball, aut.vmap, (0,))[0]
     if not is_label_preserving(ball.system, images):
         raise ValueError("the local permutation at the identity does not preserve pair orders")
     expected = walked_map(ball, fe, lambda x: images).vmap
@@ -423,13 +385,13 @@ class StabilizerCensus:
         are (start, images) pairs, images known to fix the ids below start."""
         ball, n = self.ball, self.probe_count
         system, adj, last, rank = ball.system, ball.adj, ball.last, ball.rank
-        star, identity = adj[:rank], tuple(system.generators())
+        identity = tuple(system.generators())
         tree = [(v, adj[v * rank + last[v]], last[v]) for v in range(1, n)]
         diagram_of = {}  # perm, or None when perm breaks a pair order
         entries = []
         for start, images in restrictions:
             support = tuple([v for v in range(start, n) if images[v] != v])
-            perm = tuple([star.index(images[u]) for u in star]) if n > 1 else identity
+            perm = local_permutations(ball, images, (0,))[0] if n > 1 else identity
             if perm not in diagram_of:
                 diagram_of[perm] = perm if is_label_preserving(system, perm) else None
             d = diagram_of[perm]
@@ -442,7 +404,7 @@ class StabilizerCensus:
         return tuple(entries)
 
 
-def support_field(ball: CayleyBall, entry: StabilizerEntry, probe_radius: int) -> PermutationField:
+def support_field(ball: CayleyBall, entry: StabilizerEntry, probe_radius: int) -> dict[int, tuple[int, ...]]:
     """entry's local permutations at the vertices of the probe radius's star
     interior within distance 2 of its support, in id order.
 
@@ -451,16 +413,12 @@ def support_field(ball: CayleyBall, entry: StabilizerEntry, probe_radius: int) -
     with both ends within distance 2, and coupling_violations reads the same
     list from this field as from the whole star interior's.
     """
-    images, rows = entry.images, ball.rows
+    adj, rank, n = ball.adj, ball.rank, len(entry.images)
     k = len(ball.star_interior(probe_radius))
     near = set(entry.support)
-    for _ in range(2):
-        near.update(*_picked(rows, list(near)))
-        near.discard(-1)
-    vertices = sorted([v for v in near if v < k])
-    neighbours = list(chain.from_iterable(_picked(rows, vertices)))
-    perms = _perms(ball, _picked(rows, _picked(images, vertices)), _picked(images, neighbours))
-    return PermutationField(tuple(vertices), perms)
+    for _ in range(2):  # a star-interior vertex's neighbours are probe ids
+        near.update(*[adj[v * rank : v * rank + rank] for v in near if 0 <= v < n])
+    return local_permutations(ball, entry.images, sorted([v for v in near if 0 <= v < k]))
 
 
 def identity_stabilizer_census(ball: CayleyBall, probe_radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> StabilizerCensus:

@@ -113,14 +113,9 @@ class CayleyBall:
         return counts
 
     @cached_property
-    def rows(self) -> list[tuple[int, ...]]:
-        """rows[v] = v's row of adj as a tuple, (v·0, v·1, ...); built on first use."""
-        return list(zip(*[iter(self.adj)] * self.rank))
-
-    @cached_property
     def neighbors(self) -> list[list[int]]:
         """neighbors[v] = the neighbors of v in increasing id order; built on first
-        use, from adj row by row without keeping rows."""
+        use, by sorting each row of adj and dropping its -1 entries."""
         return [sorted(row)[row.count(-1) :] for row in zip(*[iter(self.adj)] * self.rank)]
 
     @cached_property

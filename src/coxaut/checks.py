@@ -373,7 +373,7 @@ def run_system_checks(
                     f"generator {g.images}: coupling fails across edge ({v},{u}) "
                     f"label {system.name_of(s)} at generator {system.name_of(x)}"
                 )
-            perm = next((p for p in dict.fromkeys(field.perms) if not is_label_preserving(system, p)), None)
+            perm = next((p for p in dict.fromkeys(field.values()) if not is_label_preserving(system, p)), None)
             if perm is not None:
                 return "fail", f"generator {g.images}: local permutation {perm} does not preserve pair orders"
         count = sum(map(len, census.transversals))

@@ -2,10 +2,10 @@
 oracle for coxaut's table-driven checks.
 
 coxaut.automorphisms checks a map with the per-ball tables of CayleyBall
-(the label table, the interior prefix, the memoized star interior); these
-functions scan ball.adj and ball.length instead, as the checks were first
-written, so that a test can compare reports, fields and violation lists
-with code that shares none of those tables.  coxaut's
+(the non-tree edges, the interior prefix, the memoized star interior);
+these functions scan ball.adj and ball.length instead, as the checks were
+first written, so that a test can compare reports, fields and violation
+lists with code that shares none of those tables.  coxaut's
 verify_ball_automorphism reads a map's non-tree edges against aut.field,
 the field it was walked from; the one here scans every edge of any map, so
 a map that a test builds by hand and no field walks is checked here.
@@ -22,7 +22,7 @@ ball maps vertex by vertex, so that a test can compare both with the maps
 coxaut walks.
 """
 
-from coxaut.automorphisms import BallAutomorphism, PermutationField, VerificationReport, psi_n
+from coxaut.automorphisms import BallAutomorphism, VerificationReport, psi_n
 from coxaut.ball import CayleyBall
 from coxaut.system import CoxeterSystem, FlexibilityWitness, validate_witness
 from coxaut.words import Word, inverse_word, multiply, reduce_word
@@ -137,18 +137,18 @@ def local_permutation(ball: CayleyBall, aut: BallAutomorphism, v: int) -> dict[i
 
 def local_permutation_field(
     ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
-) -> PermutationField:
+) -> dict[int, tuple[int, ...]]:
     if interior_radius is None:
         interior_radius = aut.interior_radius
     vertices = star_interior(ball, interior_radius)
     rank = ball.system.rank
-    perms: list[tuple[int, ...]] = []
+    field: dict[int, tuple[int, ...]] = {}
     for v in vertices:
         pi = local_permutation(ball, aut, v)
         if len(pi) != rank:
             raise ValueError(f"local permutation at star-interior vertex {v} is not total")
-        perms.append(tuple(pi[s] for s in range(rank)))
-    return PermutationField(tuple(vertices), tuple(perms))
+        field[v] = tuple(pi[s] for s in range(rank))
+    return field
 
 
 def entry_map(ball: CayleyBall, entry, probe_radius: int) -> BallAutomorphism:
@@ -161,14 +161,13 @@ def coupling_violations(
     ball: CayleyBall, aut: BallAutomorphism, interior_radius: int | None = None
 ) -> list[tuple[int, int, int, int]]:
     field = local_permutation_field(ball, aut, interior_radius)
-    position = {v: i for i, v in enumerate(field.vertices)}
     fixed_sets = {s: [s] + ball.system.neighbors(s) for s in ball.system.generators()}
     violations: list[tuple[int, int, int, int]] = []
-    for v, pv in zip(field.vertices, field.perms):
+    for v, pv in field.items():
         for s, u in star(ball, v).items():
-            if u not in position:
+            if u not in field:
                 continue
-            pu = field.perms[position[u]]
+            pu = field[u]
             for x in fixed_sets[s]:
                 if pv[x] != pu[x]:
                     violations.append((v, u, s, x))

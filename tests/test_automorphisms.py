@@ -11,8 +11,8 @@ from coxaut.automorphisms import (
     diagram_aut,
     identity_stabilizer_census,
     left_mult,
-    local_permutation,
     local_permutation_field,
+    local_permutations,
     pivot_field,
     psi_n,
     psi_phi,
@@ -451,21 +451,20 @@ class TestLocalPermutations:
     def test_identity_gives_identity_everywhere(self, a2):
         ball = build_ball(a2, 3)
         aut = left_mult(ball, ())
-        for v in range(ball.size):
-            pi = local_permutation(ball, aut, v)
-            assert all(pi[s] == s for s in pi)
+        field = local_permutations(ball, aut.vmap, ball.star_interior(aut.interior_radius))
+        assert set(field.values()) == {(0, 1)}  # non-vacuous
 
     def test_left_mult_field_is_identity(self, branched):
         ball = build_ball(branched, 4)
         aut = left_mult(ball, parse_word(branched, "s t"))
         field = local_permutation_field(ball, aut)
-        assert set(field.perms) == {tuple(branched.generators())}  # non-vacuous
+        assert set(field.values()) == {tuple(branched.generators())}  # non-vacuous
 
     def test_diagram_field_is_its_permutation(self, branched):
         ball = build_ball(branched, 4)
         aut = diagram_aut(ball, (0, 2, 1))
         field = local_permutation_field(ball, aut)
-        assert set(field.perms) == {(0, 2, 1)}
+        assert set(field.values()) == {(0, 2, 1)}
 
     @pytest.mark.parametrize(
         "system, radius",
@@ -483,10 +482,9 @@ class TestLocalPermutations:
         ball = build_ball(system, radius)
         psi = psi_phi(ball, witness)
         field = local_permutation_field(ball, psi)
-        assert len(set(field.perms)) > 1
-        perm_at = dict(zip(field.vertices, field.perms))
-        assert perm_at[0] == witness.phi  # phi visible at the identity
-        assert perm_at[star(ball, 0)[witness.pivot]] == tuple(system.generators())  # past the pivot nothing moves
+        assert len(set(field.values())) > 1
+        assert field[0] == witness.phi  # phi visible at the identity
+        assert field[star(ball, 0)[witness.pivot]] == tuple(system.generators())  # past the pivot nothing moves
         assert decompose(ball, psi) is None
         maps = [psi]
         try:
@@ -510,8 +508,18 @@ class TestLocalPermutations:
     def test_undefined_vertex_raises(self, a2):
         ball = build_ball(a2, 3)
         aut = BallAutomorphism((0,) + (None,) * (ball.size - 1), 0, None)
-        with pytest.raises(ValueError):
-            local_permutation(ball, aut, 1)
+        with pytest.raises(ValueError, match="vertex 1 has no image"):
+            local_permutations(ball, aut.vmap, (1,))
+
+    def test_boundary_vertex_raises(self, a2):
+        # a boundary vertex's row of adj holds -1, which must not be read as
+        # the last vertex's image: on the r=1 ball (e, a, b) the images
+        # (a, e, b) would give a the permutation (0, 1) without the guard
+        ball = build_ball(a2, 1)
+        assert ball.adj[2:4] == [0, -1]  # a's row: a·a = e, a·b outside
+        for images in [(1, 0, 2), left_mult(ball, ()).vmap]:
+            with pytest.raises(ValueError, match="vertex 1 has no full star in the ball"):
+                local_permutations(ball, images, (1,))
 
 
 class TestCoupling:
@@ -671,7 +679,7 @@ class TestChecksMatchOracle:
                     vmap[a], vmap[-1] = vmap[-1], vmap[a]
                     corrupted = BallAutomorphism(tuple(vmap), 1, aut.field)
                     assert_field_matches_oracle(ball, corrupted)
-                    assert local_permutation_field(ball, corrupted).vertices == (0,)
+                    assert list(local_permutation_field(ball, corrupted)) == [0]
 
     def test_exotic_maps_verified_without_the_edge_list(self):
         # psi and psi_n are read on the non-tree edges alone: the ball's edge list is never built

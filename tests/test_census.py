@@ -32,7 +32,7 @@ from coxaut.words import LimitExceeded
 
 import map_checks
 import relator_traces
-from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, make_system, star
+from conftest import DIAGRAMS, RANK3, ball_words, crystallographic_systems, label, make_system, star
 
 FRONTIER = sorted(DIAGRAMS[0].parent.glob("frontier/*.cox"))
 
@@ -160,7 +160,7 @@ def coupling_holds(ball, automorphisms):
         field = local_permutation_field(ball, aut)
         if coupling_violations(ball, field):
             return False
-        if not all(is_label_preserving(ball.system, perm) for perm in field.perms):
+        if not all(is_label_preserving(ball.system, perm) for perm in field.values()):
             return False
     return True
 
@@ -198,7 +198,7 @@ def diagram_restriction_rule(ball, census):
     restrictions = {diagram_aut(ball, d).vmap[:n] for d in enumerate_diagram_automorphisms(ball.system)}
     for g in census.generators:
         field = local_permutation_field(ball, map_checks.entry_map(ball, g, census.probe_radius))
-        if g.images not in restrictions or len(set(field.perms)) > 1:
+        if g.images not in restrictions or len(set(field.values())) > 1:
             return False
     return True
 
@@ -283,7 +283,7 @@ def coupling_readings(ball, entry, probe):
         except ValueError:
             readings.append("ValueError")
             continue
-        breaking = [(v, p) for v, p in zip(field.vertices, field.perms) if not is_label_preserving(ball.system, p)]
+        breaking = [(v, p) for v, p in field.items() if not is_label_preserving(ball.system, p)]
         readings.append((coupling_violations(ball, field), breaking[:1]))
     oracle = map_checks.coupling_violations(ball, aut) if readings[1] != "ValueError" else "ValueError"
     assert readings[1] == "ValueError" or readings[1][0] == oracle
@@ -316,7 +316,7 @@ def tree_walk_verdict(ball, images):
     """The entry's verdict by comparing it with diagram_aut(d) along the probe
     ids' BFS tree, d its label permutation at e."""
     rank, n = ball.rank, len(images)
-    perm = tuple(ball.rows[images[0]].index(images[ball.adj[s]]) for s in range(rank)) if n > 1 else tuple(range(rank))
+    perm = tuple(label(ball, images[0], images[ball.adj[s]]) for s in range(rank)) if n > 1 else tuple(range(rank))
     if not is_label_preserving(ball.system, perm):
         return "exotic"
     for v in range(1, n):

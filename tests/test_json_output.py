@@ -296,7 +296,7 @@ def test_exotic_field_is_the_maps_own_field(path):
                 break
             assert code == cli.EXIT_OK
             aut = psi_phi(ball, witness) if n is None else psi_n(ball, witness, n)
-            perms = set(map_checks.local_permutation_field(ball, aut).perms)
+            perms = set(map_checks.local_permutation_field(ball, aut).values())
             stars = len(map_checks.star_interior(ball, radius))
             expected = {"stars": stars, "constant": len(perms) <= 1, "distinct_permutations": len(perms)}
             assert json.loads(out)["field"] == expected, (radius, n)

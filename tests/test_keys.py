@@ -4,8 +4,8 @@ reduce_word and m_class_size use integer root-system keys whenever every
 finite order is in {2, 3, 4, 6}; build_ball walks relator cycles on every
 diagram and never calls the word engine.  The rewriting engine is the
 reference here: random diagrams, every shipped diagram and every rank-3
-diagram must give the same canonical forms, m-class sizes, balls and
-vertex lookups both ways.
+diagram must give the same canonical forms, m-class sizes and balls both
+ways.
 """
 
 from itertools import product
@@ -70,12 +70,6 @@ def assert_same_ball(system, radius):
     assert [vertex_of(ball, w) for w in words] == list(range(len(words)))
 
 
-def assert_vertex_of_matches_rewriting(ball, word):
-    canonical = reduce_by_rewriting(ball.system, word)
-    expected = ball_words(ball).index(canonical) if len(canonical) <= ball.radius else None
-    assert vertex_of(ball, word) == expected
-
-
 class TestReduce:
     @given(system_and_word())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -85,6 +79,25 @@ class TestReduce:
         canonical = reduce_word(system, word)
         assert not system._reduce_cache  # the key path memoizes nothing
         assert canonical == reduce_by_rewriting(system, word)
+
+    @given(system_and_word(max_len=8), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_m_class_spellings_match_rewriting(self, pair, data):
+        # every reduced spelling of an element, and each with a cancelling pair inserted
+        system, word = pair
+        canonical = reduce_by_rewriting(system, word)
+        s = data.draw(st.integers(0, system.rank - 1))
+        for spelling in sorted(m_class(system, canonical)):
+            assert reduce_word(system, spelling) == canonical
+            assert reduce_word(system, spelling[:1] + (s, s) + spelling[1:]) == canonical
+
+    def test_fallback_words_match_rewriting(self):
+        # no Cartan matrix: every word of I2(5) up to length 6, past its longest element
+        system = make_system("a b", (0, 1, 5))
+        assert system.cartan is None
+        for length in range(7):
+            for word in product(system.generators(), repeat=length):
+                assert reduce_word(system, word) == reduce_by_rewriting(system, word)
 
     def test_keys_ignore_the_closure_guard(self, atilde2):
         word = (0, 1, 0, 2, 1, 0, 1, 2, 0, 1)
@@ -194,32 +207,6 @@ class TestBall:
         assert system.cartan is None
         build_ball(system, 8)
         assert not system._reduce_cache
-
-
-class TestVertexOf:
-    @given(st.data())
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_matches_rewriting(self, data):
-        system = data.draw(crystallographic_systems())
-        radius = data.draw(st.integers(0, 4))
-        ball = build_ball(system, radius)
-        letters = st.integers(0, system.rank - 1)
-        for word in data.draw(st.lists(st.lists(letters, max_size=2 * radius).map(tuple), min_size=1, max_size=8)):
-            assert_vertex_of_matches_rewriting(ball, word)
-        # every reduced spelling of a vertex, and each with a cancelling pair inserted
-        v = data.draw(st.integers(0, ball.size - 1))
-        s = data.draw(letters)
-        for word in sorted(m_class(system, ball.word(v))):
-            assert vertex_of(ball, word) == v
-            assert vertex_of(ball, word[:1] + (s, s) + word[1:]) == v
-
-    def test_fallback_keys_are_words(self):
-        system = make_system("a b", (0, 1, 5))
-        ball = build_ball(system, 3)  # proper: lengths 4 and 5 lie outside
-        assert system.cartan is None
-        for length in range(7):
-            for word in product(system.generators(), repeat=length):
-                assert_vertex_of_matches_rewriting(ball, word)
 
 
 class TestFallback:
