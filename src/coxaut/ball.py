@@ -118,12 +118,6 @@ class CayleyBall:
         use, by sorting each row of adj and dropping its -1 entries."""
         return [sorted(row)[row.count(-1) :] for row in zip(*[iter(self.adj)] * self.rank)]
 
-    @cached_property
-    def reduced_word_counts(self) -> list[int]:
-        """reduced_word_counts[v] = the number of reduced words of v, i.e. of geodesics
-        from the identity to v, for every vertex: reduced_word_counts_below(size)."""
-        return self.reduced_word_counts_below(self.size)
-
     def reduced_word_counts_below(self, stop: int) -> list[int]:
         """The reduced-word counts of at least the ids below stop, filled in id
         order and kept: 1 at the identity, and otherwise the sum of the counts at

@@ -94,7 +94,7 @@ translate g C.  No translate walk can fail where that reading passes.  A
 certified translate has every vertex of length at most r - n, so n <= r and
 w is read.  Each of its opposite pairs u, v has |u| + |v| + n <= 2r, so
 is_essential walks the half of w between them from e and reads length and
-reduced_word_counts there: the reading's verdict for w, pair by pair; and
+the reduced-word count there: the reading's verdict for w, pair by pair; and
 alternation reads the labels alone.  So a translate whose verdict and
 alternation disagree has a word whose verdict and alternation disagree, and
 the reading fails on every such read word, certified or not.  Certification

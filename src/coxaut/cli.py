@@ -8,6 +8,11 @@ else its variable; it rejects any other guard's flag (exit 2) and ignores its va
   --max-states    COXAUT_MAX_STATES    reduce
   --max-vertices  COXAUT_MAX_VERTICES  ball, cycles, exotic, stabilizer, verify
   --max-nodes     COXAUT_MAX_NODES     stabilizer, verify
+
+Parsers: OPTIONS declares every option once and COMMANDS lists each command's.
+main builds only the parser of the command argv[0] names, once per process, and
+build_parser (every command's) only when argv[0] names none; the first main()
+call then freezes what import and its parser made (gc.freeze).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .automorphisms import (
 )
 from .ball import DEFAULT_MAX_VERTICES, build_ball
 from .checks import resolve_probe_radius, run_system_checks
-from .cycles import enumerate_embedded_cycles, is_alternating, is_essential
+from .cycles import certifies, enumerate_embedded_cycles, is_alternating, is_essential
 from .system import DEFAULT_MAX_NODES, CoxeterSystem, LimitExceeded, ParseError, cycle_notation, is_flexible, parse_system
 from .words import DEFAULT_MAX_STATES, format_word, m_class_size, parse_word, reduce_word
 
@@ -232,29 +237,36 @@ def cmd_cycles(args) -> int:
     ball = build_ball(system, args.radius, max_vertices=max_vertices)
     max_m = system.max_finite_order()
     max_length = args.max_length if args.max_length is not None else (2 * max_m if max_m else 6)
-    rows = []  # (cycle, its essentiality report, its sorted relator pair or None)
+    rows = []  # (cycle, certified, essential, its sorted relator pair or None)
+    verdicts = {}  # label word -> essential: a certified cycle's verdict reads only its labels (see is_essential)
     for cycle in enumerate_embedded_cycles(ball, max_length, max_vertices):
-        rows.append((cycle, is_essential(ball, cycle), sorted(cycle.labels[:2]) if is_alternating(cycle) else None))
+        certified = certifies(ball, cycle)
+        essential = verdicts.get(cycle.labels) if certified else None
+        if essential is None:
+            essential = is_essential(ball, cycle).essential
+            if certified:
+                verdicts[cycle.labels] = essential
+        rows.append((cycle, certified, essential, sorted(cycle.labels[:2]) if is_alternating(cycle) else None))
     names = system.names
     if args.format == "json":
         quoted = list(map(encode_basestring_ascii, names))
 
         def cells(row):
-            cycle, report, relator = row
+            cycle, certified, essential, relator = row
             labels = _array(list(map(quoted.__getitem__, cycle.labels)), _CELL)
             vertices = _array(list(map(int.__repr__, cycle.vertices)), _CELL)
             relator = _array(list(map(quoted.__getitem__, relator)), _CELL) if relator else "null"
-            return _json_text(report.certified), _json_text(report.essential), labels, relator, vertices
+            return _json_text(certified), _json_text(essential), labels, relator, vertices
 
         keys = ("certified", "essential", "labels", "relator", "vertices")
         table = (keys, len(rows), lambda a, b: list(zip(*map(cells, rows[a:b]))))
         _emit_json({"radius": args.radius, "max_length": max_length}, cycles=table)
     else:
         print(f"{len(rows)} embedded cycles of length <= {max_length} at radius {args.radius}")
-        for cycle, report, relator in rows:
+        for cycle, certified, essential, relator in rows:
             flags = [
-                "essential" if report.essential else "not-essential",
-                "certified" if report.certified else "uncertified",
+                "essential" if essential else "not-essential",
+                "certified" if certified else "uncertified",
             ]
             if relator:
                 flags.append(f"relator({names[relator[0]]},{names[relator[1]]})")
@@ -358,77 +370,88 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parent(flag: str, **options) -> argparse.ArgumentParser:
-    """A parent parser declaring one option, for the commands that read it."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(flag, **options)
-    return parent
+# every option, declared once: its flags' argparse keywords, by name
+OPTIONS = {
+    "file": {"help": "diagram file (gens/pair format)"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--radius": {"type": int, "default": 5},
+    "--probe": {"type": int, "default": None, "help": "dedupe radius; default radius - max finite order"},
+    **{flag: {"type": int, "default": None, "help": text} for flag, (_, _, text) in GUARDS.items()},
+    "word": {"help": "whitespace-separated generator names; 'e' for the empty word"},
+    "--dot": {"metavar": "PATH", "help": "also write a Graphviz rendering"},
+    "--max-length": {"type": int, "default": None},
+    "--n": {"type": int, "default": None, "help": "family index; omit for the basic map"},
+}
+
+_SHARED = ("file", "--format")
+_BALL = (*_SHARED, "--radius", "--max-vertices")
+_CENSUS = (*_SHARED, "--radius", "--probe", "--max-vertices", "--max-nodes")
+
+# each command: its help line and the options its parser declares, in order
+COMMANDS = {
+    "check-flexible": ("decide diagram flexibility", _SHARED),
+    "reduce": ("canonical form of a word", (*_SHARED, "--max-states", "word")),
+    "ball": ("build a Cayley-graph ball", (*_BALL, "--dot")),
+    "cycles": ("classify embedded cycles", (*_BALL, "--max-length")),
+    "exotic": ("construct the exotic automorphism", (*_BALL, "--n")),
+    "stabilizer": ("census of identity-fixing automorphisms", _CENSUS),
+    "verify": ("run the invariant suite for a system", _CENSUS),
+}
+
+
+def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """parser with the options of command declared on it, as OPTIONS spells them."""
+    for name in COMMANDS[command][1]:
+        parser.add_argument(name, **OPTIONS[name])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The coxaut parser; parser.commands maps each command name to its subparser."""
+    """The top-level coxaut parser, one subparser per command, each declared from
+    OPTIONS and COMMANDS; parser.commands maps each command name to its subparser.
+    main builds it only when argv[0] names no command."""
     parser = argparse.ArgumentParser(
         prog="coxaut",
         description="Coxeter systems: word problem, Cayley-graph balls, and their automorphisms.",
         epilog="exit codes: 0 success, 1 invariant violation, 2 input error, "
         "3 indeterminate (a guard tripped), 4 internal error",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", help="diagram file (gens/pair format)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    radius = _parent("--radius", type=int, default=5)
-    probe = _parent("--probe", type=int, default=None, help="dedupe radius; default radius - max finite order")
-    states, vertices, nodes = (_parent(flag, type=int, default=None, help=text) for flag, (_, _, text) in GUARDS.items())
-
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # filled by each add_parser below
-
-    sub.add_parser("check-flexible", parents=[common], help="decide diagram flexibility")
-
-    p = sub.add_parser("reduce", parents=[common, states], help="canonical form of a word")
-    p.add_argument("word", help="whitespace-separated generator names; 'e' for the empty word")
-
-    p = sub.add_parser("ball", parents=[common, radius, vertices], help="build a Cayley-graph ball")
-    p.add_argument("--dot", metavar="PATH", help="also write a Graphviz rendering")
-
-    p = sub.add_parser("cycles", parents=[common, radius, vertices], help="classify embedded cycles")
-    p.add_argument("--max-length", type=int, default=None)
-
-    p = sub.add_parser("exotic", parents=[common, radius, vertices], help="construct the exotic automorphism")
-    p.add_argument("--n", type=int, default=None, help="family index; omit for the basic map")
-
-    sub.add_parser("stabilizer", parents=[common, radius, probe, vertices, nodes], help="census of identity-fixing automorphisms")
-    sub.add_parser("verify", parents=[common, radius, probe, vertices, nodes], help="run the invariant suite for a system")
-
+    for command, (text, _) in COMMANDS.items():
+        _declare(sub.add_parser(command, help=text), command)
+    parser.commands = sub.choices
     return parser
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first main() call and reused by later ones in the process.
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on its first call and reused by later
+    ones in the process: the same parser as build_parser's subparser."""
+    return _declare(argparse.ArgumentParser(prog="coxaut " + command), command)
 
-    The first call also freezes every object alive by then (gc.freeze): what
-    importing coxaut and building the parser made lives as long as the
-    process, and unfrozen, the process's first generation-1 collection walks
-    all of it, about 1.5 ms, inside whichever command it lands in.
-    """
-    parser = build_parser()
+
+@cache
+def _freeze() -> None:
+    """Freeze every object alive at the first main() call: what import made
+    lives as long as the process, and unfrozen, the process's first generation-1
+    collection walks all of it, about 1.5 ms, inside whichever command it lands in."""
     gc.freeze()
-    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    # a leading command name goes straight to that command's parser: parsed by
-    # the top-level parser, the rest of argv would be parsed a second time by it
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # empty argv, -h, an unknown command, an option before the command
-        args = parser.parse_args(argv)
-    else:
-        args = command.parse_args(argv[1:])
+    # a leading command name goes straight to that command's own parser: no other
+    # command's parser is built, and argv is parsed once
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(argv[0])
+        _freeze()
+        args = parser.parse_args(argv[1:])
         args.command = argv[0]
+    else:  # empty argv, -h, an unknown command, an option before the command
+        parser = build_parser()
+        _freeze()
+        args = parser.parse_args(argv)
     if getattr(args, "radius", 0) < 0:
         print("error: radius must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
@@ -438,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "max_length", None) is not None and args.max_length < 0:
         print("error: --max-length must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
-    # looked up per call, not bound into the shared parser: a handler replaced
+    # looked up per call, not bound into a cached parser: a handler replaced
     # on this module is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -178,13 +178,15 @@ def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
     or |u| + |v| + n <= 2 * radius every geodesic between u and v lies inside it,
     and the ball's distance and shortest-path count are the group's.  Walking
     labels[i:i + n] from the identity then reaches x = u^-1·v: the distance is
-    length[x] and the count is ball.reduced_word_counts[x], the geodesics being
-    u times the reduced words of x.  The walk stays inside the ball: its j-th
-    vertex u^-1·w, w the vertex j steps along the arc from u, has length
-    d(u, w) <= min(j, |x| + n - j) <= (|u| + |v| + n) / 2.  Every pair of a
-    certified cycle qualifies (|u|, |v| <= radius - n).  Any other pair is
-    measured by one BFS from v, bounded by n, that counts shortest paths inside
-    the ball.
+    length[x] and the count is x's number of reduced words, the geodesics being
+    u times the reduced words of x; a walk of n letters ends at length at most
+    n, so the count table is filled only through the id prefix interior(n).
+    The walk stays inside the ball: its j-th vertex u^-1·w, w the vertex j
+    steps along the arc from u, has length d(u, w) <= min(j, |x| + n - j) <=
+    (|u| + |v| + n) / 2.  Every pair of a certified cycle qualifies (|u|, |v| <=
+    radius - n), so a certified cycle's verdict reads only its labels.  Any
+    other pair is measured by one BFS from v, bounded by n, that counts
+    shortest paths inside the ball.
     """
     certified = certifies(ball, cycle)
     if len(cycle) % 2 != 0:
@@ -193,13 +195,14 @@ def is_essential(ball: CayleyBall, cycle: EmbeddedCycle) -> EssentialityReport:
     vertices, labels = cycle.vertices, cycle.labels
     adj, length, rank = ball.adj, ball.length, ball.rank
     reach = 2 * length[-1] if ball.complete else 2 * ball.radius - n  # bound on length[u] + length[v]
+    counts = ball.reduced_word_counts_below(len(ball.interior(n)))
     for i in range(n):
         u, v = vertices[i], vertices[i + n]
         if length[u] + length[v] <= reach:
             x = 0
             for s in labels[i : i + n]:
                 x = adj[x * rank + s]
-            d, paths = length[x], ball.reduced_word_counts[x]
+            d, paths = length[x], counts[x]
         else:
             d, paths = _shortest_paths(ball, v, u, n)
         if d != n:

@@ -479,14 +479,27 @@ class TestErrorsAndGuards:
         assert main(["check-flexible", a2_file]) == EXIT_INTERNAL == 4
         assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
-    def test_parser_is_built_once(self, a2_file, capsys, monkeypatch):
-        built = []
-        build_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-        cli._parser.cache_clear()
-        assert main(["check-flexible", a2_file]) == 0
-        assert main(["ball", a2_file]) == 0
-        assert built == [1]
+    def test_a_command_builds_only_its_own_parser(self, a2_file, capsys, monkeypatch):
+        parsers, tops = [], []
+        init, build_parser = argparse.ArgumentParser.__init__, cli.build_parser
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: parsers.append(1) or init(self, *a, **k))
+        monkeypatch.setattr(cli, "build_parser", lambda: tops.append(1) or build_parser())
+        cli._command_parser.cache_clear()
+
+        def built(argv):
+            parsers.clear()
+            exit_or_result(lambda: main(argv), capsys)
+            return len(parsers)
+
+        assert built(["reduce", a2_file, "a b a b"]) == 1  # the first call of a command: its parser alone
+        assert built(["reduce", a2_file, "a b"]) == 0  # a repeated call: none
+        assert built(["ball", a2_file, "--bogus"]) == 1
+        assert built(["ball", a2_file, "-h"]) == 0
+        assert tops == []
+        top = 1 + len(cli.COMMANDS)  # build_parser: the top-level parser and one subparser per command
+        assert built(["-h"]) == top
+        assert built(["bal", a2_file]) == top
+        assert len(tops) == 2
 
     def test_diagram_search_guard_exit_code(self, tmp_path, capsys, monkeypatch):
         # no rank cap: flexibility needs only the first two automorphisms of the

@@ -282,7 +282,7 @@ class TestEssentiality:
         system = parse_system(path.read_text())
         for radius in range(6):
             ball = build_ball(system, radius)
-            assert ball.reduced_word_counts == [m_class_size(system, ball.word(v)) for v in range(ball.size)]
+            assert ball.reduced_word_counts_below(ball.size) == [m_class_size(system, ball.word(v)) for v in range(ball.size)]
 
     def test_complete_ball_certifies_everything(self, cube):
         ball = build_ball(cube, 3)
